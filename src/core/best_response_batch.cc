@@ -107,7 +107,8 @@ common::Status BatchBestResponseLearner::BindLane(std::size_t lane,
 void BatchBestResponseLearner::SolveInto(std::span<LaneJob> lanes,
                                          Workspace& ws) const {
   MFG_OBS_SPAN("BestResponseBatch.Solve");
-  MFG_OBS_SCOPED_TIMER("core.best_response.seconds");
+  std::size_t timed_lanes = 0;  // One core.best_response.solves each.
+  MFG_OBS_SCOPED_LANE_TIMER("core.best_response.seconds", timed_lanes);
   const std::size_t m = num_lanes_;
   const std::size_t nt = nt_;
   const std::size_t nq = nq_;
@@ -130,6 +131,7 @@ void BatchBestResponseLearner::SolveInto(std::span<LaneJob> lanes,
     job.status = fpk_.MakeInitialDensityInto(l, lane.initial);
     if (!job.status.ok()) continue;
     MFG_OBS_COUNT("core.best_response.solves", 1);
+    ++timed_lanes;
 
     // Reset a (possibly reused) output to the fresh-Equilibrium state
     // while keeping every buffer's capacity; clearing the value surface

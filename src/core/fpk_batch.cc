@@ -163,7 +163,8 @@ common::Status FpkBatchSolver::MakeInitialDensityInto(
 
 void FpkBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
   MFG_OBS_SPAN("FpkBatch.SolveInto");
-  MFG_OBS_SCOPED_TIMER("core.fpk.sweep_seconds");
+  std::size_t timed_lanes = 0;  // One core.fpk.sweeps count each.
+  MFG_OBS_SCOPED_LANE_TIMER("core.fpk.sweep_seconds", timed_lanes);
   const std::size_t m = num_lanes_;
   const std::size_t nq = nq_;
   const std::size_t nt = nt_;
@@ -181,6 +182,7 @@ void FpkBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
     LaneIo& lane = lanes[l];
     if (!lane.active) continue;
     MFG_OBS_COUNT("core.fpk.sweeps", 1);
+    ++timed_lanes;
     lane.status = common::Status::Ok();
     // Per-lane validation, verbatim from the scalar SolveInto.
     if (!(lane.initial->grid() == grids_[l])) {

@@ -402,7 +402,8 @@ common::Status HjbBatchSolver::BindLane(std::size_t lane,
 
 void HjbBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
   MFG_OBS_SPAN("HjbBatch.SolveInto");
-  MFG_OBS_SCOPED_TIMER("core.hjb.sweep_seconds");
+  std::size_t timed_lanes = 0;  // One core.hjb.sweeps count each.
+  MFG_OBS_SCOPED_LANE_TIMER("core.hjb.sweep_seconds", timed_lanes);
   const std::size_t m = num_lanes_;
   const std::size_t nq = nq_;
   const std::size_t nt = nt_;
@@ -420,6 +421,7 @@ void HjbBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
     LaneIo& lane = lanes[l];
     if (!lane.active) continue;
     MFG_OBS_COUNT("core.hjb.sweeps", 1);
+    ++timed_lanes;
     lane.status = common::Status::Ok();
     // Per-lane validation, verbatim from the scalar SolveInto.
     if (lane.mean_field->size() != nt + 1) {

@@ -63,7 +63,10 @@ class Histogram {
 
   // Wait-free, allocation-free: linear scan over <= kMaxBuckets bounds,
   // then three relaxed atomic updates.
-  void Observe(double value) {
+  void Observe(double value) { Observe(value, 1); }
+
+  // `times` observations of the same value, at the cost of one.
+  void Observe(double value, std::uint64_t times) {
     std::size_t bucket = num_bounds_;
     for (std::size_t b = 0; b < num_bounds_; ++b) {
       if (value <= bounds_[b]) {
@@ -71,9 +74,10 @@ class Histogram {
         break;
       }
     }
-    counts_[bucket].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(value, std::memory_order_relaxed);
+    counts_[bucket].fetch_add(times, std::memory_order_relaxed);
+    count_.fetch_add(times, std::memory_order_relaxed);
+    sum_.fetch_add(value * static_cast<double>(times),
+                   std::memory_order_relaxed);
   }
 
   std::uint64_t Count() const { return count_.load(std::memory_order_relaxed); }

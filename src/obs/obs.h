@@ -21,6 +21,11 @@
 //   MFG_OBS_OBSERVE_COUNTS(name, v)   same, kDefaultCountBounds buckets
 //   MFG_OBS_SCOPED_TIMER(name)        RAII: seconds of the scope into a
 //                                     histogram
+//   MFG_OBS_SCOPED_LANE_TIMER(name, lanes)
+//                                     RAII: the scope's seconds / lanes,
+//                                     recorded once per lane (batched
+//                                     solvers; `lanes` is a std::size_t
+//                                     lvalue read at scope exit)
 //   MFG_OBS_SPAN(name)                RAII: chrome trace-event span
 //   MFG_OBS_SPAN_ID(name, id)         span with a numeric arg (content id,
 //                                     slot index, ...)
@@ -76,6 +81,13 @@
   ::mfg::obs::ScopedTimer MFG_OBS_CONCAT_(mfg_obs_timer_, __LINE__)(   \
       MFG_OBS_CONCAT_(mfg_obs_timer_hist_, __LINE__))
 
+#define MFG_OBS_SCOPED_LANE_TIMER(name, lanes)                        \
+  static ::mfg::obs::Histogram& MFG_OBS_CONCAT_(                      \
+      mfg_obs_timer_hist_, __LINE__) =                                \
+      ::mfg::obs::Registry::Global().GetHistogram(name);              \
+  ::mfg::obs::ScopedTimer MFG_OBS_CONCAT_(mfg_obs_timer_, __LINE__)(  \
+      MFG_OBS_CONCAT_(mfg_obs_timer_hist_, __LINE__), &(lanes))
+
 #define MFG_OBS_SPAN(name) \
   ::mfg::obs::TraceSpan MFG_OBS_CONCAT_(mfg_obs_span_, __LINE__)(name)
 
@@ -90,6 +102,7 @@
 #define MFG_OBS_OBSERVE(name, value) (void)0
 #define MFG_OBS_OBSERVE_COUNTS(name, value) (void)0
 #define MFG_OBS_SCOPED_TIMER(name) (void)0
+#define MFG_OBS_SCOPED_LANE_TIMER(name, lanes) (void)(lanes)
 #define MFG_OBS_SPAN(name) (void)0
 #define MFG_OBS_SPAN_ID(name, id) (void)0
 

@@ -2,6 +2,7 @@
 #define MFGCP_OBS_TIMER_H_
 
 #include <chrono>
+#include <cstddef>
 
 #include "obs/metrics.h"
 
@@ -16,9 +17,24 @@ namespace mfg::obs {
 class ScopedTimer {
  public:
   explicit ScopedTimer(Histogram& histogram)
-      : histogram_(histogram), start_(std::chrono::steady_clock::now()) {}
+      : ScopedTimer(histogram, nullptr) {}
 
-  ~ScopedTimer() { histogram_.Observe(ElapsedSeconds()); }
+  // Lane-split form for batched solvers: the scope's seconds are divided
+  // evenly over *lanes (read at destruction, so the scope may count its
+  // lanes as it goes) and recorded once per lane, so a K-lane batch fills
+  // a per-content histogram at the rate K scalar solves would. Records
+  // nothing when *lanes is 0.
+  ScopedTimer(Histogram& histogram, const std::size_t* lanes)
+      : histogram_(histogram),
+        lanes_(lanes),
+        start_(std::chrono::steady_clock::now()) {}
+
+  ~ScopedTimer() {
+    const std::size_t lanes = lanes_ == nullptr ? 1 : *lanes_;
+    if (lanes > 0) {
+      histogram_.Observe(ElapsedSeconds() / static_cast<double>(lanes), lanes);
+    }
+  }
 
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
@@ -31,6 +47,7 @@ class ScopedTimer {
 
  private:
   Histogram& histogram_;
+  const std::size_t* lanes_;
   std::chrono::steady_clock::time_point start_;
 };
 

@@ -21,17 +21,6 @@ namespace mfg::serve {
 
 namespace {
 
-// The serve-side kReplan seam, with the exact coordinates and site the
-// batch replay's ReplanStep uses — (epoch, content 0, attempt 0) — so a
-// fault plan keyed for the gauntlet degrades the serving runtime the
-// same way. MFG_FAULT_POINT fails the enclosing function, hence the
-// dedicated Status frame.
-common::Status BoundaryFaultCheck(std::size_t epoch) {
-  MFG_FAULT_SCOPE(epoch, 0, 0);
-  MFG_FAULT_POINT(kReplan);
-  return common::Status::Ok();
-}
-
 // The kPlanDeadline forced-state site: a hit makes the finished plan
 // count as having overrun its deadline (synchronous mode has no real
 // wall-clock budget to miss, so chaos tests force the path here).
@@ -47,21 +36,16 @@ std::chrono::steady_clock::duration MillisDuration(double ms) {
 
 }  // namespace
 
-// Per-Run accumulation state. The request ledger lives in scalars updated
-// in arrival order — the same accumulation order as ReplayInto, which is
-// what makes the unpaced synchronous ledger EXPECT_EQ-comparable.
+// Per-Run serve-side state; the request ledger itself is ledger_.
 struct ServeLoop::RunState {
   ServeStats& stats;
-  sim::RequestCostModel costs;
-  double period = 0.0;
-  double next_boundary = 0.0;
-  std::size_t epoch = 0;  // Boundaries crossed so far.
   double sim_now = 0.0;
   double last_pub_sim = 0.0;
-  std::uint64_t served = 0;
-  std::uint64_t hits = 0;
-  double total_delay = 0.0;
-  double backhaul_mb = 0.0;
+  // The boundary that closed the epoch the serving plan was computed
+  // from, as sim time and boundary count (t = 0 and 0 for the prior
+  // placement that serves until the first publication).
+  double plan_closed_at = 0.0;
+  std::size_t plan_closed_epochs = 0;
   // Steady-allocation window (armed at the second publication).
   bool window_armed = false;
   std::size_t window_allocs = 0;
@@ -138,7 +122,7 @@ common::StatusOr<std::unique_ptr<ServeLoop>> ServeLoop::Create(
 
   // Pre-size every cross-thread buffer so the steady path only ever
   // assigns into warmed storage.
-  loop->counts_.assign(k, 0);
+  loop->ledger_.Reset(resolved.engine, resolved.engine.epoch_period);
   loop->job_counts_.assign(k, 0);
   loop->published_plan_.score.assign(k, 0.0);
   loop->published_plan_.popularity.assign(k, 0.0);
@@ -201,12 +185,12 @@ void ServeLoop::PlannerMain() {
   }
 }
 
-bool ServeLoop::PostPlanJob(std::size_t epoch) {
+bool ServeLoop::PostPlanJob() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (shutdown_) return false;  // Stop() raced this boundary.
-    job_epoch_ = epoch;
-    std::copy(counts_.begin(), counts_.end(), job_counts_.begin());
+    job_epoch_ = ledger_.epoch();
+    std::ranges::copy(ledger_.epoch_counts(), job_counts_.begin());
     job_cache_ = back_;
     job_posted_ = true;
     job_done_ = false;
@@ -237,12 +221,22 @@ void ServeLoop::CountDeadlineMiss(RunState& state) {
   MFG_OBS_COUNT("serve.plan_deadline_misses", 1);
 }
 
+void ServeLoop::PollAsyncJob(RunState& state) {
+  if (!job_running_ || options_.plan_deadline_ms <= 0.0) return;
+  const bool done = JobDone();
+  if (!job_miss_counted_ &&
+      std::chrono::steady_clock::now() > job_deadline_) {
+    CountDeadlineMiss(state);
+  }
+  if (done) FinishJob(state);
+}
+
 void ServeLoop::FinishJob(RunState& state) {
   job_running_ = false;
   if (!job_status_.ok()) {
     // A planner error past the recovery ladder degrades exactly like the
     // batch replay: the previous placement keeps serving.
-    ++state.stats.requests.replan_faults;
+    ledger_.CountReplanFault();
     MFG_OBS_COUNT("serve.replan_faults", 1);
     MFG_LOG(WARNING) << "serve epoch " << job_epoch_
                      << " replan degraded to previous placement: "
@@ -310,12 +304,15 @@ void ServeLoop::Publish(RunState& state) {
   std::swap(front_, back_);
   interpolator_.Advance(published_plan_);
   pending_row_.seq = state.stats.publications;
-  pending_row_.epoch_published = state.epoch;
+  pending_row_.epoch_published = ledger_.epoch();
   pending_row_.tick = state.stats.ticks;
   pending_row_.sim_time = state.sim_now;
   state.stats.rows.push_back(pending_row_);
   ++state.stats.publications;
   state.last_pub_sim = state.sim_now;
+  state.plan_closed_epochs = job_epoch_ + 1;
+  state.plan_closed_at =
+      static_cast<double>(state.plan_closed_epochs) * ledger_.period();
   MFG_OBS_COUNT("serve.publications", 1);
 #if MFGCP_OBS_ENABLED
   // Job post → swap-in, including any deferred-publication wait — the
@@ -363,41 +360,28 @@ void ServeLoop::Publish(RunState& state) {
 }
 
 void ServeLoop::HandleBoundary(RunState& state) {
-  const bool async = options_.plan_deadline_ms > 0.0;
-  // Collect a round that finished since the last poll (async only —
-  // synchronous rounds never outlive their boundary).
-  if (async && job_running_ && JobDone()) {
-    if (!job_miss_counted_ &&
-        std::chrono::steady_clock::now() > job_deadline_) {
-      CountDeadlineMiss(state);
-    }
-    FinishJob(state);
-  }
+  PollAsyncJob(state);  // Sync rounds never outlive their boundary.
   // A deferred plan swaps in at the boundary it waited for.
   if (plan_pending_) {
     plan_pending_ = false;
     Publish(state);
   }
 
-  ++state.stats.requests.replans;
   MFG_OBS_COUNT("serve.replans", 1);
   if (job_running_) {
     // The planner is still inside the previous round: this boundary has
     // no plan round of its own (the previous plan serves through it).
-    if (!job_miss_counted_ &&
-        std::chrono::steady_clock::now() > job_deadline_) {
-      CountDeadlineMiss(state);
-    }
     ++state.stats.skipped_plan_rounds;
     MFG_OBS_COUNT("serve.skipped_plan_rounds", 1);
-  } else if (auto fault = BoundaryFaultCheck(state.epoch); !fault.ok()) {
+  } else if (auto fault = sim::ReplanFaultCheck(ledger_.epoch());
+             !fault.ok()) {
     // kReplan fault: identical degradation to the batch replay — nothing
     // is planned, the previous placement serves the next epoch.
-    ++state.stats.requests.replan_faults;
+    ledger_.CountReplanFault();
     MFG_OBS_COUNT("serve.replan_faults", 1);
-    MFG_LOG(WARNING) << "serve epoch " << state.epoch
+    MFG_LOG(WARNING) << "serve epoch " << ledger_.epoch()
                      << " replan degraded to previous placement: " << fault;
-  } else if (!PostPlanJob(state.epoch)) {
+  } else if (!PostPlanJob()) {
     // Stop() raced this boundary: the planner is gone, so the round is
     // skipped and the previous placement serves through.
     ++state.stats.skipped_plan_rounds;
@@ -405,7 +389,7 @@ void ServeLoop::HandleBoundary(RunState& state) {
   } else {
     ++state.stats.plan_rounds;
     MFG_OBS_COUNT("serve.plan_rounds", 1);
-    if (!async) {
+    if (options_.plan_deadline_ms <= 0.0) {
       const auto wait_start = std::chrono::steady_clock::now();
       WaitForJob();
       MFG_OBS_OBSERVE(
@@ -416,11 +400,6 @@ void ServeLoop::HandleBoundary(RunState& state) {
       FinishJob(state);
     }
   }
-  // The epoch's observation restarts regardless of how the round went —
-  // the same unconditional reset the batch replay performs.
-  std::fill(counts_.begin(), counts_.end(), std::uint64_t{0});
-  state.next_boundary += state.period;
-  ++state.epoch;
 }
 
 common::Status ServeLoop::Run(const sim::RequestStream& stream,
@@ -456,22 +435,20 @@ common::Status ServeLoop::RunLoop(const sim::RequestStream& stream,
     return status;
   }
   interpolator_.Reset(k);
-  std::fill(counts_.begin(), counts_.end(), std::uint64_t{0});
+  ledger_.Reset(options_.engine, options_.engine.epoch_period);
   cursor_.Bind(stream);
   plan_pending_ = false;
   job_running_ = false;
   job_miss_counted_ = false;
 
-  RunState state{stats, sim::RequestCostModel::FromOptions(options_.engine)};
-  state.period = options_.engine.epoch_period;
-  state.next_boundary = state.period;
+  RunState state{stats};
+  const double period = ledger_.period();
   const double horizon = stream.arrival_time.back();
   // One row per expected publication plus slack for deferred tails, so
   // the push_back in Publish never reallocates inside the steady window.
-  stats.rows.reserve(static_cast<std::size_t>(horizon / state.period) + 4);
+  stats.rows.reserve(static_cast<std::size_t>(horizon / period) + 4);
 
   const bool paced = clock_.paced();
-  const bool async = options_.plan_deadline_ms > 0.0;
   const double sim_dt = clock_.sim_dt();
   clock_.Start();
 
@@ -493,62 +470,31 @@ common::Status ServeLoop::RunLoop(const sim::RequestStream& stream,
       // Unpaced: jump straight to whichever comes later, the next epoch
       // boundary or the next arrival, so every tick makes progress and
       // the boundary/request interleaving matches the batch replay.
-      target = std::max(state.next_boundary, cursor_.NextArrival());
+      target = std::max(ledger_.next_boundary(), cursor_.NextArrival());
       state.sim_now = std::min(target, horizon);
     }
 
-    // Fire boundaries simulated time crossed. The NextArrival guard keeps
-    // the firing order identical to the batch replay, which only reaches
-    // a boundary en route to a later request — in particular the tail
-    // after the final request never replans.
-    while (!cursor_.AtEnd() && state.next_boundary <= target &&
-           state.next_boundary <= cursor_.NextArrival()) {
-      HandleBoundary(state);
-    }
-
-    double t = 0.0;
-    std::uint32_t content = 0;
-    while (cursor_.Next(target, t, content)) {
-      while (t >= state.next_boundary) HandleBoundary(state);
-      if (content >= k) {
-        result = common::Status::InvalidArgument(
-            "stream content id out of catalog range");
-        break;
-      }
-      ++counts_[content];
-      if (front_->OnRequest(content)) {
-        ++state.hits;
-        state.total_delay += state.costs.hit_delay;
-      } else {
-        state.total_delay += state.costs.miss_delay;
-        state.backhaul_mb += state.costs.miss_backhaul_mb;
-      }
-      ++state.served;
-    }
+    // Serve the requests that arrived by `target` through the front
+    // placement, firing the boundaries simulated time crossed; a
+    // synchronous publication swaps front_ mid-drain.
+    result = ledger_.DrainUntil(cursor_, target, front_,
+                                [&] { HandleBoundary(state); });
     if (!result.ok()) break;
 
-    // Async poll: publish a round that completed within its deadline at
-    // this tick; an overrun tick publishes nothing (the miss is counted
-    // once, the late plan waits for the next boundary).
-    if (async && job_running_) {
-      if (JobDone()) {
-        if (!job_miss_counted_ &&
-            std::chrono::steady_clock::now() > job_deadline_) {
-          CountDeadlineMiss(state);
-        }
-        FinishJob(state);
-      } else if (!job_miss_counted_ &&
-                 std::chrono::steady_clock::now() > job_deadline_) {
-        CountDeadlineMiss(state);
-      }
-    }
+    PollAsyncJob(state);
 
     MFG_OBS_COUNT("serve.ticks", 1);
     MFG_OBS_GAUGE_SET("serve.sim_time", state.sim_now);
     if (interpolator_.publications() > 0) {
-      const double u = (state.sim_now - state.last_pub_sim) / state.period;
+      const double u = (state.sim_now - state.last_pub_sim) / period;
       MFG_OBS_GAUGE_SET("serve.interp_price", interpolator_.MeanPriceAt(u));
     }
+    // Plan staleness: how far the serving plan's observation lags now.
+    MFG_OBS_GAUGE_SET("serve.plan_age_sim",
+                      state.sim_now - state.plan_closed_at);
+    MFG_OBS_GAUGE_SET(
+        "serve.plan_epochs_behind",
+        static_cast<double>(ledger_.epoch() - state.plan_closed_epochs));
 #if MFGCP_OBS_ENABLED
     MFG_OBS_OBSERVE(
         "serve.tick_latency",
@@ -570,22 +516,14 @@ common::Status ServeLoop::RunLoop(const sim::RequestStream& stream,
   // no boundary remains to swap at.
   if (job_running_) {
     WaitForJob();
-    if (async && !job_miss_counted_ &&
-        std::chrono::steady_clock::now() > job_deadline_) {
-      CountDeadlineMiss(state);
-    }
-    FinishJob(state);
+    PollAsyncJob(state);
   }
 
-  stats.requests.requests = state.served;
-  stats.requests.hits = state.hits;
-  stats.requests.misses = state.served - state.hits;
-  stats.requests.total_delay = state.total_delay;
-  stats.requests.backhaul_mb = state.backhaul_mb;
+  stats.requests = ledger_.stats();
   stats.requests.horizon = horizon;
   stats.wall_seconds = clock_.ElapsedWallSeconds();
 
-  MFG_OBS_COUNT("serve.requests", state.served);
+  MFG_OBS_COUNT("serve.requests", stats.requests.requests);
   MFG_OBS_GAUGE_SET("serve.last_hit_ratio", stats.requests.HitRatio());
   MFG_OBS_OBSERVE("serve.run_seconds", stats.wall_seconds);
 

@@ -32,13 +32,13 @@
 // Structure per tick:
 //   1. advance simulated time by tick · timescale (ServeClock; timescale
 //      inf = unpaced, drain as fast as possible),
-//   2. fire any epoch boundaries simulated time crossed — publish the
-//      double-buffered plan prepared by the planner thread and hand the
-//      finished epoch's request counts over as the next planning job,
-//   3. drain arrived requests through the *front* placement
-//      (StaticSetCache::OnRequest is a read-only membership probe, so the
-//      planner re-placing the back cache never races the serve path),
-//   4. answer mid-epoch mean-field queries by linear interpolation
+//   2. drain arrived requests through the *front* placement with the
+//      sim::RequestLedger drain ReplayInto uses (StaticSetCache::OnRequest
+//      is a read-only probe, so re-placing the back cache never races
+//      it), running HandleBoundary at each epoch boundary crossed:
+//      publish the planner thread's plan, post the finished epoch's
+//      counts as the next planning job,
+//   3. answer mid-epoch mean-field queries by linear interpolation
 //      between the last two published plans (PlanInterpolator).
 //
 // Planning deadline (plan_deadline_ms):
@@ -129,9 +129,9 @@ struct ServeEpochRow {
 };
 
 struct ServeStats {
-  // Request-level ledger, accumulated in arrival order with the shared
-  // RequestCostModel — EXPECT_EQ-comparable to a gauntlet replay of the
-  // same stream in synchronous unpaced mode.
+  // Request-level ledger (sim::RequestLedger, as in ReplayInto) —
+  // EXPECT_EQ-comparable to a gauntlet replay of the same stream when
+  // every boundary plans synchronously.
   sim::RequestReplayStats requests;
   std::uint64_t ticks = 0;
   std::uint64_t publications = 0;       // Plans swapped in.
@@ -198,7 +198,7 @@ class ServeLoop {
   void HandleBoundary(RunState& state);
   // False when the loop is shut down (no planner to serve the job); the
   // boundary then counts as a skipped plan round.
-  bool PostPlanJob(std::size_t epoch);
+  bool PostPlanJob();
   bool JobDone();
   void WaitForJob();
   // Collects a finished plan round: copies health, charges any deadline
@@ -207,6 +207,8 @@ class ServeLoop {
   void Publish(RunState& state);
   // Counts the job's deadline miss once (async overrun ticks).
   void CountDeadlineMiss(RunState& state);
+  // Async: counts an in-flight round's overrun once; collects it if done.
+  void PollAsyncJob(RunState& state);
   common::Status WriteJsonl(const ServeStats& stats) const;
 
   ServeOptions options_;
@@ -228,8 +230,8 @@ class ServeLoop {
   PlanInterpolator interpolator_;
   core::EpochHealthReport last_health_;
 
-  // Serve-side request counters of the running epoch.
-  std::vector<std::uint64_t> counts_;
+  // Per-epoch counts, request ledger and boundary clock.
+  sim::RequestLedger ledger_;
   sim::RequestStreamCursor cursor_;
 
   // Planner-thread job channel.

@@ -1,6 +1,5 @@
 #include "sim/request_engine.h"
 
-#include <algorithm>
 #include <chrono>
 #include <limits>
 
@@ -10,22 +9,11 @@
 
 namespace mfg::sim {
 
-namespace {
-
-// The guarded replan step: the MFG_FAULT_POINT macro fails the enclosing
-// function, so the seam lives in its own Status-returning frame. The
-// fault coordinates are (epoch, content 0, attempt 0) — one replan per
-// boundary, matched purely functionally like every other site.
-common::Status ReplanStep(std::size_t epoch,
-                          std::span<const std::uint64_t> epoch_counts,
-                          baselines::RequestCachePolicy& policy,
-                          ReplanHook& hook) {
+common::Status ReplanFaultCheck(std::size_t epoch) {
   MFG_FAULT_SCOPE(epoch, 0, 0);
   MFG_FAULT_POINT(kReplan);
-  return hook.OnEpochBoundary(epoch, epoch_counts, policy);
+  return common::Status::Ok();
 }
-
-}  // namespace
 
 common::Status ValidateRequestEngineOptions(
     const RequestEngineOptions& options) {
@@ -43,6 +31,19 @@ common::Status ValidateRequestEngineOptions(
   return common::Status::Ok();
 }
 
+void RequestLedger::Reset(const RequestEngineOptions& options,
+                          double period) {
+  stats_ = RequestReplayStats{};
+  counts_.assign(options.num_contents, 0);
+  hit_delay_ = options.content_size_mb / options.edge_rate_mb;
+  miss_delay_ = options.backhaul_latency +
+                options.content_size_mb / options.backhaul_rate_mb;
+  miss_backhaul_mb_ = options.content_size_mb;
+  period_ = period;
+  next_boundary_ =
+      period > 0.0 ? period : std::numeric_limits<double>::infinity();
+}
+
 common::Status RequestEngine::ReplayInto(const RequestStream& stream,
                                          baselines::RequestCachePolicy& policy,
                                          ReplanHook* hook,
@@ -54,70 +55,33 @@ common::Status RequestEngine::ReplayInto(const RequestStream& stream,
   if (auto status = ValidateRequestEngineOptions(options_); !status.ok()) {
     return status;
   }
-  stats = RequestReplayStats{};
-  workspace.epoch_counts.assign(options_.num_contents, 0);
-
-  // Per-request costs are loop invariants of the homogeneous catalog:
-  // the inner loop is a policy call, a branch, and three adds.
-  const RequestCostModel costs = RequestCostModel::FromOptions(options_);
-  const double hit_delay = costs.hit_delay;
-  const double miss_delay = costs.miss_delay;
-  const double miss_backhaul_mb = costs.miss_backhaul_mb;
-
-  const bool replanning = hook != nullptr && options_.epoch_period > 0.0;
-  double next_boundary =
-      replanning ? options_.epoch_period :
-                   std::numeric_limits<double>::infinity();
-  std::size_t epoch = 0;
+  workspace.Reset(options_, hook != nullptr ? options_.epoch_period : 0.0);
 
   const auto replay_start = std::chrono::steady_clock::now();
-  const std::size_t n = stream.size();
-  std::uint64_t hits = 0;
-  double total_delay = 0.0;
-  double backhaul_mb = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double t = stream.arrival_time[i];
-    while (t >= next_boundary) {
-      // The finished epoch's observation feeds the replan; a failed
-      // replan (injected kReplan fault or a planner error the recovery
-      // ladder could not absorb) carries the previous placement forward.
-      const common::Status replanned =
-          ReplanStep(epoch, workspace.epoch_counts, policy, *hook);
-      ++stats.replans;
-      if (!replanned.ok()) {
-        ++stats.replan_faults;
-        MFG_OBS_COUNT("sim.request.replan_faults", 1);
-        MFG_LOG(WARNING) << "request replay epoch " << epoch
-                         << " replan degraded to previous placement: "
-                         << replanned;
-      }
-      MFG_OBS_COUNT("sim.request.replans", 1);
-      std::fill(workspace.epoch_counts.begin(), workspace.epoch_counts.end(),
-                std::uint64_t{0});
-      next_boundary += options_.epoch_period;
-      ++epoch;
-    }
-    const std::uint32_t k = stream.content[i];
-    if (k >= options_.num_contents) {
-      return common::Status::InvalidArgument(
-          "stream content id out of catalog range");
-    }
-    ++workspace.epoch_counts[k];
-    if (policy.OnRequest(k)) {
-      ++hits;
-      total_delay += hit_delay;
-    } else {
-      total_delay += miss_delay;
-      backhaul_mb += miss_backhaul_mb;
-    }
-  }
-
-  stats.requests = n;
-  stats.hits = hits;
-  stats.misses = n - hits;
-  stats.total_delay = total_delay;
-  stats.backhaul_mb = backhaul_mb;
+  RequestStreamCursor cursor(stream);
+  baselines::RequestCachePolicy* serving = &policy;
+  const common::Status drained = workspace.DrainUntil(
+      cursor, std::numeric_limits<double>::infinity(), serving, [&] {
+        // A failed replan (kReplan fault or a planner error past the
+        // recovery ladder) carries the previous placement forward.
+        const std::size_t epoch = workspace.epoch();
+        common::Status replanned = ReplanFaultCheck(epoch);
+        if (replanned.ok()) {
+          replanned =
+              hook->OnEpochBoundary(epoch, workspace.epoch_counts(), policy);
+        }
+        if (!replanned.ok()) {
+          workspace.CountReplanFault();
+          MFG_OBS_COUNT("sim.request.replan_faults", 1);
+          MFG_LOG(WARNING) << "request replay epoch " << epoch
+                           << " replan degraded to previous placement: "
+                           << replanned;
+        }
+        MFG_OBS_COUNT("sim.request.replans", 1);
+      });
+  stats = workspace.stats();
   stats.horizon = stream.arrival_time.back();
+  if (!drained.ok()) return drained;
 
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -126,9 +90,9 @@ common::Status RequestEngine::ReplayInto(const RequestStream& stream,
   // Aggregate instruments only — one counter bump per replay (and one per
   // epoch boundary above), never per request, so the record path cannot
   // dent the >=1M requests/s target.
-  MFG_OBS_COUNT("sim.request.requests", static_cast<std::uint64_t>(n));
-  MFG_OBS_COUNT("sim.request.hits", hits);
-  MFG_OBS_COUNT("sim.request.misses", static_cast<std::uint64_t>(n) - hits);
+  MFG_OBS_COUNT("sim.request.requests", stats.requests);
+  MFG_OBS_COUNT("sim.request.hits", stats.hits);
+  MFG_OBS_COUNT("sim.request.misses", stats.misses);
   MFG_OBS_GAUGE_SET("sim.request.last_hit_ratio", stats.HitRatio());
   MFG_OBS_OBSERVE("sim.request.replay_seconds", seconds);
   return common::Status::Ok();

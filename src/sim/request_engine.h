@@ -1,7 +1,9 @@
 #ifndef MFGCP_SIM_REQUEST_ENGINE_H_
 #define MFGCP_SIM_REQUEST_ENGINE_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -84,25 +86,6 @@ struct RequestReplayStats {
 // paths reject a bad configuration with the same message.
 common::Status ValidateRequestEngineOptions(const RequestEngineOptions& options);
 
-// Per-request costs of the homogeneous catalog, hoisted out of the
-// request loop (the loop invariants ReplayInto always used). Shared by
-// ReplayInto and serve::ServeLoop so both paths accumulate bit-identical
-// delay/backhaul ledgers from the same expressions.
-struct RequestCostModel {
-  double hit_delay = 0.0;        // content_size / edge_rate.
-  double miss_delay = 0.0;       // latency + content_size / backhaul_rate.
-  double miss_backhaul_mb = 0.0; // content_size.
-
-  static RequestCostModel FromOptions(const RequestEngineOptions& options) {
-    RequestCostModel model;
-    model.hit_delay = options.content_size_mb / options.edge_rate_mb;
-    model.miss_delay = options.backhaul_latency +
-                       options.content_size_mb / options.backhaul_rate_mb;
-    model.miss_backhaul_mb = options.content_size_mb;
-    return model;
-  }
-};
-
 // Epoch-boundary replan seam. OnEpochBoundary runs on the replay thread
 // when sim time crosses an epoch boundary, with the per-content request
 // counts observed during the finished epoch; it typically re-plans and
@@ -117,13 +100,119 @@ class ReplanHook {
       baselines::RequestCachePolicy& policy) = 0;
 };
 
+// The kReplan fault seam of every epoch boundary, ReplayInto's and
+// serve::ServeLoop's: coordinates (epoch, content 0, attempt 0). Non-ok =
+// the boundary plans nothing and the previous placement serves on.
+common::Status ReplanFaultCheck(std::size_t epoch);
+
+// The one request loop: per-epoch counts, the hit/delay/backhaul ledger,
+// the per-request costs and the epoch-boundary clock. ReplayInto drains a
+// whole stream through it in one call and serve::ServeLoop tick by tick,
+// so both produce the same ledger by construction.
+//
+// A boundary at time b fires before the first request arriving at >= b,
+// or at `until` >= b when requests remain past it; never after the final
+// request. A content id outside the catalog stops the drain with
+// InvalidArgument, the cursor on that request: stats() then holds the
+// ledger up to the rejected request, and both drivers report it so.
+class RequestLedger {
+ public:
+  // Zeroes the ledger and sizes the counts (allocation-free once sized);
+  // the first boundary is at t = period, 0 = never.
+  void Reset(const RequestEngineOptions& options, double period);
+
+  // Serves the cursor's requests arriving by `until` through `serving`.
+  // on_boundary() sees the finished epoch's epoch()/epoch_counts() and may
+  // re-point `serving` (a buffer swap), which is re-read after it returns.
+  // Policy is the caller's static type, so a final cache is not called
+  // through the vtable.
+  template <class Policy, class OnBoundary>
+  common::Status DrainUntil(RequestStreamCursor& cursor, double until,
+                            Policy*& serving, OnBoundary&& on_boundary);
+
+  void CountReplanFault() { ++stats_.replan_faults; }
+
+  // Every field but horizon, which the driver owns; replans = epoch().
+  const RequestReplayStats& stats() const { return stats_; }
+  std::span<const std::uint64_t> epoch_counts() const { return counts_; }
+  std::size_t epoch() const { return stats_.replans; }
+  double next_boundary() const { return next_boundary_; }
+  double period() const { return period_; }
+
+ private:
+  RequestReplayStats stats_;
+  std::vector<std::uint64_t> counts_;
+  double hit_delay_ = 0.0;
+  double miss_delay_ = 0.0;
+  double miss_backhaul_mb_ = 0.0;
+  double period_ = 0.0;
+  double next_boundary_ = std::numeric_limits<double>::infinity();
+};
+
+template <class Policy, class OnBoundary>
+common::Status RequestLedger::DrainUntil(RequestStreamCursor& cursor,
+                                         double until, Policy*& serving,
+                                         OnBoundary&& on_boundary) {
+  if (cursor.AtEnd()) return common::Status::Ok();
+  // Index walk with the loop invariants in locals; summing in arrival
+  // order fixes the floating-point accumulation order.
+  const double* arrival = cursor.stream()->arrival_time.data();
+  const std::uint32_t* content = cursor.stream()->content.data();
+  const std::size_t n = cursor.stream()->size();
+  std::uint64_t* counts = counts_.data();
+  const std::size_t num_contents = counts_.size();
+  const double hit_delay = hit_delay_;
+  const double miss_delay = miss_delay_;
+  const double miss_backhaul_mb = miss_backhaul_mb_;
+  const std::size_t start = cursor.position();
+  std::size_t i = start;
+  Policy* policy = serving;
+  double boundary = next_boundary_;
+  std::uint64_t hits = stats_.hits;
+  double total_delay = stats_.total_delay;
+  double backhaul_mb = stats_.backhaul_mb;
+  common::Status status = common::Status::Ok();
+  while (i < n) {
+    const double t = arrival[i];
+    if (t >= boundary) {
+      if (boundary > until) break;
+      on_boundary();
+      std::fill(counts_.begin(), counts_.end(), std::uint64_t{0});
+      boundary = next_boundary_ += period_;
+      ++stats_.replans;
+      policy = serving;
+      continue;
+    }
+    if (t > until) break;
+    const std::uint32_t k = content[i];
+    if (k >= num_contents) {
+      status = common::Status::InvalidArgument(
+          "stream content id out of catalog range");
+      break;
+    }
+    ++counts[k];
+    if (policy->OnRequest(k)) {
+      ++hits;
+      total_delay += hit_delay;
+    } else {
+      total_delay += miss_delay;
+      backhaul_mb += miss_backhaul_mb;
+    }
+    ++i;
+  }
+  cursor.Seek(i);
+  stats_.requests += i - start;
+  stats_.hits = hits;
+  stats_.misses = stats_.requests - hits;
+  stats_.total_delay = total_delay;
+  stats_.backhaul_mb = backhaul_mb;
+  return status;
+}
+
 class RequestEngine {
  public:
-  // Long-lived replay scratch: the per-epoch observation counters. Reused
-  // across replays; allocation-free once sized for num_contents.
-  struct Workspace {
-    std::vector<std::uint64_t> epoch_counts;
-  };
+  // Long-lived replay scratch, reused across replays.
+  using Workspace = RequestLedger;
 
   explicit RequestEngine(const RequestEngineOptions& options)
       : options_(options) {}
@@ -131,7 +220,8 @@ class RequestEngine {
   // Replays `stream` through `policy`, accumulating into `stats` (which
   // is reset first). `hook` may be null (no replanning even when
   // epoch_period > 0). The policy must already be Reset to the engine's
-  // catalog shape.
+  // catalog shape. A rejected content id returns InvalidArgument with
+  // `stats` holding the ledger up to that request.
   common::Status ReplayInto(const RequestStream& stream,
                             baselines::RequestCachePolicy& policy,
                             ReplanHook* hook, Workspace& workspace,

@@ -68,12 +68,11 @@ struct RequestStream {
                          std::vector<std::uint64_t>& counts) const;
 };
 
-// Incremental tail reader over a RequestStream: the serving runtime
-// (serve/serve_loop.h) drains requests tick by tick as simulated time
-// advances, instead of walking the whole stream in one replay pass. The
-// cursor is a bare index — binding and advancing never allocate — and
-// yields requests in arrival order, so a cursor-driven drain visits the
-// exact event sequence ReplayInto does.
+// Incremental tail reader over a RequestStream: sim::RequestLedger drains
+// through it — the serving runtime (serve/serve_loop.h) tick by tick as
+// simulated time advances, ReplayInto in one pass. The cursor is a bare
+// index — binding and advancing never allocate — and yields requests in
+// arrival order.
 class RequestStreamCursor {
  public:
   RequestStreamCursor() = default;
@@ -84,6 +83,10 @@ class RequestStreamCursor {
     stream_ = &stream;
     position_ = 0;
   }
+
+  // For index-walking drains (sim::RequestLedger::DrainUntil).
+  const RequestStream* stream() const { return stream_; }
+  void Seek(std::size_t position) { position_ = position; }
 
   bool AtEnd() const {
     return stream_ == nullptr || position_ >= stream_->size();

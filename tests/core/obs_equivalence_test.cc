@@ -10,9 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/best_response.h"
+#include "core/mfg_cp.h"
+#include "epoch_test_util.h"
 #include "obs/obs.h"
 
 namespace mfg::core {
@@ -106,6 +109,52 @@ TEST(ObsEquivalenceTest, SolveCountersAdvance) {
   // One HJB sweep per best-response iteration.
   EXPECT_EQ(registry.GetCounter("core.hjb.sweeps").Value(),
             sweeps_before + eq.iterations);
+#endif
+}
+
+TEST(ObsEquivalenceTest, SolverTimerCountsMatchTheirCounters) {
+#if !MFGCP_OBS_ENABLED
+  GTEST_SKIP() << "instrumentation compiled out (MFGCP_OBS=OFF)";
+#else
+  // Each solver timer records once per content it times, scalar or
+  // batched, so a histogram's count moves in step with the counter of the
+  // same work — a K-lane batch must not record one sample for K counts.
+  struct TimedCounter {
+    const char* histogram;
+    const char* counter;
+  };
+  constexpr TimedCounter kPairs[] = {
+      {"core.hjb.sweep_seconds", "core.hjb.sweeps"},
+      {"core.fpk.sweep_seconds", "core.fpk.sweeps"},
+      {"core.best_response.seconds", "core.best_response.solves"},
+  };
+  constexpr std::size_t kContents = 8;
+  obs::Registry& registry = obs::Registry::Global();
+  for (std::size_t batch_width : {1u, 8u}) {
+    SCOPED_TRACE(::testing::Message() << "batch_width " << batch_width);
+    MfgCpOptions options = testing::FastOptions();
+    options.batch_width = batch_width;
+    auto framework = testing::MakeFramework(kContents, 1, &options);
+    std::vector<std::uint64_t> histogram_before;
+    std::vector<std::uint64_t> counter_before;
+    for (const TimedCounter& pair : kPairs) {
+      histogram_before.push_back(registry.GetHistogram(pair.histogram).Count());
+      counter_before.push_back(registry.GetCounter(pair.counter).Value());
+    }
+    EpochPlanBuffer buffer;
+    ASSERT_TRUE(
+        framework.PlanEpochInto(testing::MakeObservation(kContents), buffer)
+            .ok());
+    for (std::size_t i = 0; i < std::size(kPairs); ++i) {
+      const std::uint64_t counted =
+          registry.GetCounter(kPairs[i].counter).Value() - counter_before[i];
+      EXPECT_GE(counted, kContents) << kPairs[i].counter;
+      EXPECT_EQ(registry.GetHistogram(kPairs[i].histogram).Count() -
+                    histogram_before[i],
+                counted)
+          << kPairs[i].histogram;
+    }
+  }
 #endif
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/fault_injection.h"
+#include "obs/obs.h"
 #include "serve/serve_loop.h"
 #include "serve_test_util.h"
 #include "sim/request_stream.h"
@@ -158,6 +159,38 @@ TEST(ServeLoopDeadlineTest, AsyncOnTimePlanPublishes) {
   EXPECT_GE(stats.publications, 1u);
   EXPECT_EQ(stats.failed_epochs, 0u);
 }
+
+#if MFGCP_OBS_ENABLED
+TEST(ServeLoopDeadlineTest, StalenessGaugesTrackTheServingPlan) {
+  // serve.plan_age_sim / serve.plan_epochs_behind measure the serving
+  // plan against the boundary that closed the epoch it was planned from.
+  auto stream = sim::GenerateRequestStream(SmallStreamOptions());
+  ASSERT_TRUE(stream.ok()) << stream.status();
+  obs::Registry& registry = obs::Registry::Global();
+  const obs::Gauge& age = registry.GetGauge("serve.plan_age_sim");
+  const obs::Gauge& behind = registry.GetGauge("serve.plan_epochs_behind");
+
+  // Synchronous: each boundary's plan serves the epoch right after it.
+  ServeOptions options = SmallServeOptions();
+  auto sync_loop = ServeLoop::Create(options);
+  ASSERT_TRUE(sync_loop.ok()) << sync_loop.status();
+  ServeStats stats;
+  ASSERT_TRUE(sync_loop.value()->Run(stream.value(), stats).ok());
+  EXPECT_EQ(behind.Value(), 0.0);
+  EXPECT_GE(age.Value(), 0.0);
+  EXPECT_LT(age.Value(), options.engine.epoch_period);
+
+  // A planner far slower than the unpaced stream: the prior placement
+  // (closed at t = 0) still serves every boundary the stream crosses.
+  options.plan_deadline_ms = 5.0;
+  options.synthetic_plan_delay_ms = 80.0;
+  auto slow_loop = ServeLoop::Create(options);
+  ASSERT_TRUE(slow_loop.ok()) << slow_loop.status();
+  ASSERT_TRUE(slow_loop.value()->Run(stream.value(), stats).ok());
+  EXPECT_EQ(behind.Value(), static_cast<double>(stats.requests.replans));
+  EXPECT_EQ(age.Value(), stats.requests.horizon);
+}
+#endif  // MFGCP_OBS_ENABLED
 
 TEST(ServeLoopDeadlineTest, CreateRejectsBadOptions) {
   ServeOptions options = SmallServeOptions();
