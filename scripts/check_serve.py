@@ -11,13 +11,13 @@ the serving runtime promises (EXPERIMENTS.md "Serving soak"):
   * epoch rows are in publication order: seq counts 0,1,2,... and both
     tick and sim_time are nondecreasing, epoch strictly increasing;
   * per-row ladder accounting closes: solved + retried + carried_forward
-    + fallback + failed == active, and deadline_miss is 0 or 1 (a plan
+    + fallback + failed == active, and deadline_misses is 0 or 1 (a plan
     round overruns at most once);
   * a deferred publication really was deferred: epoch_published >= epoch,
     with equality whenever the row charges no deadline miss in
     synchronous mode (epoch_published > epoch requires a miss);
   * the summary closes against the rows: publications == row count,
-    deadline_misses == sum of row deadline_miss, failed_epochs == number
+    deadline_misses == sum of row deadline_misses, failed_epochs == number
     of rows with failed > 0, hits + misses == requests, and the steady
     window fits inside the run (steady_ticks <= ticks).
 
@@ -39,7 +39,7 @@ def fail(message):
 LADDER = ("solved", "retried", "carried_forward", "fallback", "failed")
 
 EPOCH_FIELDS = ("seq", "epoch", "epoch_published", "tick", "sim_time",
-                "active", "plan_seconds", "deadline_miss",
+                "active", "plan_seconds", "deadline_misses",
                 "mean_price") + LADDER
 
 SUMMARY_FIELDS = ("ticks", "publications", "plan_rounds", "deadline_misses",
@@ -116,15 +116,15 @@ def main():
         if ladder_sum != row["active"]:
             fail(f"{where}: ladder tallies sum to {ladder_sum}, "
                  f"active is {row['active']}")
-        if row["deadline_miss"] not in (0, 1):
-            fail(f"{where}: deadline_miss {row['deadline_miss']} not in "
+        if row["deadline_misses"] not in (0, 1):
+            fail(f"{where}: deadline_misses {row['deadline_misses']} not in "
                  "{0, 1}")
         if row["epoch_published"] < row["epoch"]:
             fail(f"{where}: published at boundary {row['epoch_published']} "
                  f"before its own epoch {row['epoch']}")
         if (row["epoch_published"] > row["epoch"]
                 and summary["plan_deadline_ms"] == 0
-                and row["deadline_miss"] == 0):
+                and row["deadline_misses"] == 0):
             fail(f"{where}: synchronous publication deferred without a "
                  "deadline miss")
         if row["plan_seconds"] < 0.0:
@@ -137,7 +137,7 @@ def main():
     if summary["publications"] != len(rows):
         fail(f"summary publications {summary['publications']} != "
              f"{len(rows)} epoch rows")
-    misses = sum(row["deadline_miss"] for row in rows)
+    misses = sum(row["deadline_misses"] for row in rows)
     if summary["deadline_misses"] != misses:
         fail(f"summary deadline_misses {summary['deadline_misses']} != "
              f"{misses} counted from the rows")

@@ -15,7 +15,7 @@ std::string FormatHealthLine(const EpochHealthReport& report) {
   std::ostringstream out;
   char wall[32];
   std::snprintf(wall, sizeof(wall), "%.3f", report.plan_seconds);
-  out << "epoch " << report.epoch << ": active=" << report.active_contents
+  out << "epoch " << report.epoch << ": active=" << report.active
       << " wall=" << wall << "s outcomes solved=" << report.solved
       << " retried=" << report.retried
       << " carried_forward=" << report.carried_forward
@@ -23,9 +23,9 @@ std::string FormatHealthLine(const EpochHealthReport& report) {
       << " br solves=" << report.best_response_solves
       << " converged=" << report.best_response_converged
       << " nonconverged=" << report.best_response_nonconverged
-      << " allocs=" << report.epoch_allocations;
-  if (report.plan_deadline_misses > 0) {
-    out << " deadline_misses=" << report.plan_deadline_misses;
+      << " allocs=" << report.allocations;
+  if (report.deadline_misses > 0) {
+    out << " deadline_misses=" << report.deadline_misses;
   }
   if (report.eq_probed > 0) {
     char gap[32], rel[32], cons[32], price[32];
@@ -39,9 +39,9 @@ std::string FormatHealthLine(const EpochHealthReport& report) {
   }
   if (report.serve_ticks > 0) {
     char p50[32], p90[32], p99[32];
-    std::snprintf(p50, sizeof(p50), "%.3g", report.serve_tick_p50);
-    std::snprintf(p90, sizeof(p90), "%.3g", report.serve_tick_p90);
-    std::snprintf(p99, sizeof(p99), "%.3g", report.serve_tick_p99);
+    std::snprintf(p50, sizeof(p50), "%.3g", report.tick_p50);
+    std::snprintf(p90, sizeof(p90), "%.3g", report.tick_p90);
+    std::snprintf(p99, sizeof(p99), "%.3g", report.tick_p99);
     out << " serve ticks=" << report.serve_ticks << " tick_p50=" << p50
         << " tick_p90=" << p90 << " tick_p99=" << p99;
   }

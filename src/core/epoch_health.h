@@ -2,89 +2,40 @@
 #define MFGCP_CORE_EPOCH_HEALTH_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "content/catalog.h"
+#include "obs/epoch_record.h"
 
 // Per-epoch health summary assembled by MfgCpFramework::PlanEpochInto:
-// the recovery-ladder outcome tallies of the epoch's plan buffer plus the
-// core.best_response.* counter deltas spanning exactly that epoch. One
-// report answers the operator question "did this epoch degrade?" without
-// diffing registry dumps by hand; FormatHealthLine renders it as a single
-// log line and the MetricsStreamer's windows carry the same counters as a
-// time series.
+// the plan's obs::EpochRecord (obs/epoch_record.h — ladder outcome
+// tallies, core.best_response.* counter deltas spanning exactly this
+// epoch, pool allocations, equilibrium-probe results) plus the
+// variable-length degraded-content list and flight-dump path. One report
+// answers the operator question "did this epoch degrade?" without diffing
+// registry dumps by hand; FormatHealthLine renders it as a single log line
+// and the MetricsStreamer's windows carry the same counters as a time
+// series.
 //
 // Tallies are sourced from EpochPlanBuffer::outcomes, so they match the
 // core.epoch.* counters the ladder bumps exactly (guarded by
 // epoch_health_test under a seeded fault plan at parallelism 1/2/8). The
 // counter-delta fields read 0 when built with -DMFGCP_OBS=OFF; the
 // outcome tallies do not depend on the telemetry layer.
+//
+// PlanEpochInto fills the record's epoch and planner group and zeroes the
+// serving group, which the serving runtime (serve/serve_loop.h) fills on
+// its own copy.
 
 namespace mfg::core {
 
-struct EpochHealthReport {
-  // Epoch index of the plan buffer this report describes (the same index
-  // the fault-injection plan keys on).
-  std::size_t epoch = 0;
-  std::size_t active_contents = 0;  // |K'| planned this epoch.
-  double plan_seconds = 0.0;        // Wall time of PlanEpochInto.
-
-  // Recovery-ladder outcome tallies; solved + retried + carried_forward +
-  // fallback + failed == active_contents.
-  std::size_t solved = 0;
-  std::size_t retried = 0;
-  std::size_t carried_forward = 0;
-  std::size_t fallback = 0;
-  std::size_t failed = 0;
-
-  // core.best_response.* counter deltas spanning this epoch (0 when the
-  // telemetry layer is compiled out).
-  std::uint64_t best_response_solves = 0;
-  std::uint64_t best_response_converged = 0;
-  std::uint64_t best_response_nonconverged = 0;
-
-  // Pool-worker heap allocations this epoch (0 at steady state, and 0
-  // unless the binary links mfgcp_obs_alloc_hooks).
-  std::size_t epoch_allocations = 0;
-
-  // Wall-clock planning-deadline overruns charged to this epoch's plan.
-  // PlanEpochInto itself always resets this to 0; the serving runtime
-  // (serve/serve_loop.h) sets it when the plan missed its publication
-  // deadline (the kPlanDeadline degradation path) — the plan keeps
-  // serving the *next* boundary instead of this one.
-  std::size_t plan_deadline_misses = 0;
-
+struct EpochHealthReport : obs::EpochRecord {
   // Contents not served by a solve this epoch (carried forward, fallback,
   // or failed), ascending. Retried contents recovered by solving, so they
-  // are tallied above but not listed here — matching the
+  // are tallied but not listed here — matching the
   // core.epoch.degraded_contents gauge.
   std::vector<content::ContentId> degraded_contents;
-
-  // Equilibrium-quality probe results (MfgCpOptions::eq_probe); all zero
-  // when the probe is disabled or every probed slot failed. The gap/
-  // residual fields are worst-case over the probed slots and mirror the
-  // eq.* gauges.
-  std::size_t eq_probed = 0;            // Slots the probe evaluated.
-  double eq_exploitability = 0.0;       // Max ε-Nash gap (Definition 3).
-  double eq_exploitability_rel = 0.0;   // Max relative gap.
-  double eq_consistency_residual = 0.0; // Max FPK fixed-point L1 gap.
-  // Price-trajectory stats over every active slot's mean field (not only
-  // the probed ones; computed whenever the probe is enabled).
-  double eq_price_min = 0.0;
-  double eq_price_mean = 0.0;
-  double eq_price_max = 0.0;
-
-  // Serving-runtime tick-latency percentiles at plan-collection time
-  // (seconds, estimated from the serve.tick_latency histogram with
-  // obs::QuantileFromBuckets). All zero when the report did not come from
-  // the serving runtime or the telemetry layer is compiled out; rendered
-  // by FormatHealthLine only when serve_ticks > 0.
-  std::uint64_t serve_ticks = 0;
-  double serve_tick_p50 = 0.0;
-  double serve_tick_p90 = 0.0;
-  double serve_tick_p99 = 0.0;
 
   // Path of the flight-recorder post-mortem written for this epoch, ""
   // when none (no dump directory configured, epoch healthy, or the dump

@@ -33,42 +33,22 @@ void EpochRuntime::WorkerEpoch(std::size_t w) {
   const std::size_t allocs_before = obs::ThreadAllocationCount();
   {
     MFG_OBS_SPAN_ID("EpochRuntime.Worker", static_cast<std::int64_t>(w));
-    if (job_block_fn_ != nullptr) {
-      // Block mode: claim whole blocks; composition depends only on
-      // (count, block_size), never on the claiming order.
-      const std::size_t block = job_block_size_;
-      const std::size_t num_blocks =
-          job_count_ == 0 ? 0 : (job_count_ + block - 1) / block;
-      if (job_round_robin_) {
-        for (std::size_t b = w; b < num_blocks; b += contexts_.size()) {
-          const std::size_t begin = b * block;
-          const std::size_t end = std::min(job_count_, begin + block);
-          job_block_fn_(job_ctx_, w, begin, end);
-          ctx.contents_solved += end - begin;
-        }
-      } else {
-        for (std::size_t b = next_.fetch_add(1, std::memory_order_relaxed);
-             b < num_blocks;
-             b = next_.fetch_add(1, std::memory_order_relaxed)) {
-          const std::size_t begin = b * block;
-          const std::size_t end = std::min(job_count_, begin + block);
-          job_block_fn_(job_ctx_, w, begin, end);
-          ctx.contents_solved += end - begin;
-        }
-      }
-    } else if (job_round_robin_) {
-      for (std::size_t slot = w; slot < job_count_;
-           slot += contexts_.size()) {
-        job_fn_(job_ctx_, w, slot);
-        ++ctx.contents_solved;
-      }
-    } else {
-      for (std::size_t slot = next_.fetch_add(1, std::memory_order_relaxed);
-           slot < job_count_;
-           slot = next_.fetch_add(1, std::memory_order_relaxed)) {
-        job_fn_(job_ctx_, w, slot);
-        ++ctx.contents_solved;
-      }
+    // Block b is [b·B, min(count, (b+1)·B)) whichever worker claims it:
+    // round-robin claims b = w, w + W, ...; stealing claims the next index.
+    const std::size_t block = job_block_size_;
+    const std::size_t num_blocks =
+        job_count_ == 0 ? 0 : (job_count_ + block - 1) / block;
+    const auto claim = [&](std::size_t previous) {
+      return job_round_robin_
+                 ? previous + contexts_.size()
+                 : next_.fetch_add(1, std::memory_order_relaxed);
+    };
+    for (std::size_t b = job_round_robin_ ? w : claim(0); b < num_blocks;
+         b = claim(b)) {
+      const std::size_t begin = b * block;
+      const std::size_t end = std::min(job_count_, begin + block);
+      job_block_fn_(job_ctx_, w, begin, end);
+      ctx.contents_solved += end - begin;
     }
   }
   ctx.allocations = obs::ThreadAllocationCount() - allocs_before;
@@ -93,17 +73,9 @@ void EpochRuntime::WorkerLoop(std::size_t w) {
   }
 }
 
-void EpochRuntime::RunEpoch(std::size_t count, SolveFn fn, void* ctx) {
-  Launch(count, fn, nullptr, 0, ctx);
-}
-
 void EpochRuntime::RunEpochBlocks(std::size_t count, std::size_t block_size,
                                   BlockFn fn, void* ctx) {
-  Launch(count, nullptr, fn, block_size > 0 ? block_size : 1, ctx);
-}
-
-void EpochRuntime::Launch(std::size_t count, SolveFn fn, BlockFn block_fn,
-                          std::size_t block_size, void* ctx) {
+  if (block_size == 0) block_size = 1;
   bool round_robin = false;
   for (const WorkerContext& worker : contexts_) {
     if (!worker.warmed) round_robin = true;
@@ -111,8 +83,7 @@ void EpochRuntime::Launch(std::size_t count, SolveFn fn, BlockFn block_fn,
 
   if (threads_.empty()) {
     job_count_ = count;
-    job_fn_ = fn;
-    job_block_fn_ = block_fn;
+    job_block_fn_ = fn;
     job_block_size_ = block_size;
     job_ctx_ = ctx;
     // One worker: the round-robin partition *is* the serial order; skip
@@ -122,8 +93,7 @@ void EpochRuntime::Launch(std::size_t count, SolveFn fn, BlockFn block_fn,
   } else {
     std::unique_lock<std::mutex> lock(mutex_);
     job_count_ = count;
-    job_fn_ = fn;
-    job_block_fn_ = block_fn;
+    job_block_fn_ = fn;
     job_block_size_ = block_size;
     job_ctx_ = ctx;
     job_round_robin_ = round_robin;

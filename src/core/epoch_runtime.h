@@ -30,33 +30,27 @@
 // solver_equivalence_test / obs_equivalence_test and the mfg_cp golden
 // tests).
 //
-// Scheduling: slots are distributed by an atomic work-stealing index.
-// Exception: while any worker has never solved a slot, the epoch falls
-// back to a static round-robin partition (slot i -> worker i mod W) so
-// every worker warms its workspaces in the first epoch instead of
-// whenever stealing happens to feed it — after that, `allocs == 0` holds
-// per worker no matter which worker steals which slot.
-//
-// Block mode (RunEpochBlocks): slots are grouped into fixed contiguous
-// blocks of `block_size` (block b covers [b·B, min(count, (b+1)·B)));
-// workers claim whole blocks through the same stealing/round-robin
-// machinery. The block composition depends only on (count, block_size) —
-// never on the claiming order — and a block writes only its own slots,
-// so the determinism contract above extends verbatim to the batched
-// epoch path (guarded by epoch_degradation_test at several
-// parallelism × batch_width combinations).
+// Scheduling: slots are grouped into fixed contiguous blocks of
+// `block_size` (block b covers [b·B, min(count, (b+1)·B))) and workers
+// claim whole blocks through an atomic work-stealing index. Exception:
+// while any worker has never solved a slot, the epoch falls back to a
+// static round-robin partition (block b -> worker b mod W) so every
+// worker warms its workspaces in the first epoch instead of whenever
+// stealing happens to feed it — after that, `allocs == 0` holds per
+// worker no matter which worker steals which block. The block composition
+// depends only on (count, block_size) — never on the claiming order — and
+// a block writes only its own slots, so the determinism contract above
+// holds at every block size (guarded by epoch_degradation_test at several
+// parallelism × batch_width combinations). The scalar epoch path runs at
+// block size 1.
 
 namespace mfg::core {
 
 class EpochRuntime {
  public:
-  // Per-slot job body: solve slot `slot` using worker `worker`'s state.
-  // A raw function pointer + context (not std::function) so publishing a
-  // job never allocates.
-  using SolveFn = void (*)(void* ctx, std::size_t worker, std::size_t slot);
-
-  // Per-block job body: solve slots [begin, end) as one batch on worker
-  // `worker`'s state (RunEpochBlocks).
+  // Job body: solve slots [begin, end) on worker `worker`'s state. A raw
+  // function pointer + context (not std::function) so publishing a job
+  // never allocates.
   using BlockFn = void (*)(void* ctx, std::size_t worker, std::size_t begin,
                            std::size_t end);
 
@@ -91,15 +85,12 @@ class EpochRuntime {
   EpochRuntime(const EpochRuntime&) = delete;
   EpochRuntime& operator=(const EpochRuntime&) = delete;
 
-  // Runs fn(ctx, worker, slot) for every slot in [0, count), blocking
-  // until the epoch completes. Not reentrant: the caller (MfgCpFramework)
-  // serializes epochs on this runtime.
-  void RunEpoch(std::size_t count, SolveFn fn, void* ctx);
-
-  // Block-claiming variant: runs fn(ctx, worker, b·B, min(count, (b+1)·B))
-  // for every block b of `block_size = B` slots. A worker's
-  // contents_solved counts slots (not blocks), so pool telemetry stays
-  // comparable across modes. block_size == 0 is treated as 1.
+  // Runs fn(ctx, worker, b·B, min(count, (b+1)·B)) for every block b of
+  // `block_size = B` slots in [0, count), blocking until the epoch
+  // completes. At B = 1 every block is one slot, so the schedules above
+  // are per-slot schedules. A worker's contents_solved counts slots (not
+  // blocks). block_size == 0 is treated as 1. Not reentrant: the caller
+  // (MfgCpFramework) serializes epochs on this runtime.
   void RunEpochBlocks(std::size_t count, std::size_t block_size, BlockFn fn,
                       void* ctx);
 
@@ -107,7 +98,7 @@ class EpochRuntime {
   WorkerContext& worker(std::size_t w) { return contexts_[w]; }
   const WorkerContext& worker(std::size_t w) const { return contexts_[w]; }
 
-  // Sum of the per-worker allocation deltas of the last RunEpoch — the
+  // Sum of the per-worker allocation deltas of the last epoch — the
   // probe behind the `allocs_per_epoch=0` contract (0 unless the binary
   // links mfgcp_obs_alloc_hooks).
   std::size_t last_epoch_allocations() const {
@@ -118,9 +109,6 @@ class EpochRuntime {
   void WorkerLoop(std::size_t w);
   // Runs worker w's share of the current job and records its telemetry.
   void WorkerEpoch(std::size_t w);
-  // Publishes the staged job (slot or block mode) and blocks until done.
-  void Launch(std::size_t count, SolveFn fn, BlockFn block_fn,
-              std::size_t block_size, void* ctx);
 
   std::vector<WorkerContext> contexts_;
   std::vector<std::thread> threads_;
@@ -135,7 +123,6 @@ class EpochRuntime {
   std::size_t workers_done_ = 0;
   bool shutdown_ = false;
   std::size_t job_count_ = 0;
-  SolveFn job_fn_ = nullptr;
   BlockFn job_block_fn_ = nullptr;
   std::size_t job_block_size_ = 0;
   void* job_ctx_ = nullptr;

@@ -38,7 +38,7 @@ namespace {
 
 // Context handed to the worker pool for one epoch; slots index
 // buffer->results / buffer->statuses, whose `content` fields the planning
-// pass filled before RunEpoch.
+// pass filled before RunEpochBlocks.
 struct EpochSolveJob {
   const MfgCpFramework* framework;
   const EpochObservation* obs;
@@ -329,6 +329,15 @@ void SolveEpochSlot(void* ctx, std::size_t worker, std::size_t slot) {
                               AttemptSlotSolve(job, wc, result, 0));
 }
 
+// The batch_width == 1 block body: the scalar per-slot solve, one slot at
+// a time.
+void SolveEpochSlots(void* ctx, std::size_t worker, std::size_t begin,
+                     std::size_t end) {
+  for (std::size_t slot = begin; slot < end; ++slot) {
+    SolveEpochSlot(ctx, worker, slot);
+  }
+}
+
 // Solves slots [begin, end) as one SoA batch on worker `worker`'s
 // long-lived batch learner (batch_width > 1). Attempt 0 of every slot in
 // the block runs in lockstep through BatchBestResponseLearner — each lane
@@ -549,8 +558,8 @@ common::Status MfgCpFramework::PlanEpochInto(const EpochObservation& obs,
   // Solve the independent per-content equilibria on the persistent pool
   // (Alg. 1 line 2). Each worker writes only its own slots. batch_width
   // > 1 routes through the SoA block path (bit-identical; see
-  // SolveEpochBlock above), batch_width == 1 keeps the scalar per-slot
-  // path.
+  // SolveEpochBlock above), batch_width == 1 runs the scalar per-slot
+  // solve in blocks of one slot.
   EpochSolveJob job{this, &obs, &buffer, &state_->runtime};
   if (options_.batch_width > 1) {
     // Shrink blocks on small epochs so there are at least as many blocks
@@ -565,7 +574,8 @@ common::Status MfgCpFramework::PlanEpochInto(const EpochObservation& obs,
         buffer.num_active, std::min(options_.batch_width, per_worker),
         &SolveEpochBlock, &job);
   } else {
-    state_->runtime.RunEpoch(buffer.num_active, &SolveEpochSlot, &job);
+    state_->runtime.RunEpochBlocks(buffer.num_active, 1, &SolveEpochSlots,
+                                   &job);
   }
   ++buffer.epoch_index;
 
@@ -710,8 +720,13 @@ common::Status MfgCpFramework::PlanEpochInto(const EpochObservation& obs,
 #endif  // MFGCP_OBS_ENABLED
 
   if (report != nullptr) {
+    // Zero the whole record first: the serving group is a publication
+    // property only the serving runtime can fill, after this call returns,
+    // so a reused report must never carry a stale deadline miss or tick
+    // percentile into a fresh epoch.
+    static_cast<obs::EpochRecord&>(*report) = obs::EpochRecord{};
     report->epoch = epoch;
-    report->active_contents = buffer.num_active;
+    report->active = buffer.num_active;
     report->plan_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       plan_start)
@@ -721,12 +736,7 @@ common::Status MfgCpFramework::PlanEpochInto(const EpochObservation& obs,
     report->carried_forward = carried_forward;
     report->fallback = fallback;
     report->failed = failed;
-    report->epoch_allocations = state_->runtime.last_epoch_allocations();
-    // Deadline misses are a *publication* property: only the serving
-    // runtime (which owns the wall-clock schedule) can charge one, after
-    // this call returns. Reset here so a reused report never carries a
-    // stale miss into a fresh epoch.
-    report->plan_deadline_misses = 0;
+    report->allocations = state_->runtime.last_epoch_allocations();
     report->eq_probed = eq_probed;
     report->eq_exploitability = eq_gap;
     report->eq_exploitability_rel = eq_rel;
@@ -757,10 +767,6 @@ common::Status MfgCpFramework::PlanEpochInto(const EpochObservation& obs,
         br.converged.Value() - br_converged_before;
     report->best_response_nonconverged =
         br.nonconverged.Value() - br_nonconverged_before;
-#else
-    report->best_response_solves = 0;
-    report->best_response_converged = 0;
-    report->best_response_nonconverged = 0;
 #endif
     if (EpochHealthLoggingEnabled()) {
       MFG_LOG(INFO) << FormatHealthLine(*report);

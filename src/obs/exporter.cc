@@ -59,17 +59,6 @@ void AppendBound(std::string& out, double bound) {
   out += buf;
 }
 
-// JSON double: non-finite values have no JSON literal and become null.
-void AppendJsonDouble(std::string& out, double value) {
-  if (!std::isfinite(value)) {
-    out += "null";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out += buf;
-}
-
 void AppendJsonString(std::string& out, const std::string& value) {
   out.push_back('"');
   for (char c : value) {
@@ -410,38 +399,10 @@ std::string AdminExporter::RenderEpochJson(
                     ",\"count\":" + std::to_string(records.size()) +
                     ",\"reports\":[";
   for (std::size_t k = 0; k < records.size(); ++k) {
-    const EpochRecord& r = records[k];
     if (k > 0) out.push_back(',');
-    out += "{\"seq\":" + std::to_string(r.seq);
-    out += ",\"epoch\":" + std::to_string(r.epoch);
-    out += ",\"epoch_published\":" + std::to_string(r.epoch_published);
-    out += ",\"sim_time\":";
-    AppendJsonDouble(out, r.sim_time);
-    out += ",\"active\":" + std::to_string(r.active);
-    out += ",\"solved\":" + std::to_string(r.solved);
-    out += ",\"retried\":" + std::to_string(r.retried);
-    out += ",\"carried_forward\":" + std::to_string(r.carried_forward);
-    out += ",\"fallback\":" + std::to_string(r.fallback);
-    out += ",\"failed\":" + std::to_string(r.failed);
-    out += ",\"deadline_misses\":" + std::to_string(r.deadline_misses);
-    out += ",\"plan_seconds\":";
-    AppendJsonDouble(out, r.plan_seconds);
-    out += ",\"allocations\":" + std::to_string(r.allocations);
-    out += ",\"eq_probed\":" + std::to_string(r.eq_probed);
-    out += ",\"eq_exploitability\":";
-    AppendJsonDouble(out, r.eq_exploitability);
-    out += ",\"eq_consistency_residual\":";
-    AppendJsonDouble(out, r.eq_consistency_residual);
-    out += ",\"mean_price\":";
-    AppendJsonDouble(out, r.mean_price);
-    out += ",\"serve_ticks\":" + std::to_string(r.serve_ticks);
-    out += ",\"tick_p50\":";
-    AppendJsonDouble(out, r.tick_p50);
-    out += ",\"tick_p90\":";
-    AppendJsonDouble(out, r.tick_p90);
-    out += ",\"tick_p99\":";
-    AppendJsonDouble(out, r.tick_p99);
-    out += "}";
+    out.push_back('{');
+    AppendEpochRecordJson(out, records[k]);
+    out.push_back('}');
   }
   out += "]}\n";
   return out;

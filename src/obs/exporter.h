@@ -16,7 +16,8 @@
 //   GET /healthz  200 "ok" while the exporter thread is serving
 //   GET /readyz   200 once the first plan has published (503 before);
 //                 flipped by core::PlanEpochInto via AdminSetReady
-//   GET /epochz   JSON ring of the last N EpochRecords (oldest first)
+//   GET /epochz   JSON ring of the last N EpochRecords (oldest first;
+//                 fields from obs/epoch_record.h)
 //   GET /flightz  JSON list of flight-dump files (obs/flight_dump.h)
 //
 // Threading contract — the same one the rest of obs/ obeys: everything
@@ -45,6 +46,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "obs/epoch_record.h"
 #include "obs/snapshot.h"
 
 namespace mfg::obs {
@@ -58,34 +60,6 @@ struct ExporterOptions {
   int port = 0;
   // Capacity of the /epochz ring (`epochz_capacity=` bench key).
   std::size_t epochz_capacity = 64;
-};
-
-// One /epochz entry: a plain-struct projection of an
-// core::EpochHealthReport (plus serve-side context) filled by ServeLoop
-// at publication time. obs/ sits below core/ in the layer map, so the
-// exporter carries this POD instead of including epoch_health.h.
-struct EpochRecord {
-  std::uint64_t seq = 0;             // Publication sequence number.
-  std::uint64_t epoch = 0;           // Epoch index that was planned.
-  std::uint64_t epoch_published = 0; // Epoch the plan was published for.
-  double sim_time = 0.0;             // Sim-clock time at publication.
-  std::uint64_t active = 0;          // Contents planned this epoch.
-  std::uint64_t solved = 0;
-  std::uint64_t retried = 0;
-  std::uint64_t carried_forward = 0;
-  std::uint64_t fallback = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t deadline_misses = 0;
-  double plan_seconds = 0.0;         // Wall-clock planning time.
-  std::uint64_t allocations = 0;     // Heap allocations during the plan.
-  std::uint64_t eq_probed = 0;       // Equilibrium probe coverage.
-  double eq_exploitability = 0.0;
-  double eq_consistency_residual = 0.0;
-  double mean_price = 0.0;
-  std::uint64_t serve_ticks = 0;     // Cumulative serve ticks so far.
-  double tick_p50 = 0.0;             // serve.tick_latency quantiles
-  double tick_p90 = 0.0;             // (seconds, QuantileFromBuckets).
-  double tick_p99 = 0.0;
 };
 
 class AdminExporter {

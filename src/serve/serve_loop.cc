@@ -245,8 +245,9 @@ void ServeLoop::FinishJob(RunState& state) {
     return;
   }
 
-  // Health scalars → the publication row. Copying a healthy report is
-  // allocation-free (empty degraded list and dump path).
+  // The round's record; its serving group is filled below and in
+  // Publish. Copying a healthy report is allocation-free (empty degraded
+  // list and dump path).
   last_health_ = hook_->last_health();
 #if MFGCP_OBS_ENABLED
   {
@@ -255,9 +256,9 @@ void ServeLoop::FinishJob(RunState& state) {
     static obs::Histogram& tick_hist =
         obs::Registry::Global().GetHistogram("serve.tick_latency");
     last_health_.serve_ticks = tick_hist.Count();
-    last_health_.serve_tick_p50 = obs::QuantileFromBuckets(tick_hist, 0.50);
-    last_health_.serve_tick_p90 = obs::QuantileFromBuckets(tick_hist, 0.90);
-    last_health_.serve_tick_p99 = obs::QuantileFromBuckets(tick_hist, 0.99);
+    last_health_.tick_p50 = obs::QuantileFromBuckets(tick_hist, 0.50);
+    last_health_.tick_p90 = obs::QuantileFromBuckets(tick_hist, 0.90);
+    last_health_.tick_p99 = obs::QuantileFromBuckets(tick_hist, 0.99);
   }
   if (options_.plan_deadline_ms > 0.0) {
     // Margin left on the wall-clock budget (negative = overrun; those
@@ -271,16 +272,7 @@ void ServeLoop::FinishJob(RunState& state) {
   }
 #endif
   if (last_health_.failed > 0) ++state.stats.failed_epochs;
-  pending_row_ = ServeEpochRow{};
-  pending_row_.epoch = job_epoch_;
-  pending_row_.active = last_health_.active_contents;
-  pending_row_.solved = last_health_.solved;
-  pending_row_.retried = last_health_.retried;
-  pending_row_.carried_forward = last_health_.carried_forward;
-  pending_row_.fallback = last_health_.fallback;
-  pending_row_.failed = last_health_.failed;
-  pending_row_.plan_seconds = last_health_.plan_seconds;
-  pending_row_.mean_price = published_plan_.mean_price_overall;
+  last_health_.mean_price = published_plan_.mean_price_overall;
 
   bool deferred = job_miss_counted_;  // Async overruns were counted live.
   if (options_.plan_deadline_ms <= 0.0 && DeadlineFaultFires(job_epoch_)) {
@@ -290,8 +282,7 @@ void ServeLoop::FinishJob(RunState& state) {
     CountDeadlineMiss(state);
     deferred = true;
   }
-  pending_row_.deadline_misses = deferred ? 1 : 0;
-  last_health_.plan_deadline_misses = deferred ? 1 : 0;
+  last_health_.deadline_misses = deferred ? 1 : 0;
   job_miss_counted_ = false;
   if (deferred) {
     plan_pending_ = true;  // Swap at the next boundary instead.
@@ -303,11 +294,12 @@ void ServeLoop::FinishJob(RunState& state) {
 void ServeLoop::Publish(RunState& state) {
   std::swap(front_, back_);
   interpolator_.Advance(published_plan_);
-  pending_row_.seq = state.stats.publications;
-  pending_row_.epoch_published = ledger_.epoch();
-  pending_row_.tick = state.stats.ticks;
-  pending_row_.sim_time = state.sim_now;
-  state.stats.rows.push_back(pending_row_);
+  obs::EpochRecord& row = state.stats.rows.emplace_back(last_health_);
+  row.epoch = job_epoch_;
+  row.seq = state.stats.publications;
+  row.epoch_published = ledger_.epoch();
+  row.tick = state.stats.ticks;
+  row.sim_time = state.sim_now;
   ++state.stats.publications;
   state.last_pub_sim = state.sim_now;
   state.plan_closed_epochs = job_epoch_ + 1;
@@ -322,33 +314,10 @@ void ServeLoop::Publish(RunState& state) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     job_post_time_)
           .count());
-  if (obs::AdminActive()) {
-    // One POD record per publication feeds the admin /epochz ring; the
-    // copy mutex inside is plan-round granularity, never per tick.
-    obs::EpochRecord record;
-    record.seq = pending_row_.seq;
-    record.epoch = pending_row_.epoch;
-    record.epoch_published = pending_row_.epoch_published;
-    record.sim_time = pending_row_.sim_time;
-    record.active = pending_row_.active;
-    record.solved = pending_row_.solved;
-    record.retried = pending_row_.retried;
-    record.carried_forward = pending_row_.carried_forward;
-    record.fallback = pending_row_.fallback;
-    record.failed = pending_row_.failed;
-    record.deadline_misses = pending_row_.deadline_misses;
-    record.plan_seconds = pending_row_.plan_seconds;
-    record.allocations = last_health_.epoch_allocations;
-    record.eq_probed = last_health_.eq_probed;
-    record.eq_exploitability = last_health_.eq_exploitability;
-    record.eq_consistency_residual = last_health_.eq_consistency_residual;
-    record.mean_price = pending_row_.mean_price;
-    record.serve_ticks = last_health_.serve_ticks;
-    record.tick_p50 = last_health_.serve_tick_p50;
-    record.tick_p90 = last_health_.serve_tick_p90;
-    record.tick_p99 = last_health_.serve_tick_p99;
-    obs::AdminRecordEpoch(record);
-  }
+  // One POD record per publication feeds the admin /epochz ring (a no-op
+  // while no exporter runs); the copy mutex inside is plan-round
+  // granularity, never per tick.
+  obs::AdminRecordEpoch(row);
 #endif
   if (!state.window_armed && state.stats.publications == 2) {
     // Two publications in, every first-hit instrument and buffer is
@@ -511,12 +480,17 @@ common::Status ServeLoop::RunLoop(const sim::RequestStream& stream,
   }
 
   // Tail: an in-flight async round still completes (the planner must not
-  // be mid-job when the next Run rebinds the buffers); an on-time round
-  // publishes, a late or deferred one stays collected-but-unpublished —
-  // no boundary remains to swap at.
+  // be mid-job when the next Run rebinds the buffers). A round still
+  // deferred — late, or charged a forced kPlanDeadline miss — publishes
+  // now: the end of the stream is the run's last boundary, so every miss
+  // the summary counts has its row.
   if (job_running_) {
     WaitForJob();
     PollAsyncJob(state);
+  }
+  if (plan_pending_) {
+    plan_pending_ = false;
+    Publish(state);
   }
 
   stats.requests = ledger_.stats();
@@ -528,30 +502,25 @@ common::Status ServeLoop::RunLoop(const sim::RequestStream& stream,
   MFG_OBS_OBSERVE("serve.run_seconds", stats.wall_seconds);
 
   if (!result.ok()) return result;
-  if (!options_.jsonl_path.empty()) return WriteJsonl(stats);
+  if (!options_.jsonl_path.empty()) return WriteServeJsonl(stats, options_);
   return common::Status::Ok();
 }
 
-common::Status ServeLoop::WriteJsonl(const ServeStats& stats) const {
-  std::ofstream out(options_.jsonl_path);
+common::Status WriteServeJsonl(const ServeStats& stats,
+                               const ServeOptions& options) {
+  std::ofstream out(options.jsonl_path);
   if (!out) {
     return common::Status::IoError("cannot open serve JSONL path: " +
-                                   options_.jsonl_path);
+                                   options.jsonl_path);
+  }
+  std::string line;
+  for (const obs::EpochRecord& row : stats.rows) {
+    line = "{\"type\":\"epoch\",";
+    obs::AppendEpochRecordJson(line, row);
+    line += "}\n";
+    out << line;
   }
   out << std::setprecision(17);
-  for (const ServeEpochRow& row : stats.rows) {
-    out << "{\"type\":\"epoch\",\"seq\":" << row.seq
-        << ",\"epoch\":" << row.epoch
-        << ",\"epoch_published\":" << row.epoch_published
-        << ",\"tick\":" << row.tick << ",\"sim_time\":" << row.sim_time
-        << ",\"active\":" << row.active << ",\"solved\":" << row.solved
-        << ",\"retried\":" << row.retried
-        << ",\"carried_forward\":" << row.carried_forward
-        << ",\"fallback\":" << row.fallback << ",\"failed\":" << row.failed
-        << ",\"plan_seconds\":" << row.plan_seconds
-        << ",\"deadline_miss\":" << row.deadline_misses
-        << ",\"mean_price\":" << row.mean_price << "}\n";
-  }
   out << "{\"type\":\"summary\",\"ticks\":" << stats.ticks
       << ",\"publications\":" << stats.publications
       << ",\"plan_rounds\":" << stats.plan_rounds
@@ -569,18 +538,18 @@ common::Status ServeLoop::WriteJsonl(const ServeStats& stats) const {
       << ",\"steady_allocs\":" << stats.steady_allocs
       << ",\"steady_ticks\":" << stats.steady_ticks
       << ",\"wall_seconds\":" << stats.wall_seconds
-      << ",\"tick_ms\":" << options_.clock.tick_ms
-      << ",\"plan_deadline_ms\":" << options_.plan_deadline_ms
+      << ",\"tick_ms\":" << options.clock.tick_ms
+      << ",\"plan_deadline_ms\":" << options.plan_deadline_ms
       << ",\"timescale\":";
-  if (clock_.paced()) {
-    out << options_.clock.timescale;
-  } else {
+  if (options.clock.timescale == kTimescaleInfinite) {
     out << "\"inf\"";
+  } else {
+    out << options.clock.timescale;
   }
   out << "}\n";
   if (!out.good()) {
     return common::Status::IoError("failed writing serve JSONL: " +
-                                   options_.jsonl_path);
+                                   options.jsonl_path);
   }
   return common::Status::Ok();
 }

@@ -16,6 +16,7 @@
 #include "common/status.h"
 #include "core/epoch_health.h"
 #include "core/plan_publication.h"
+#include "obs/epoch_record.h"
 #include "serve/plan_interpolator.h"
 #include "serve/serve_clock.h"
 #include "sim/gauntlet.h"
@@ -86,8 +87,8 @@ struct ServeOptions {
   // the planner catalog (matches the stream generator's zipf_iota).
   double zipf_iota = 0.8;
   // Per-epoch JSONL rows ("" = none), written by Run after the loop
-  // finishes (never from the tick path); scripts/check_serve.py
-  // validates the file.
+  // finishes (never from the tick path) with WriteServeJsonl;
+  // scripts/check_serve.py validates the file.
   std::string jsonl_path;
   // Live introspection plane (obs/exporter.h, OBSERVABILITY.md "Live
   // introspection"): admin_port >= 0 makes Create start the process-wide
@@ -106,27 +107,10 @@ struct ServeOptions {
       on_plan;
 };
 
-// One published plan, as a flat row for the JSONL export: the epoch
-// handoff accounting check_serve.py validates.
-struct ServeEpochRow {
-  std::size_t seq = 0;              // Publication sequence, from 0.
-  std::size_t epoch = 0;            // Boundary whose counts fed the plan.
-  std::size_t epoch_published = 0;  // Boundary index at publication
-                                    // (== epoch for an on-time sync
-                                    // round; later for deferred ones).
-  std::uint64_t tick = 0;           // Tick count at publication.
-  double sim_time = 0.0;
-  // Ladder tallies of the plan round (EpochHealthReport scalars).
-  std::size_t active = 0;
-  std::size_t solved = 0;
-  std::size_t retried = 0;
-  std::size_t carried_forward = 0;
-  std::size_t fallback = 0;
-  std::size_t failed = 0;
-  double plan_seconds = 0.0;
-  std::size_t deadline_misses = 0;  // 0 or 1 for this plan round.
-  double mean_price = 0.0;          // PublishedPlan::mean_price_overall.
-};
+// One published plan: the plan round's record with its serving group
+// filled (obs/epoch_record.h). The alias keeps the serving-runtime
+// spelling for callers.
+using ServeEpochRow = obs::EpochRecord;
 
 struct ServeStats {
   // Request-level ledger (sim::RequestLedger, as in ReplayInto) —
@@ -146,8 +130,16 @@ struct ServeStats {
   std::size_t steady_allocs = 0;
   std::uint64_t steady_ticks = 0;
   double wall_seconds = 0.0;
-  std::vector<ServeEpochRow> rows;  // One row per publication, seq order.
+  // One row per publication, seq order; `epoch` is the boundary whose
+  // counts fed the plan.
+  std::vector<obs::EpochRecord> rows;
 };
+
+// Writes `stats` to options.jsonl_path: one {"type":"epoch"} row per
+// publication — the obs::EpochRecord fields, spelled as /epochz spells
+// them — then one {"type":"summary"} row.
+common::Status WriteServeJsonl(const ServeStats& stats,
+                               const ServeOptions& options);
 
 class ServeLoop {
  public:
@@ -181,7 +173,7 @@ class ServeLoop {
   }
   const PlanInterpolator& interpolator() const { return interpolator_; }
   // Health report of the last completed plan round, including any
-  // deadline miss charged to it.
+  // deadline miss, mean price and tick percentiles charged to it.
   const core::EpochHealthReport& last_health() const { return last_health_; }
   const core::MfgCpFramework& framework() const {
     return hook_->framework();
@@ -209,7 +201,6 @@ class ServeLoop {
   void CountDeadlineMiss(RunState& state);
   // Async: counts an in-flight round's overrun once; collects it if done.
   void PollAsyncJob(RunState& state);
-  common::Status WriteJsonl(const ServeStats& stats) const;
 
   ServeOptions options_;
   ServeClock clock_;
@@ -252,7 +243,6 @@ class ServeLoop {
   std::chrono::steady_clock::time_point job_deadline_{};
   std::chrono::steady_clock::time_point job_post_time_{};
   bool plan_pending_ = false;
-  ServeEpochRow pending_row_;
   // True when Create started the process-wide admin exporter (and the
   // destructor must stop it).
   bool started_admin_ = false;

@@ -8,17 +8,21 @@
 #include "common/logging.h"
 #include "content/popularity.h"
 #include "content/timeliness.h"
+#include "obs/epoch_record.h"
 
 namespace mfg::sim {
 namespace {
 
 common::CsvWriter BuildEpochOutcomesCsv(
     const std::vector<EpochOutcome>& outcomes) {
-  common::CsvWriter writer({"epoch", "active_contents", "plan_seconds",
-                            "retries", "carry_forwards", "fallbacks",
-                            "failures", "degraded_contents", "mean_utility",
-                            "hit_ratio"});
+  std::vector<std::string> header = {"epoch"};
+  obs::AppendEpochPlannerCsvHeader(header);
+  header.insert(header.end(), {"degraded_contents", "mean_utility",
+                               "hit_ratio"});
+  common::CsvWriter writer(std::move(header));
   for (const EpochOutcome& outcome : outcomes) {
+    std::vector<std::string> row = {std::to_string(outcome.epoch)};
+    obs::AppendEpochPlannerCsvRow(outcome.health, row);
     // Ids joined with ';' so the list stays one CSV field.
     std::string degraded_ids;
     for (std::size_t i = 0; i < outcome.health.degraded_contents.size();
@@ -26,18 +30,10 @@ common::CsvWriter BuildEpochOutcomesCsv(
       if (i > 0) degraded_ids += ';';
       degraded_ids += std::to_string(outcome.health.degraded_contents[i]);
     }
-    writer.AddRow(std::vector<std::string>{
-        std::to_string(outcome.epoch),
-        std::to_string(outcome.active_contents),
-        std::to_string(outcome.plan_seconds),
-        std::to_string(outcome.health.retried),
-        std::to_string(outcome.health.carried_forward),
-        std::to_string(outcome.health.fallback),
-        std::to_string(outcome.health.failed),
-        degraded_ids,
-        std::to_string(outcome.result.MeanUtility()),
-        std::to_string(outcome.result.HitRatio()),
-    });
+    row.insert(row.end(), {std::move(degraded_ids),
+                           std::to_string(outcome.result.MeanUtility()),
+                           std::to_string(outcome.result.HitRatio())});
+    writer.AddRow(row);
   }
   return writer;
 }
@@ -172,11 +168,6 @@ common::StatusOr<std::vector<EpochOutcome>> EpochRunner::Run() {
 
     MFG_ASSIGN_OR_RETURN(EpochOutcome outcome,
                          RunEpoch(epoch, scheme, mean_remaining_frac));
-    outcome.active_contents = health.active_contents;
-    outcome.retried_contents = health.retried;
-    outcome.carried_contents = health.carried_forward;
-    outcome.fallback_contents = health.fallback;
-    outcome.plan_seconds = health.plan_seconds;
     outcome.health = std::move(health);
     mean_remaining_frac = std::clamp(
         outcome.result.per_slot.back().mean_cache_remaining /

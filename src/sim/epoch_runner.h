@@ -38,29 +38,25 @@ struct EpochRunnerOptions {
 
 struct EpochOutcome {
   std::size_t epoch = 0;
-  std::size_t active_contents = 0;   // |K'| the planner solved.
-  double plan_seconds = 0.0;         // Wall time of PlanEpoch.
-  // Degraded slots this epoch (see core::SlotOutcome): contents served by
-  // a relaxed retry, a carried-forward equilibrium, or the static
-  // fallback policy rather than a clean first-attempt solve. All zero on
-  // a healthy epoch. Sourced from `health` (which PlanEpochInto fills
-  // from the plan buffer's per-slot outcomes).
-  std::size_t retried_contents = 0;
-  std::size_t carried_contents = 0;
-  std::size_t fallback_contents = 0;
-  // Full per-epoch planner health report (ladder tallies, best-response
-  // counter deltas, degraded content ids). Zero-valued for scheme runs,
-  // which never invoke the planner.
+  // Full per-epoch planner health report: |K'| solved, plan wall time,
+  // ladder tallies (contents served by a relaxed retry, a carried-forward
+  // equilibrium or the static fallback rather than a clean first-attempt
+  // solve), best-response counter deltas, degraded content ids.
+  // Zero-valued for scheme runs, which never invoke the planner.
   core::EpochHealthReport health;
   SimulationResult result;           // The epoch's market outcome.
 };
 
-// Plot-ready CSV of a multi-epoch run, one row per epoch:
-//   epoch,active_contents,plan_seconds,retries,carry_forwards,fallbacks,
-//   failures,degraded_contents,mean_utility,hit_ratio
-// The degradation columns come from EpochOutcome::health (all zero for
-// scheme runs); degraded_contents is the ids joined with ';' ("" when the
-// epoch was healthy) so the row stays one field.
+// Plot-ready CSV of a multi-epoch run, one row per epoch: the runner's
+// epoch, the obs::EpochRecord planner group (obs/epoch_record.h) from
+// EpochOutcome::health, then degraded_contents, mean_utility and
+// hit_ratio:
+//   epoch,active,plan_seconds,solved,retried,carried_forward,fallback,
+//   failed,best_response_solves,...,eq_price_max,degraded_contents,
+//   mean_utility,hit_ratio
+// The planner columns are all zero for scheme runs; degraded_contents is
+// the ids joined with ';' ("" when the epoch was healthy) so the row stays
+// one field.
 std::string EpochOutcomesCsv(const std::vector<EpochOutcome>& outcomes);
 
 // Writes EpochOutcomesCsv(outcomes) to `path`.
@@ -76,8 +72,8 @@ class EpochRunner {
 
   // Runs all epochs under the MFG-CP planner. A per-content solve failure
   // does not abort the run: the planner's recovery ladder degrades that
-  // content (retry / carry-forward / fallback) and the outcome's
-  // degradation counters say how many contents each epoch served that way.
+  // content (retry / carry-forward / fallback) and the ladder tallies in
+  // each outcome's health report say how many contents it served that way.
   common::StatusOr<std::vector<EpochOutcome>> Run();
 
   // Runs all epochs with a fixed scheme instead of the planner (baseline

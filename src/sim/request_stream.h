@@ -99,17 +99,6 @@ class RequestStreamCursor {
                    : stream_->arrival_time[position_];
   }
 
-  // Pops the next request when it arrives at or before `until`; returns
-  // false (outputs untouched) when the next arrival is later or the
-  // stream is drained.
-  bool Next(double until, double& arrival, std::uint32_t& content) {
-    if (AtEnd() || stream_->arrival_time[position_] > until) return false;
-    arrival = stream_->arrival_time[position_];
-    content = stream_->content[position_];
-    ++position_;
-    return true;
-  }
-
  private:
   const RequestStream* stream_ = nullptr;
   std::size_t position_ = 0;

@@ -28,7 +28,7 @@ using ::testing::HasSubstr;
 TEST(EpochHealthTest, FormatHealthLineGolden) {
   EpochHealthReport report;
   report.epoch = 7;
-  report.active_contents = 16;
+  report.active = 16;
   report.plan_seconds = 0.2451;
   report.solved = 14;
   report.retried = 1;
@@ -38,7 +38,7 @@ TEST(EpochHealthTest, FormatHealthLineGolden) {
   report.best_response_solves = 19;
   report.best_response_converged = 18;
   report.best_response_nonconverged = 1;
-  report.epoch_allocations = 0;
+  report.allocations = 0;
   report.degraded_contents = {3};
   EXPECT_EQ(FormatHealthLine(report),
             "epoch 7: active=16 wall=0.245s outcomes solved=14 retried=1 "
@@ -49,7 +49,7 @@ TEST(EpochHealthTest, FormatHealthLineGolden) {
 TEST(EpochHealthTest, FormatHealthLineOmitsEmptyDegradedList) {
   EpochHealthReport report;
   report.epoch = 0;
-  report.active_contents = 4;
+  report.active = 4;
   report.plan_seconds = 0.01;
   report.solved = 4;
   const std::string line = FormatHealthLine(report);
@@ -59,16 +59,16 @@ TEST(EpochHealthTest, FormatHealthLineOmitsEmptyDegradedList) {
 
 TEST(EpochHealthTest, FormatHealthLineShowsDeadlineMissesOnlyWhenCharged) {
   // The serving runtime's kPlanDeadline degradation (serve/serve_loop.h)
-  // charges plan_deadline_misses onto the report; the planner's own path
+  // charges deadline_misses onto the report; the planner's own path
   // always leaves it 0 and the line must stay byte-identical for those.
   EpochHealthReport report;
   report.epoch = 3;
-  report.active_contents = 4;
+  report.active = 4;
   report.plan_seconds = 0.01;
   report.solved = 4;
   EXPECT_THAT(FormatHealthLine(report),
               ::testing::Not(HasSubstr("deadline_misses")));
-  report.plan_deadline_misses = 1;
+  report.deadline_misses = 1;
   EXPECT_THAT(FormatHealthLine(report), HasSubstr("deadline_misses=1"));
 }
 
@@ -100,7 +100,7 @@ void ExpectReportMatchesBuffer(const EpochHealthReport& report,
                                const EpochPlanBuffer& buffer,
                                std::size_t expected_epoch) {
   EXPECT_EQ(report.epoch, expected_epoch);
-  EXPECT_EQ(report.active_contents, buffer.num_active);
+  EXPECT_EQ(report.active, buffer.num_active);
   EXPECT_GT(report.plan_seconds, 0.0);
   std::size_t solved = 0;
   std::size_t retried = 0;

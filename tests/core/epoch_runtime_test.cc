@@ -26,9 +26,12 @@ struct RecordCtx {
   std::atomic<std::size_t>* max_worker;
 };
 
-void RecordSlot(void* ctx, std::size_t worker, std::size_t slot) {
+void RecordSlots(void* ctx, std::size_t worker, std::size_t begin,
+                 std::size_t end) {
   RecordCtx& r = *static_cast<RecordCtx*>(ctx);
-  (*r.hits)[slot].fetch_add(1, std::memory_order_relaxed);
+  for (std::size_t slot = begin; slot < end; ++slot) {
+    (*r.hits)[slot].fetch_add(1, std::memory_order_relaxed);
+  }
   std::size_t seen = r.max_worker->load(std::memory_order_relaxed);
   while (worker > seen &&
          !r.max_worker->compare_exchange_weak(seen, worker)) {
@@ -39,7 +42,7 @@ void RunRecordedEpoch(EpochRuntime& runtime, std::size_t count,
                       std::vector<std::atomic<int>>& hits,
                       std::atomic<std::size_t>& max_worker) {
   RecordCtx ctx{&hits, &max_worker};
-  runtime.RunEpoch(count, &RecordSlot, &ctx);
+  runtime.RunEpochBlocks(count, 1, &RecordSlots, &ctx);
 }
 
 TEST(EpochRuntimeTest, EverySlotSolvedExactlyOnce) {

@@ -109,6 +109,38 @@ TEST(ServeLoopDeadlineTest, ForcedMissKeepsServingThePreviousPlan) {
   // them all, the published plan hits them all.
   EXPECT_GT(baseline.requests.hits, faulted.requests.hits + 500);
 }
+
+TEST(ServeLoopDeadlineTest, MissOnTheLastPlannedEpochStillPublishes) {
+  // The last plan round has no later boundary to swap in at: the stream's
+  // end is its publication point, so the miss the summary counts still
+  // has its row.
+  auto stream = sim::GenerateRequestStream(SmallStreamOptions());
+  ASSERT_TRUE(stream.ok()) << stream.status();
+  auto loop = ServeLoop::Create(SmallServeOptions());
+  ASSERT_TRUE(loop.ok()) << loop.status();
+  ServeStats clean;
+  ASSERT_TRUE(loop.value()->Run(stream.value(), clean).ok());
+  ASSERT_GE(clean.requests.replans, 2u);
+
+  core::faults::FaultPlan plan;
+  core::faults::FaultSpec spec;
+  spec.site = core::faults::FaultSite::kPlanDeadline;
+  spec.epoch = clean.requests.replans - 1;
+  spec.content = 0;
+  plan.Add(spec);
+  core::faults::ScopedFaultInjection arm(plan);
+
+  ServeStats stats;
+  ASSERT_TRUE(loop.value()->Run(stream.value(), stats).ok());
+  EXPECT_EQ(stats.deadline_misses, 1u);
+  std::uint64_t row_misses = 0;
+  for (const ServeEpochRow& row : stats.rows) row_misses += row.deadline_misses;
+  EXPECT_EQ(stats.deadline_misses, row_misses);
+  EXPECT_EQ(stats.publications, stats.plan_rounds);
+  ASSERT_FALSE(stats.rows.empty());
+  EXPECT_EQ(stats.rows.back().epoch, spec.epoch);
+  EXPECT_GT(stats.rows.back().epoch_published, stats.rows.back().epoch);
+}
 #endif  // MFGCP_FAULTS_ENABLED
 
 TEST(ServeLoopDeadlineTest, AsyncOverrunCountsMissAndKeepsServing) {

@@ -52,8 +52,8 @@ TEST(EpochRunnerTest, RunsAllEpochsWithPlanner) {
   ASSERT_EQ(outcomes->size(), 3u);
   for (std::size_t e = 0; e < 3; ++e) {
     EXPECT_EQ((*outcomes)[e].epoch, e);
-    EXPECT_GT((*outcomes)[e].active_contents, 0u);
-    EXPECT_GT((*outcomes)[e].plan_seconds, 0.0);
+    EXPECT_GT((*outcomes)[e].health.active, 0u);
+    EXPECT_GT((*outcomes)[e].health.plan_seconds, 0.0);
     EXPECT_GT((*outcomes)[e].result.total.requests_served, 0u);
   }
 }
@@ -81,7 +81,7 @@ TEST(EpochRunnerTest, RunWithSchemeUsesSameEpochStructure) {
   ASSERT_EQ(outcomes->size(), 3u);
   for (const auto& outcome : *outcomes) {
     EXPECT_EQ(outcome.result.scheme, "RR");
-    EXPECT_EQ(outcome.plan_seconds, 0.0);  // No planning for baselines.
+    EXPECT_EQ(outcome.health.plan_seconds, 0.0);  // No planning for baselines.
   }
 }
 
@@ -96,7 +96,7 @@ TEST(EpochRunnerTest, EpochWeightsCycleThroughTrace) {
   // With all demand on one content per epoch, only a subset of the
   // catalog is planned.
   for (const auto& outcome : *outcomes) {
-    EXPECT_LE(outcome.active_contents, 2u);
+    EXPECT_LE(outcome.health.active, 2u);
   }
 }
 
@@ -104,13 +104,11 @@ TEST(EpochRunnerTest, HealthyRunReportsNoDegradation) {
   auto runner = EpochRunner::Create(SmallOptions()).value();
   auto outcomes = runner.Run().value();
   for (const auto& outcome : outcomes) {
-    EXPECT_EQ(outcome.retried_contents, 0u);
-    EXPECT_EQ(outcome.carried_contents, 0u);
-    EXPECT_EQ(outcome.fallback_contents, 0u);
-    // The full health report rides along and agrees with the summary
-    // counters.
+    EXPECT_EQ(outcome.health.retried, 0u);
+    EXPECT_EQ(outcome.health.carried_forward, 0u);
+    EXPECT_EQ(outcome.health.fallback, 0u);
+    // The health report carries the runner's epoch index.
     EXPECT_EQ(outcome.health.epoch, outcome.epoch);
-    EXPECT_EQ(outcome.health.active_contents, outcome.active_contents);
     EXPECT_EQ(outcome.health.DegradedCount(), 0u);
     EXPECT_TRUE(outcome.health.degraded_contents.empty());
   }
@@ -125,18 +123,26 @@ TEST(EpochRunnerTest, EpochOutcomesCsvHasOneRowPerEpoch) {
   EXPECT_EQ(table->num_rows(), outcomes.size());
   EXPECT_EQ(table->header(),
             (std::vector<std::string>{
-                "epoch", "active_contents", "plan_seconds", "retries",
-                "carry_forwards", "fallbacks", "failures",
-                "degraded_contents", "mean_utility", "hit_ratio"}));
+                "epoch", "active", "plan_seconds", "solved", "retried",
+                "carried_forward", "fallback", "failed",
+                "best_response_solves", "best_response_converged",
+                "best_response_nonconverged", "allocations", "eq_probed",
+                "eq_exploitability", "eq_exploitability_rel",
+                "eq_consistency_residual", "eq_price_min", "eq_price_mean",
+                "eq_price_max", "degraded_contents", "mean_utility",
+                "hit_ratio"}));
+  const auto column = [&table](const char* name) {
+    return table->ColumnIndex(name).value();
+  };
   for (std::size_t e = 0; e < outcomes.size(); ++e) {
-    EXPECT_EQ(table->CellAsInt(e, 0).value(),
+    EXPECT_EQ(table->CellAsInt(e, column("epoch")).value(),
               static_cast<std::int64_t>(e));
-    EXPECT_EQ(table->CellAsInt(e, 3).value(), 0);  // retries
-    EXPECT_EQ(table->CellAsInt(e, 4).value(), 0);  // carry_forwards
-    EXPECT_EQ(table->CellAsInt(e, 5).value(), 0);  // fallbacks
-    EXPECT_EQ(table->CellAsInt(e, 6).value(), 0);  // failures
-    EXPECT_EQ(table->Cell(e, 7).value(), "");      // degraded ids
-    EXPECT_GT(table->CellAsDouble(e, 2).value(), 0.0);
+    EXPECT_EQ(table->CellAsInt(e, column("retried")).value(), 0);
+    EXPECT_EQ(table->CellAsInt(e, column("carried_forward")).value(), 0);
+    EXPECT_EQ(table->CellAsInt(e, column("fallback")).value(), 0);
+    EXPECT_EQ(table->CellAsInt(e, column("failed")).value(), 0);
+    EXPECT_EQ(table->Cell(e, column("degraded_contents")).value(), "");
+    EXPECT_GT(table->CellAsDouble(e, column("plan_seconds")).value(), 0.0);
   }
 }
 
@@ -154,9 +160,11 @@ TEST(EpochRunnerTest, EpochOutcomesCsvReportsDegradedContents) {
 
   auto outcomes = runner.Run().value();
   auto table = common::CsvTable::Parse(EpochOutcomesCsv(outcomes)).value();
-  EXPECT_EQ(table.CellAsInt(1, 4).value(), 1);  // One carry-forward.
-  EXPECT_EQ(table.Cell(1, 7).value(), "1");     // ...for content 1.
-  EXPECT_EQ(table.CellAsInt(0, 4).value(), 0);
+  const std::size_t carried = table.ColumnIndex("carried_forward").value();
+  const std::size_t degraded = table.ColumnIndex("degraded_contents").value();
+  EXPECT_EQ(table.CellAsInt(1, carried).value(), 1);  // One carry-forward.
+  EXPECT_EQ(table.Cell(1, degraded).value(), "1");    // ...for content 1.
+  EXPECT_EQ(table.CellAsInt(0, carried).value(), 0);
 }
 #endif  // MFGCP_FAULTS_ENABLED
 
@@ -179,8 +187,8 @@ TEST(EpochRunnerTest, DegradedPlansStillTradeInTheMarket) {
   ASSERT_TRUE(outcomes.ok()) << outcomes.status();
   ASSERT_EQ(outcomes->size(), 3u);
   // Epoch 0 was healthy and seeded the carry-forward history.
-  EXPECT_EQ((*outcomes)[0].carried_contents, 0u);
-  EXPECT_EQ((*outcomes)[1].carried_contents, 1u);
+  EXPECT_EQ((*outcomes)[0].health.carried_forward, 0u);
+  EXPECT_EQ((*outcomes)[1].health.carried_forward, 1u);
   for (const auto& outcome : *outcomes) {
     EXPECT_GT(outcome.result.total.requests_served, 0u);
   }

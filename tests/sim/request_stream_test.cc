@@ -175,6 +175,20 @@ TEST(RequestStreamTest, RejectsBadTraceSetups) {
       << "a day with no requests inside the catalog must be rejected";
 }
 
+// Seeks past every request that arrived by `until`, the way
+// RequestLedger::DrainUntil walks the cursor, and returns their content
+// ids in the order read.
+std::vector<std::uint32_t> DrainThrough(RequestStreamCursor& cursor,
+                                        double until) {
+  std::vector<std::uint32_t> read;
+  std::size_t i = cursor.position();
+  while (!cursor.AtEnd() && cursor.NextArrival() <= until) {
+    read.push_back(cursor.stream()->content[i]);
+    cursor.Seek(++i);
+  }
+  return read;
+}
+
 TEST(RequestStreamTest, CursorTailsTheStreamInOrder) {
   RequestStream stream;
   stream.arrival_time = {0.5, 1.0, 1.0, 3.5};
@@ -184,29 +198,28 @@ TEST(RequestStreamTest, CursorTailsTheStreamInOrder) {
   EXPECT_FALSE(cursor.AtEnd());
   EXPECT_EQ(cursor.position(), 0u);
   EXPECT_EQ(cursor.NextArrival(), 0.5);
+  EXPECT_EQ(cursor.stream(), &stream);
 
-  double t = 0.0;
-  std::uint32_t content = 0;
   // Nothing has arrived before t=0.25; the cursor does not advance.
-  EXPECT_FALSE(cursor.Next(0.25, t, content));
+  EXPECT_TRUE(DrainThrough(cursor, 0.25).empty());
   EXPECT_EQ(cursor.position(), 0u);
 
   // Drain through t=1.0 inclusive: three requests, stream order.
-  ASSERT_TRUE(cursor.Next(1.0, t, content));
-  EXPECT_EQ(t, 0.5);
-  EXPECT_EQ(content, 2u);
-  ASSERT_TRUE(cursor.Next(1.0, t, content));
-  EXPECT_EQ(t, 1.0);
-  EXPECT_EQ(content, 0u);
-  ASSERT_TRUE(cursor.Next(1.0, t, content));
-  EXPECT_EQ(content, 1u);
-  EXPECT_FALSE(cursor.Next(1.0, t, content));
+  EXPECT_EQ(DrainThrough(cursor, 1.0), (std::vector<std::uint32_t>{2, 0, 1}));
+  EXPECT_EQ(cursor.position(), 3u);
+  EXPECT_TRUE(DrainThrough(cursor, 1.0).empty());
   EXPECT_EQ(cursor.NextArrival(), 3.5);
 
-  ASSERT_TRUE(cursor.Next(10.0, t, content));
+  EXPECT_EQ(DrainThrough(cursor, 10.0), (std::vector<std::uint32_t>{2}));
   EXPECT_TRUE(cursor.AtEnd());
   EXPECT_EQ(cursor.NextArrival(), std::numeric_limits<double>::infinity());
-  EXPECT_FALSE(cursor.Next(10.0, t, content));
+  EXPECT_TRUE(DrainThrough(cursor, 10.0).empty());
+
+  // Seek is absolute: back to the second request.
+  cursor.Seek(1);
+  EXPECT_FALSE(cursor.AtEnd());
+  EXPECT_EQ(cursor.position(), 1u);
+  EXPECT_EQ(cursor.NextArrival(), 1.0);
 }
 
 TEST(RequestStreamTest, CursorRebindsAndHandlesUnbound) {
@@ -219,9 +232,7 @@ TEST(RequestStreamTest, CursorRebindsAndHandlesUnbound) {
   stream.content = {4};
   cursor.Bind(stream);
   EXPECT_FALSE(cursor.AtEnd());
-  double t = 0.0;
-  std::uint32_t content = 0;
-  ASSERT_TRUE(cursor.Next(2.0, t, content));
+  cursor.Seek(1);
   EXPECT_TRUE(cursor.AtEnd());
   // Bind rewinds: the same stream replays from the start.
   cursor.Bind(stream);
