@@ -131,11 +131,8 @@ common::Status BestResponseLearner::SolveFromInto(
     eq.iterations = iter;
 
     // (1) Mean-field quantities per time node from (λ, x).
-    mean_field.resize(nt + 1);
-    for (std::size_t n = 0; n <= nt; ++n) {
-      MFG_RETURN_IF_ERROR(estimator_.EstimateInto(
-          eq.fpk.densities[n], policy[n], ws.estimator, mean_field[n]));
-    }
+    MFG_RETURN_IF_ERROR(estimator_.EstimateTrajectoryInto(
+        eq.fpk.densities, policy, ws.estimator, mean_field));
 
     // (2) Backward HJB -> candidate best response.
     MFG_FAULT_POINT(kHjbStep);
@@ -204,12 +201,8 @@ common::Status BestResponseLearner::SolveFromInto(
                                       : eq.value_change_history.back());
   // Refresh the mean-field quantities for the final policy/density pair so
   // callers see a consistent triple (x, λ, mf).
-  for (std::size_t n = 0; n <= nt; ++n) {
-    MFG_RETURN_IF_ERROR(estimator_.EstimateInto(
-        eq.fpk.densities[n], eq.hjb.policy[n], ws.estimator,
-        eq.mean_field[n]));
-  }
-  return common::Status::Ok();
+  return estimator_.EstimateTrajectoryInto(eq.fpk.densities, eq.hjb.policy,
+                                          ws.estimator, eq.mean_field);
 }
 
 common::StatusOr<EquilibriumRollout> RolloutEquilibrium(

@@ -69,7 +69,9 @@ void BatchBestResponseLearner::Reset(std::size_t num_lanes) {
   bound_lanes_ = 0;
   hjb_.Reset(num_lanes);
   fpk_.Reset(num_lanes);
-  estimators_.resize(num_lanes);
+  // Grow-only: a ragged last block must not drop the estimators (and
+  // their tables) the next full-width block re-binds.
+  if (estimators_.size() < num_lanes) estimators_.resize(num_lanes);
   gamma_.resize(num_lanes);
   tolerance_.resize(num_lanes);
   max_iterations_.resize(num_lanes);
@@ -113,7 +115,7 @@ void BatchBestResponseLearner::SolveInto(std::span<LaneJob> lanes,
   const std::size_t nt = nt_;
   const std::size_t nq = nq_;
 
-  ws.lanes.resize(m);
+  if (ws.lanes.size() < m) ws.lanes.resize(m);  // Grow-only, as estimators_.
   ws.hjb_io.resize(m);
   ws.fpk_io.resize(m);
   ws.running.assign(m, 0);
@@ -194,20 +196,12 @@ void BatchBestResponseLearner::SolveInto(std::span<LaneJob> lanes,
       eq.iterations = iter;
 
       // (1) Mean-field quantities per time node from (λ, x).
-      lane.mean_field.resize(nt + 1);
-      bool failed = false;
-      for (std::size_t n = 0; n <= nt; ++n) {
-        const common::Status estimate = estimators_[l]->EstimateInto(
-            eq.fpk.densities[n], lane.policy[n], lane.estimator,
-            lane.mean_field[n]);
-        if (!estimate.ok()) {
-          job.status = estimate;
-          ws.running[l] = 0;
-          failed = true;
-          break;
-        }
+      job.status = estimators_[l]->EstimateTrajectoryInto(
+          eq.fpk.densities, lane.policy, lane.estimator, lane.mean_field);
+      if (!job.status.ok()) {
+        ws.running[l] = 0;
+        continue;
       }
-      if (failed) continue;
 
       // (2) Backward HJB -> candidate best response.
       job.status = LaneFaultCheck(job, faults::FaultSite::kHjbStep);
@@ -233,16 +227,20 @@ void BatchBestResponseLearner::SolveInto(std::span<LaneJob> lanes,
       LaneScratch& lane = ws.lanes[l];
       Equilibrium& eq = *job.out;
 
-      // (3) Relaxed policy update + convergence test (Alg. 2, line 6).
+      // (3) Relaxed policy update + convergence test (Alg. 2, line 6). The
+      // relaxed iterate also overwrites the best response in hjb_buffer, so
+      // the swap below exposes the *relaxed* policy (the population's
+      // actual play) without a copy.
       double max_change = 0.0;
       const double gamma = gamma_[l];
       double* p = lane.policy.data();
-      const double* h = lane.hjb_buffer.policy.data();
+      double* h = lane.hjb_buffer.policy.data();
       const std::size_t total = (nt + 1) * nq;
       for (std::size_t k = 0; k < total; ++k) {
         const double updated = (1.0 - gamma) * p[k] + gamma * h[k];
         max_change = std::max(max_change, std::fabs(updated - p[k]));
         p[k] = updated;
+        h[k] = updated;
       }
       eq.policy_change_history.push_back(max_change);
       eq.value_change_history.push_back(
@@ -251,7 +249,6 @@ void BatchBestResponseLearner::SolveInto(std::span<LaneJob> lanes,
                        static_cast<std::uint32_t>(iter), max_change,
                        eq.value_change_history.back());
       std::swap(eq.hjb, lane.hjb_buffer);
-      eq.hjb.policy = lane.policy;
       std::swap(eq.mean_field, lane.mean_field);
 
       if (max_change < tolerance_[l]) {
@@ -311,15 +308,8 @@ void BatchBestResponseLearner::SolveInto(std::span<LaneJob> lanes,
                                         : eq.value_change_history.back());
     // Refresh the mean-field quantities for the final policy/density pair
     // so callers see a consistent triple (x, λ, mf).
-    for (std::size_t n = 0; n <= nt; ++n) {
-      const common::Status refresh = estimators_[l]->EstimateInto(
-          eq.fpk.densities[n], eq.hjb.policy[n], lane.estimator,
-          eq.mean_field[n]);
-      if (!refresh.ok()) {
-        job.status = refresh;
-        break;
-      }
-    }
+    job.status = estimators_[l]->EstimateTrajectoryInto(
+        eq.fpk.densities, eq.hjb.policy, lane.estimator, eq.mean_field);
   }
 }
 

@@ -25,41 +25,77 @@ bool LaneAllFinite(const numerics::BatchField& field, std::size_t lane) {
 // vectorizer's aliasing analysis, and MFGCP_BATCH_TARGET_CLONES adds
 // AVX2/AVX-512 clones behind runtime dispatch.
 
-// Finite-volume face fluxes: advective donor-cell + central diffusive.
-// Boundary faces (0 and nq) are written by the caller and stay zero.
-MFGCP_BATCH_TARGET_CLONES
-void ComputeFaceFluxes(std::size_t nq, std::size_t m, const double* vel,
-                       const double* lam, const double* d_over_dx,
-                       double* __restrict flux) {
-  for (std::size_t face = 1; face < nq; ++face) {
-    const std::size_t row = face * m;
-    const std::size_t prev = (face - 1) * m;
-    for (std::size_t l = 0; l < m; ++l) {
-      const double v_face = 0.5 * (vel[prev + l] + vel[row + l]);
-      const double donor = v_face > 0.0 ? lam[prev + l] : lam[row + l];
-      const double advective = v_face * donor;
-      const double diffusive =
-          -d_over_dx[l] * (lam[row + l] - lam[prev + l]);
-      flux[row + l] = advective + diffusive;
-    }
-  }
-}
+// One whole explicit substep — finite-volume face fluxes (advective
+// donor-cell + central diffusive) and the masked flux-divergence update —
+// as a single pass over the densities. Row i's update needs the fluxes of
+// its two faces; the left one is the previous row's right one, carried
+// across the row loop, and the right one reads λ[i] and λ[i+1] before row i
+// is overwritten (row i+1 is still old), so every flux sees the previous
+// substep's densities exactly as the two-kernel formulation did. Every
+// expression is the scalar FpkSolver1D substep's, verbatim; the boundary
+// faces 0 and nq are reflecting (zero flux) and enter as +0.0 operands.
+//
+// M is the compile-time lane count, as in FusedHjbSubstep (0 = runtime
+// `mm`, carrying the flux through the `carry` scratch of m doubles);
+// always_inline so every ISA clone of the dispatcher vectorizes the body
+// at its own width.
+template <std::size_t M>
+__attribute__((always_inline)) inline void FusedFpkSubstepImpl(
+    std::size_t nq, std::size_t mm, const double* vel,
+    const double* d_over_dx, const double* dt_sub_over_dx,
+    const double* update, double* __restrict lam,
+    double* __restrict carry) {
+  const std::size_t m = M ? M : mm;
+  constexpr std::size_t kStatic = M ? M : 1;
+  double left_s[kStatic] = {};
+  double* left = M ? left_s : carry;  // Flux through row i's left face.
+  for (std::size_t l = 0; l < m; ++l) left[l] = 0.0;  // Reflecting face 0.
 
-// One masked explicit flux-divergence step of the densities (double-wide
-// select mask, as in the HJB value update).
-MFGCP_BATCH_TARGET_CLONES
-void ApplyFluxUpdate(std::size_t nq, std::size_t m, const double* flux,
-                     const double* dt_sub_over_dx, const double* update,
-                     double* __restrict lam) {
-  for (std::size_t i = 0; i < nq; ++i) {
+  for (std::size_t i = 0; i + 1 < nq; ++i) {
     const std::size_t row = i * m;
     const std::size_t next = (i + 1) * m;
     for (std::size_t l = 0; l < m; ++l) {
+      const double v_face = 0.5 * (vel[row + l] + vel[next + l]);
+      const double donor = v_face > 0.0 ? lam[row + l] : lam[next + l];
+      const double advective = v_face * donor;
+      const double diffusive = -d_over_dx[l] * (lam[next + l] - lam[row + l]);
+      const double right = advective + diffusive;
       const double updated =
-          lam[row + l] -
-          dt_sub_over_dx[l] * (flux[next + l] - flux[row + l]);
+          lam[row + l] - dt_sub_over_dx[l] * (right - left[l]);
       lam[row + l] = numerics::LaneSelect(update[l], updated, lam[row + l]);
+      left[l] = right;
     }
+  }
+  const std::size_t row = (nq - 1) * m;
+  for (std::size_t l = 0; l < m; ++l) {
+    const double updated = lam[row + l] - dt_sub_over_dx[l] * (0.0 - left[l]);
+    lam[row + l] = numerics::LaneSelect(update[l], updated, lam[row + l]);
+  }
+}
+
+// Runtime dispatch to the lane-width specializations (see FusedHjbSubstep).
+MFGCP_BATCH_TARGET_CLONES
+void FusedFpkSubstep(std::size_t nq, std::size_t m, const double* vel,
+                     const double* d_over_dx, const double* dt_sub_over_dx,
+                     const double* update, double* __restrict lam,
+                     double* __restrict carry) {
+  switch (m) {
+    case 2:
+      FusedFpkSubstepImpl<2>(nq, m, vel, d_over_dx, dt_sub_over_dx, update,
+                             lam, carry);
+      break;
+    case 4:
+      FusedFpkSubstepImpl<4>(nq, m, vel, d_over_dx, dt_sub_over_dx, update,
+                             lam, carry);
+      break;
+    case 8:
+      FusedFpkSubstepImpl<8>(nq, m, vel, d_over_dx, dt_sub_over_dx, update,
+                             lam, carry);
+      break;
+    default:
+      FusedFpkSubstepImpl<0>(nq, m, vel, d_over_dx, dt_sub_over_dx, update,
+                             lam, carry);
+      break;
   }
 }
 
@@ -91,7 +127,9 @@ void AssembleImplicitSystem(std::size_t nq, std::size_t m, const double* vel,
 void FpkBatchSolver::Reset(std::size_t num_lanes) {
   num_lanes_ = num_lanes;
   bound_lanes_ = 0;
-  params_.resize(num_lanes);
+  // Grow-only: shrinking would free the lane params' profile storage that
+  // the next wider block copies into again.
+  if (params_.size() < num_lanes) params_.resize(num_lanes);
   grids_.resize(num_lanes);
   content_size_.resize(num_lanes);
   dx_.resize(num_lanes);
@@ -118,6 +156,8 @@ common::Status FpkBatchSolver::BindLane(std::size_t lane,
     nt_ = nt;
     implicit_ = params.grid.implicit_fpk;
     neg_w1_avail_.Assign(nq, num_lanes_, 0.0);
+    retention_.Assign(nt, num_lanes_, 0.0);
+    discard_.Assign(nt, num_lanes_, 0.0);
   } else if (nq != nq_ || nt != nt_) {
     return common::Status::InvalidArgument(
         "batch lanes must share the grid shape");
@@ -132,6 +172,14 @@ common::Status FpkBatchSolver::BindLane(std::size_t lane,
   for (std::size_t i = 0; i < nq; ++i) {
     neg_w1_avail_.at(i, lane) =
         -params.dynamics.w1 * params.ControlAvailability(q_grid.x(i));
+  }
+  // The scalar sweep's per-time-node drift constants (one std::pow each),
+  // tabulated once per bind instead of once per sweep.
+  for (std::size_t n = 0; n < nt; ++n) {
+    retention_.at(n, lane) = params.dynamics.w2 * params.PopularityAt(n);
+    discard_.at(n, lane) =
+        params.dynamics.w3 *
+        std::pow(params.dynamics.xi, params.TimelinessAt(n));
   }
   content_size_[lane] = params.content_size;
   dx_[lane] = q_grid.dx();
@@ -220,7 +268,7 @@ void FpkBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
 
   ws.lambda.Assign(nq, m, 0.0);
   ws.velocity.Assign(nq, m, 0.0);
-  ws.face_flux.Assign(nq + 1, m, 0.0);
+  ws.face_flux.assign(m, 0.0);
   for (std::size_t l = 0; l < m; ++l) {
     if (!alive[l]) continue;
     const std::vector<double>& init = lanes[l].initial->values();
@@ -229,7 +277,6 @@ void FpkBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
 
   double* lam = ws.lambda.data();
   double* vel = ws.velocity.data();
-  double* flux = ws.face_flux.data();
   const double* nwd = neg_w1_avail_.data();
   const double* d_dx = d_over_dx_.data();
   const double* dts_dx = dt_sub_over_dx_.data();
@@ -240,12 +287,8 @@ void FpkBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
     // (row-major, per-content) policy field.
     for (std::size_t l = 0; l < m; ++l) {
       if (!alive[l]) continue;
-      const MfgParams& params = params_[l];
-      const double retention =
-          params.dynamics.w2 * params.PopularityAt(n);
-      const double discard =
-          params.dynamics.w3 *
-          std::pow(params.dynamics.xi, params.TimelinessAt(n));
+      const double retention = retention_.at(n, l);
+      const double discard = discard_.at(n, l);
       const auto policy_row = (*lanes[l].policy)[n];
       for (std::size_t i = 0; i < nq; ++i) {
         vel[i * m + l] =
@@ -291,25 +334,25 @@ void FpkBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
         for (std::size_t l = 0; l < m; ++l) {
           update[l] = (alive[l] != 0 && sub < substeps_[l]) ? 1.0 : 0.0;
         }
-        // Finite-volume face fluxes: advective donor-cell + central
-        // diffusive; boundary faces stay zero -> reflecting.
-        for (std::size_t l = 0; l < m; ++l) {
-          flux[l] = 0.0;
-          flux[nq * m + l] = 0.0;
-        }
-        ComputeFaceFluxes(nq, m, vel, lam, d_dx, flux);
-        ApplyFluxUpdate(nq, m, flux, dts_dx, update.data(), lam);
-        std::fill(ws.bad.begin(), ws.bad.end(), 0.0);
-        numerics::AccumulateNonFiniteLanesInto(ws.lambda, ws.bad);
-        for (std::size_t l = 0; l < m; ++l) {
-          if (update[l] == 0.0 || ws.bad[l] == 0.0) continue;
-          MFG_FLIGHT_EVENT(kDivergence, obs::kFlightDivergenceFpk,
-                           params_[l].content_id,
-                           static_cast<std::uint32_t>(n), 0.0, 0.0);
-          lanes[l].status = common::Status::NumericalError(
-              "FPK density diverged at time node " + std::to_string(n));
-          alive[l] = 0;
-        }
+        FusedFpkSubstep(nq, m, vel, d_dx, dts_dx, update.data(), lam,
+                        ws.face_flux.data());
+      }
+      // Divergence sweep once per output node, before the clip — the
+      // HjbBatchSolver argument: λ − c·(flux difference) is non-finite
+      // whenever λ is, and the select keeps a masked lane's bits, so a
+      // non-finite density never turns finite again within the node. A
+      // lane the scalar solver stops at any substep of node n is caught
+      // here with the same "time node n" error.
+      std::fill(ws.bad.begin(), ws.bad.end(), 0.0);
+      numerics::AccumulateNonFiniteLanesInto(ws.lambda, ws.bad);
+      for (std::size_t l = 0; l < m; ++l) {
+        if (alive[l] == 0 || ws.bad[l] == 0.0) continue;
+        MFG_FLIGHT_EVENT(kDivergence, obs::kFlightDivergenceFpk,
+                         params_[l].content_id, static_cast<std::uint32_t>(n),
+                         0.0, 0.0);
+        lanes[l].status = common::Status::NumericalError(
+            "FPK density diverged at time node " + std::to_string(n));
+        alive[l] = 0;
       }
     }
 

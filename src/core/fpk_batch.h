@@ -35,7 +35,9 @@ class FpkBatchSolver {
   struct Workspace {
     numerics::BatchField lambda;
     numerics::BatchField velocity;
-    numerics::BatchField face_flux;  // nq + 1 nodes.
+    // Runtime-lane-count FusedFpkSubstep only: the flux through the
+    // current row's left face, carried across the row loop (m doubles).
+    std::vector<double> face_flux;
     numerics::BatchTridiagonalSystem system;  // Implicit stepping only.
     numerics::BatchTridiagonalWorkspace tridiagonal;
     std::vector<std::ptrdiff_t> singular_row;
@@ -83,6 +85,10 @@ class FpkBatchSolver {
   std::vector<numerics::Grid1D> grids_;
 
   numerics::BatchField neg_w1_avail_;
+  // Per-(time node, lane) drift constants w2·Π(t_n) and w3·ξ^L(t_n),
+  // [node][lane] layout over nodes 0..nt−1.
+  numerics::BatchField retention_;
+  numerics::BatchField discard_;
 
   std::vector<double> content_size_;
   std::vector<double> dx_;

@@ -283,7 +283,9 @@ void ComputePolicyBatch(std::size_t nq, std::size_t m, const double* dvd,
 void HjbBatchSolver::Reset(std::size_t num_lanes) {
   num_lanes_ = num_lanes;
   bound_lanes_ = 0;
-  params_.resize(num_lanes);
+  // Grow-only: shrinking would free the lane params' profile storage that
+  // the next wider block copies into again.
+  if (params_.size() < num_lanes) params_.resize(num_lanes);
   grids_.resize(num_lanes);
   opt_k1_.resize(num_lanes);
   opt_k2_.resize(num_lanes);
@@ -334,6 +336,7 @@ common::Status HjbBatchSolver::BindLane(std::size_t lane,
     served_own_.Assign(nq, num_lanes_, 0.0);
     q_pos_.Assign(nq, num_lanes_, 0.0);
     cs_nw_.Assign(nq, num_lanes_, 0.0);
+    cs_rd_.Assign(nt, num_lanes_, 0.0);
   } else if (nq != nq_ || nt != nt_) {
     return common::Status::InvalidArgument(
         "batch lanes must share the grid shape");
@@ -357,6 +360,16 @@ common::Status HjbBatchSolver::BindLane(std::size_t lane,
     served_own_.at(i, lane) = std::max(content_size - q, 0.0);
     q_pos_.at(i, lane) = std::max(q, 0.0);
     cs_nw_.at(i, lane) = content_size * neg_w1_avail_.at(i, lane);
+  }
+
+  // The per-time-node drift offset (one std::pow each), tabulated once per
+  // bind instead of once per sweep.
+  for (std::size_t n = 0; n < nt; ++n) {
+    const double retention = params.dynamics.w2 * params.PopularityAt(n);
+    const double discard =
+        params.dynamics.w3 *
+        std::pow(params.dynamics.xi, params.TimelinessAt(n));
+    cs_rd_.at(n, lane) = content_size * (retention - discard);
   }
 
   const auto& staleness = params.utility.staleness;
@@ -468,7 +481,6 @@ void HjbBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
   ws.fpeer_gt.assign(m, 0.0);
   ws.p2_extra.assign(m, 0.0);
   ws.gated_share_price.assign(m, 0.0);
-  ws.cs_rd.assign(m, 0.0);
   ws.share_n.assign(m, 0.0);
   ws.served_peer.assign(m, 0.0);
   ws.num_requests.assign(m, 0.0);
@@ -528,11 +540,6 @@ void HjbBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
       ws.peer[l] = mf.mean_peer_remaining;
       ws.price[l] = mf.price;
       ws.num_requests[l] = params.RequestsAt(n);
-      const double retention = params.dynamics.w2 * params.PopularityAt(n);
-      const double discard =
-          params.dynamics.w3 *
-          std::pow(params.dynamics.xi, params.TimelinessAt(n));
-      ws.cs_rd[l] = content_size_[l] * (retention - discard);
       const bool sharing = sharing_[l] != 0;
       ws.share_n[l] = sharing ? mf.sharing_benefit : 0.0;
       ws.served_peer[l] = std::max(content_size_[l] - ws.peer[l], 0.0);
@@ -554,13 +561,14 @@ void HjbBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
         ws.gated_share_price.data(), ws.peer.data(), ws.share_n.data(),
         eta2, ws.base.data());
 
+    const double* cs_rd = cs_rd_[n].data();
     for (std::size_t sub = 0; sub < max_substeps; ++sub) {
       for (std::size_t l = 0; l < m; ++l) {
         update[l] = (alive[l] != 0 && sub < substeps_[l]) ? 1.0 : 0.0;
       }
       FusedHjbSubstep(nq, m, avd, csnw, ws.base.data(), inv_dx_.data(),
                       inv_2dx_.data(), inv_dx2_.data(), w4, w5, i2w5, k1, k2,
-                      ws.cs_rd.data(), kdel, diffusion, dt_sub, update.data(),
+                      cs_rd, kdel, diffusion, dt_sub, update.data(),
                       ws.v.data(), ws.rot.data());
     }
     // Divergence sweep once per output time node instead of per substep: a

@@ -69,7 +69,6 @@ class HjbBatchSolver {
     std::vector<double> fpeer_gt;     // f(peer_n − αQ).
     std::vector<double> p2_extra;     // sharing ? 0 : f(αQ − peer_n).
     std::vector<double> gated_share_price;  // sharing ? sharing_price : 0.
-    std::vector<double> cs_rd;        // Q_k·(retention_n − discard_n).
     std::vector<double> share_n;
     std::vector<double> served_peer;
     std::vector<double> num_requests;
@@ -134,6 +133,9 @@ class HjbBatchSolver {
   numerics::BatchField served_own_;  // max(Q − q_i, 0).
   numerics::BatchField q_pos_;       // max(q_i, 0).
   numerics::BatchField cs_nw_;       // Q_k·(−w1)·a(q_i): drift x-gain.
+  // Per-(time node, lane) drift offset Q_k·(w2·Π(t_n) − w3·ξ^L(t_n)),
+  // [node][lane] layout over nodes 0..nt−1.
+  numerics::BatchField cs_rd_;
 
   // Per-lane constants.
   std::vector<double> opt_k1_;

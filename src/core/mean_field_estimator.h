@@ -7,6 +7,8 @@
 #include "common/status.h"
 #include "core/mfg_params.h"
 #include "numerics/density.h"
+#include "numerics/grid.h"
+#include "numerics/time_field.h"
 
 // The mean-field estimator (§IV-B module 1): converts the mean-field
 // density λ(t, ·) and the candidate policy x(t, ·) into the economic
@@ -24,6 +26,14 @@
 // content → case 3). Note the algebraic collapse: with s = mass(q > αQ),
 // (1 − s²)/(1 − s) − 1 = s, so Φ̄² = p̄ Δq̄ s away from the degenerate
 // m_q → 0 corner (which is guarded).
+//
+// Every integral is the trapezoid rule of numerics/quadrature.h (the
+// partial moments are TrapezoidOnInterval on [lo, αQ] and [αQ, hi]). The
+// grid-only part of those rules — node coordinates, the interpolation
+// cell and weight of each interval end, the first/last interior node and
+// the partial cell widths — depends on the params alone, so Create/Rebind
+// tabulate it and a slice estimate is one straight pass over the density
+// and policy rows, bitwise equal to calling the quadrature helpers.
 
 namespace mfg::core {
 
@@ -39,12 +49,10 @@ struct MeanFieldQuantities {
 
 class MeanFieldEstimator {
  public:
-  // Scratch buffer for the q-weighted density samples (shared by the mean
-  // and the two partial moments); reuse across Estimate calls keeps the
-  // per-time-node estimation allocation-free.
-  struct Workspace {
-    std::vector<double> weighted;
-  };
+  // Per-caller scratch of the Into variants. The tabulated estimator keeps
+  // none; the type stays in the signatures its callers already thread
+  // through.
+  struct Workspace {};
 
   // Fails on invalid params (delegates to MfgParams::Validate()).
   static common::StatusOr<MeanFieldEstimator> Create(const MfgParams& params);
@@ -54,26 +62,68 @@ class MeanFieldEstimator {
   common::Status Rebind(const MfgParams& params);
 
   // Computes all quantities for one time slice. `policy_slice` is x(t, ·)
-  // sampled on the density's grid.
+  // sampled on the density's grid, which must be the params' q-grid.
   common::StatusOr<MeanFieldQuantities> Estimate(
       const numerics::Density1D& density,
       const std::vector<double>& policy_slice) const;
 
-  // In-place variant used by the best-response hot loop; accepts flat
-  // policy rows and performs no allocation once `workspace` has warmed up.
+  // In-place variant; accepts flat policy rows and never allocates.
   common::Status EstimateInto(const numerics::Density1D& density,
                               std::span<const double> policy_slice,
                               Workspace& workspace,
                               MeanFieldQuantities& out) const;
 
+  // Every time node of a trajectory at once: out[n] is the estimate of
+  // (densities[n], policy[n]). The best-response loop's call; validates all
+  // nodes before writing any and counts densities.size() estimates in one
+  // counter update. `out` is resized to densities.size().
+  common::Status EstimateTrajectoryInto(
+      std::span<const numerics::Density1D> densities,
+      const numerics::TimeField2D& policy, Workspace& workspace,
+      std::vector<MeanFieldQuantities>& out) const;
+
   const MfgParams& params() const { return params_; }
 
  private:
-  MeanFieldEstimator(const MfgParams& params, const econ::PricingModel& pricing)
-      : params_(params), pricing_(pricing) {}
+  // TrapezoidOnInterval(grid, f, a, b) with everything that does not depend
+  // on f precomputed (same expressions, so the same bits).
+  struct IntervalTable {
+    bool empty = true;      // a >= b after clamping: the integral is 0.
+    bool one_cell = false;  // a and b in one cell: 0.5 (fa + fb)(b − a).
+    std::size_t cell_a = 0;  // LinearInterpolate cell and clamped weight
+    double t_a = 0.0;        // of each end.
+    std::size_t cell_b = 0;
+    double t_b = 0.0;
+    // First node strictly above a / last strictly below b; the interior
+    // cells are [first, last). first == last == 0 unless the interval
+    // spans a node, which keeps the fused loop's range test false.
+    std::size_t first = 0;
+    std::size_t last = 0;
+    double head = 0.0;   // x(first) − a.
+    double tail = 0.0;   // b − x(last).
+    double width = 0.0;  // b − a.
+  };
+
+  MeanFieldEstimator(const MfgParams& params, const numerics::Grid1D& q_grid,
+                     const econ::PricingModel& pricing)
+      : params_(params), q_grid_(q_grid), pricing_(pricing) {
+    InitTables();
+  }
+
+  void InitTables();
+  common::Status CheckSlice(const numerics::Density1D& density,
+                            std::size_t policy_size) const;
+  // One validated slice: a single pass over the density row v and the
+  // policy row x.
+  void EstimateSlice(const double* v, const double* x,
+                     MeanFieldQuantities& out) const;
 
   MfgParams params_;
+  numerics::Grid1D q_grid_;
   econ::PricingModel pricing_;
+  std::vector<double> q_coords_;  // q_grid_.x(i).
+  IntervalTable sharer_;          // [lo, αQ].
+  IntervalTable needer_;          // [αQ, hi].
 };
 
 }  // namespace mfg::core

@@ -14,7 +14,10 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <limits>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/best_response.h"
@@ -161,6 +164,81 @@ TEST_P(BatchSolverTest, FpkBatchExplicitMatchesScalarBitwise) {
 
 TEST_P(BatchSolverTest, FpkBatchImplicitMatchesScalarBitwise) {
   CheckFpkBatch(GetParam(), /*implicit=*/true);
+}
+
+// The batched FPK checks divergence once per output node where the scalar
+// solver checks every substep; a diverging lane must still fail with the
+// scalar solver's exact error (same time node) and leave its neighbours
+// bitwise untouched. Lane 1 starts from a NaN density (fails at node 0);
+// lane 2's policy turns NaN at node 7 (fails mid-sweep).
+TEST_P(BatchSolverTest, FpkBatchDivergentLaneMatchesScalarError) {
+  const std::size_t lanes = GetParam();
+  constexpr std::size_t kNanDensityLane = 1;
+  constexpr std::size_t kNanPolicyLane = 2;
+  constexpr std::size_t kNanPolicyNode = 7;
+  FpkBatchSolver batch;
+  batch.Reset(lanes);
+  std::vector<MfgParams> params(lanes);
+  std::vector<numerics::Density1D> initials;
+  std::vector<numerics::TimeField2D> policies(lanes);
+  std::vector<FpkSolution> solutions(lanes);
+  std::vector<FpkBatchSolver::LaneIo> io(lanes);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    params[l] = LaneParams(l);
+    ASSERT_TRUE(batch.BindLane(l, params[l]).ok()) << "lane " << l;
+    auto scalar = FpkSolver1D::Create(params[l]).value();
+    numerics::Density1D initial = scalar.MakeInitialDensity().value();
+    policies[l].Assign(params[l].grid.num_time_steps + 1,
+                       params[l].grid.num_q_nodes,
+                       0.3 + 0.05 * static_cast<double>(l));
+    const std::size_t mid = params[l].grid.num_q_nodes / 2;
+    if (l == kNanDensityLane) {
+      std::vector<double> values = initial.values();
+      values[mid] = std::numeric_limits<double>::quiet_NaN();
+      initial = numerics::Density1D::FromSamplesUnchecked(initial.grid(),
+                                                          std::move(values))
+                    .value();
+    }
+    if (l == kNanPolicyLane) {
+      policies[l][kNanPolicyNode][mid] =
+          std::numeric_limits<double>::quiet_NaN();
+    }
+    initials.push_back(std::move(initial));
+  }
+  for (std::size_t l = 0; l < lanes; ++l) {
+    io[l].initial = &initials[l];
+    io[l].policy = &policies[l];
+    io[l].solution = &solutions[l];
+    io[l].active = true;
+  }
+  FpkBatchSolver::Workspace ws;
+  batch.SolveInto(io, ws);
+
+  for (std::size_t l = 0; l < lanes; ++l) {
+    SCOPED_TRACE(::testing::Message() << "lane " << l);
+    auto scalar = FpkSolver1D::Create(params[l]).value();
+    const auto expected = scalar.Solve(initials[l], policies[l]);
+    if (l == kNanDensityLane || l == kNanPolicyLane) {
+      ASSERT_FALSE(expected.ok());
+      EXPECT_EQ(expected.status().code(), common::StatusCode::kNumericalError);
+      EXPECT_EQ(io[l].status.code(), expected.status().code());
+      EXPECT_EQ(io[l].status.message(), expected.status().message());
+      EXPECT_THAT(expected.status().message(),
+                  ::testing::HasSubstr(
+                      l == kNanDensityLane
+                          ? "time node 0"
+                          : "time node " + std::to_string(kNanPolicyNode)));
+      continue;
+    }
+    ASSERT_TRUE(io[l].status.ok()) << io[l].status;
+    ASSERT_TRUE(expected.ok());
+    ASSERT_EQ(solutions[l].densities.size(), expected->densities.size());
+    for (std::size_t n = 0; n < expected->densities.size(); ++n) {
+      EXPECT_EQ(solutions[l].densities[n].values(),
+                expected->densities[n].values())
+          << "time node " << n;
+    }
+  }
 }
 
 TEST_P(BatchSolverTest, BestResponseBatchMatchesScalarBitwise) {

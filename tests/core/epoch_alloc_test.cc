@@ -52,6 +52,26 @@ TEST(EpochAllocTest, WarmedParallelEpochIsAllocationFree) {
   ExpectWarmedEpochAllocationFree(4);
 }
 
+// 13 contents at batch width 8 split into a block of 8 and a ragged block
+// of 5, so one serial worker re-binds its learner at alternating widths
+// every epoch. Shrinking to 5 lanes must not drop the per-lane state that
+// the next 8-wide block needs again.
+TEST(EpochAllocTest, RaggedBlocksStayAllocationFree) {
+  constexpr std::size_t kContents = 13;
+  MfgCpOptions options = ::mfg::core::testing::FastOptions(1);
+  options.batch_width = 8;
+  auto framework = MakeFramework(kContents, 1, &options);
+  const EpochObservation obs = MakeObservation(kContents);
+  EpochPlanBuffer buffer;
+  ASSERT_TRUE(framework.PlanEpochInto(obs, buffer).ok());
+  ASSERT_TRUE(framework.PlanEpochInto(obs, buffer).ok());
+
+  const std::size_t before = obs::AllocationCount();
+  ASSERT_TRUE(framework.PlanEpochInto(obs, buffer).ok());
+  EXPECT_EQ(obs::AllocationCount() - before, 0u)
+      << "warmed epoch with a ragged block allocated";
+}
+
 #if MFGCP_FAULTS_ENABLED
 TEST(EpochAllocTest, CleanEpochAfterAFaultEpochIsAllocationFree) {
   // A faulted epoch may allocate (error strings, relaxed-retry resizing,

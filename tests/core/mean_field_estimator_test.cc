@@ -2,6 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <random>
+#include <span>
+#include <vector>
+
+#include "econ/pricing.h"
+#include "numerics/quadrature.h"
+
 namespace mfg::core {
 namespace {
 
@@ -125,6 +136,171 @@ TEST(MeanFieldEstimatorTest, MoreCachedStockLowerPrice) {
   auto saturated = MakeDensity(params, 20.0, 8.0);  // Mostly cached.
   EXPECT_GT(estimator.Estimate(sparse, policy).value().price,
             estimator.Estimate(saturated, policy).value().price);
+}
+
+// The estimator as a chain of quadrature-helper calls: the definition the
+// tabulated single-pass estimator must reproduce bit for bit.
+MeanFieldQuantities ReferenceEstimate(const MfgParams& params,
+                                      const numerics::Density1D& density,
+                                      std::span<const double> policy) {
+  const numerics::Grid1D& grid = density.grid();
+  const std::vector<double>& values = density.values();
+  MeanFieldQuantities out;
+  out.mean_caching_rate = std::clamp(
+      numerics::TrapezoidProduct(grid, std::span<const double>(values),
+                                 policy)
+          .value(),
+      0.0, 1.0);
+  std::vector<double> weighted(values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    weighted[i] = grid.x(i) * values[i];
+  }
+  out.mean_peer_remaining = numerics::Trapezoid(grid, weighted).value();
+  out.price = econ::PricingModel::Create(params.pricing)
+                  .value()
+                  .MeanFieldPrice(out.mean_peer_remaining,
+                                  params.content_size);
+  const double threshold = params.case_alpha * params.content_size;
+  const double sharer_moment =
+      numerics::TrapezoidOnInterval(grid, weighted, grid.lo(), threshold)
+          .value();
+  const double needer_moment =
+      numerics::TrapezoidOnInterval(grid, weighted, threshold, grid.hi())
+          .value();
+  out.delta_q = std::fabs(sharer_moment - needer_moment);
+  const double sharer_mass =
+      numerics::TrapezoidOnInterval(grid, values, grid.lo(), threshold)
+          .value();
+  out.sharer_fraction = std::clamp(sharer_mass, 0.0, 1.0);
+  const double lacking = 1.0 - out.sharer_fraction;
+  out.case3_fraction = lacking * lacking;
+  if (out.sharer_fraction > 1e-9) {
+    const double ratio = (1.0 - out.case3_fraction) / out.sharer_fraction;
+    out.sharing_benefit = params.utility.sharing_price * out.delta_q *
+                          std::max(ratio - 1.0, 0.0);
+  }
+  if (!params.sharing_enabled) out.sharing_benefit = 0.0;
+  return out;
+}
+
+void ExpectBitwiseEqual(double actual, double expected, const char* field) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(actual),
+            std::bit_cast<std::uint64_t>(expected))
+      << field << ": " << actual << " vs " << expected;
+}
+
+// Seeded random densities (some exact zeros, unnormalized) and policies,
+// through both the slice and the trajectory entry points.
+void CheckBitIdentity(const MfgParams& params, std::uint64_t seed) {
+  const auto estimator = MeanFieldEstimator::Create(params).value();
+  const numerics::Grid1D grid = params.MakeQGrid().value();
+  const std::size_t nq = grid.size();
+  constexpr std::size_t kSlices = 12;
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::vector<numerics::Density1D> densities;
+  numerics::TimeField2D policy(kSlices, nq, 0.0);
+  for (std::size_t n = 0; n < kSlices; ++n) {
+    std::vector<double> values(nq);
+    for (double& v : values) {
+      const double u = unit(rng);
+      v = u < 0.1 ? 0.0 : 0.05 * u;
+    }
+    densities.push_back(
+        numerics::Density1D::FromSamplesUnchecked(grid, values).value());
+    for (std::size_t i = 0; i < nq; ++i) policy[n][i] = unit(rng);
+  }
+
+  MeanFieldEstimator::Workspace workspace;
+  std::vector<MeanFieldQuantities> trajectory;
+  ASSERT_TRUE(estimator
+                  .EstimateTrajectoryInto(densities, policy, workspace,
+                                          trajectory)
+                  .ok());
+  ASSERT_EQ(trajectory.size(), kSlices);
+  for (std::size_t n = 0; n < kSlices; ++n) {
+    SCOPED_TRACE(::testing::Message() << "slice " << n);
+    const MeanFieldQuantities expected =
+        ReferenceEstimate(params, densities[n], policy[n]);
+    MeanFieldQuantities slice;
+    ASSERT_TRUE(
+        estimator.EstimateInto(densities[n], policy[n], workspace, slice)
+            .ok());
+    for (const MeanFieldQuantities* actual : {&slice, &trajectory[n]}) {
+      ExpectBitwiseEqual(actual->mean_caching_rate,
+                         expected.mean_caching_rate, "mean_caching_rate");
+      ExpectBitwiseEqual(actual->price, expected.price, "price");
+      ExpectBitwiseEqual(actual->mean_peer_remaining,
+                         expected.mean_peer_remaining, "mean_peer_remaining");
+      ExpectBitwiseEqual(actual->delta_q, expected.delta_q, "delta_q");
+      ExpectBitwiseEqual(actual->sharer_fraction, expected.sharer_fraction,
+                         "sharer_fraction");
+      ExpectBitwiseEqual(actual->case3_fraction, expected.case3_fraction,
+                         "case3_fraction");
+      ExpectBitwiseEqual(actual->sharing_benefit, expected.sharing_benefit,
+                         "sharing_benefit");
+    }
+  }
+}
+
+TEST(MeanFieldEstimatorTest, MatchesQuadratureHelpersBitwise) {
+  // case_alpha is validated to the open interval (0, 1); its extremes are
+  // the nearest admissible values, which put the threshold inside the
+  // first cell (a one-cell sharer interval) and inside the last cell (a
+  // one-cell needer interval). Of the interior thresholds, on the 101-node
+  // [0, 100] grid αQ = 20 is node 20 and αQ = 23.7 lies inside cell 23.
+  const double kAlphas[] = {std::nextafter(0.0, 1.0), 0.2, 0.237,
+                            std::nextafter(1.0, 0.0)};
+  const double kSizes[] = {100.0, 60.0, 137.5};
+  const numerics::Grid1D grid =
+      numerics::Grid1D::Create(0.0, 100.0, 101).value();
+  ASSERT_EQ(0.2 * 100.0, grid.x(20));
+  ASSERT_GT(0.237 * 100.0, grid.x(23));
+  ASSERT_LT(0.237 * 100.0, grid.x(24));
+  std::uint64_t seed = 1;
+  for (const double size : kSizes) {
+    for (const double alpha : kAlphas) {
+      for (const bool sharing : {true, false}) {
+        MfgParams params = MakeParams();
+        params.grid.num_q_nodes = 101;
+        params.content_size = size;
+        params.case_alpha = alpha;
+        params.sharing_enabled = sharing;
+        SCOPED_TRACE(::testing::Message()
+                     << "content_size " << size << " case_alpha " << alpha
+                     << " sharing " << sharing);
+        CheckBitIdentity(params, seed++);
+      }
+    }
+  }
+}
+
+TEST(MeanFieldEstimatorTest, RejectsDensityOffTheParamsGrid) {
+  MfgParams params = MakeParams();
+  auto estimator = MeanFieldEstimator::Create(params).value();
+  // Same node count, different span: the tabulated coordinates would be
+  // wrong for it, so it must be refused rather than integrated.
+  const numerics::Grid1D other =
+      numerics::Grid1D::Create(0.0, 2.0 * params.content_size,
+                               params.grid.num_q_nodes)
+          .value();
+  const auto density =
+      numerics::Density1D::TruncatedGaussian(other, 50.0, 10.0).value();
+  const std::vector<double> policy(params.grid.num_q_nodes, 0.5);
+  MeanFieldEstimator::Workspace workspace;
+  MeanFieldQuantities out;
+  const common::Status slice =
+      estimator.EstimateInto(density, policy, workspace, out);
+  EXPECT_EQ(slice.code(), common::StatusCode::kInvalidArgument);
+
+  const std::vector<numerics::Density1D> densities(2, density);
+  const numerics::TimeField2D policies(2, params.grid.num_q_nodes, 0.5);
+  std::vector<MeanFieldQuantities> trajectory;
+  EXPECT_EQ(estimator
+                .EstimateTrajectoryInto(densities, policies, workspace,
+                                        trajectory)
+                .code(),
+            common::StatusCode::kInvalidArgument);
 }
 
 }  // namespace

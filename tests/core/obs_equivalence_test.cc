@@ -158,5 +158,38 @@ TEST(ObsEquivalenceTest, SolverTimerCountsMatchTheirCounters) {
 #endif
 }
 
+TEST(ObsEquivalenceTest, EstimatorCounterCountsEveryTimeNode) {
+#if !MFGCP_OBS_ENABLED
+  GTEST_SKIP() << "instrumentation compiled out (MFGCP_OBS=OFF)";
+#else
+  // Alg. 2 estimates every time node once per iteration plus once for the
+  // final refresh, whether the counter is bumped per slice or once per
+  // trajectory, on the scalar (width 1) and the batched (width 8) path.
+  constexpr std::size_t kContents = 8;
+  obs::Registry& registry = obs::Registry::Global();
+  for (std::size_t batch_width : {1u, 8u}) {
+    SCOPED_TRACE(::testing::Message() << "batch_width " << batch_width);
+    MfgCpOptions options = testing::FastOptions();
+    options.batch_width = batch_width;
+    auto framework = testing::MakeFramework(kContents, 1, &options);
+    const std::uint64_t before =
+        registry.GetCounter("core.mean_field.estimates").Value();
+    EpochPlanBuffer buffer;
+    ASSERT_TRUE(
+        framework.PlanEpochInto(testing::MakeObservation(kContents), buffer)
+            .ok());
+    const std::size_t nt = options.base_params.grid.num_time_steps;
+    std::uint64_t expected = 0;
+    ASSERT_GT(buffer.num_active, 0u);
+    for (std::size_t slot = 0; slot < buffer.num_active; ++slot) {
+      ASSERT_EQ(buffer.results[slot].attempts, 1u) << "slot " << slot;
+      expected += (buffer.results[slot].equilibrium.iterations + 1) * (nt + 1);
+    }
+    EXPECT_EQ(registry.GetCounter("core.mean_field.estimates").Value() - before,
+              expected);
+  }
+#endif
+}
+
 }  // namespace
 }  // namespace mfg::core
