@@ -10,36 +10,11 @@
 #include "core/nonconvergence_log.h"
 #include "econ/utility.h"
 #include "numerics/interpolation.h"
+#include "numerics/residual_max.h"
 #include "obs/flight_recorder.h"
 #include "obs/obs.h"
 
 namespace mfg::core {
-namespace {
-
-// max_k |a[k] − b[k]| over two equally-sized flat fields; when `b` has a
-// different size (iteration 1: the previous value surface is empty) the
-// residual is taken against zero. Read-only telemetry — never feeds back
-// into the iteration.
-double MaxAbsDifference(const numerics::TimeField2D& a,
-                        const numerics::TimeField2D& b) {
-  const double* pa = a.data();
-  const std::size_t total = a.size() * a.cols();
-  double max_diff = 0.0;
-  if (b.size() * b.cols() == total) {
-    const double* pb = b.data();
-    for (std::size_t k = 0; k < total; ++k) {
-      max_diff = std::max(max_diff, std::fabs(pa[k] - pb[k]));
-    }
-  } else {
-    for (std::size_t k = 0; k < total; ++k) {
-      max_diff = std::max(max_diff, std::fabs(pa[k]));
-    }
-  }
-  return max_diff;
-}
-
-}  // namespace
-
 common::StatusOr<BestResponseLearner> BestResponseLearner::Create(
     const MfgParams& params) {
   MFG_RETURN_IF_ERROR(params.Validate());
@@ -138,28 +113,23 @@ common::Status BestResponseLearner::SolveFromInto(
     MFG_FAULT_POINT(kHjbStep);
     MFG_RETURN_IF_ERROR(hjb_.SolveInto(mean_field, ws.hjb, hjb_buf));
 
-    // (3) Relaxed policy update + convergence test (Alg. 2, line 6).
-    double max_change = 0.0;
-    const double gamma = params_.learning.relaxation;
-    double* p = policy.data();
-    const double* h = hjb_buf.policy.data();
-    const std::size_t total = (nt + 1) * nq;
-    for (std::size_t k = 0; k < total; ++k) {
-      const double updated = (1.0 - gamma) * p[k] + gamma * h[k];
-      max_change = std::max(max_change, std::fabs(updated - p[k]));
-      p[k] = updated;
-    }
+    // (3) Relaxed policy update + convergence test (Alg. 2, line 6), with
+    // the value residual vs the previous iteration's surface (still held in
+    // eq.hjb until the swap below). The relaxed iterate also overwrites the
+    // best response in hjb_buf, so the swap exposes the *relaxed* policy
+    // (the population's actual play) without a copy.
+    const numerics::RelaxResiduals residuals =
+        numerics::RelaxAndMeasureResiduals(
+            params_.learning.relaxation, policy.elements(),
+            hjb_buf.policy.elements(), hjb_buf.value.elements(),
+            eq.hjb.value.elements());
+    const double max_change = residuals.policy_change;
     eq.policy_change_history.push_back(max_change);
-    // Value residual vs the previous iteration's surface (still held in
-    // eq.hjb until the swap below).
-    eq.value_change_history.push_back(
-        MaxAbsDifference(hjb_buf.value, eq.hjb.value));
+    eq.value_change_history.push_back(residuals.value_change);
     MFG_FLIGHT_EVENT(kIteration, 0, params_.content_id,
                      static_cast<std::uint32_t>(iter), max_change,
-                     eq.value_change_history.back());
+                     residuals.value_change);
     std::swap(eq.hjb, hjb_buf);
-    // Expose the *relaxed* policy (the population's actual play).
-    eq.hjb.policy = policy;
     std::swap(eq.mean_field, mean_field);
 
     if (max_change < params_.learning.tolerance) {

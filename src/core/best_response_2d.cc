@@ -8,32 +8,10 @@
 #include "core/nonconvergence_log.h"
 #include "numerics/density.h"
 #include "numerics/field2d.h"
+#include "numerics/residual_max.h"
 #include "obs/obs.h"
 
 namespace mfg::core {
-namespace {
-
-// Telemetry-only value residual; see the 1-D learner's MaxAbsDifference.
-double MaxAbsDifference(const numerics::TimeField2D& a,
-                        const numerics::TimeField2D& b) {
-  const double* pa = a.data();
-  const std::size_t total = a.size() * a.cols();
-  double max_diff = 0.0;
-  if (b.size() * b.cols() == total) {
-    const double* pb = b.data();
-    for (std::size_t k = 0; k < total; ++k) {
-      max_diff = std::max(max_diff, std::fabs(pa[k] - pb[k]));
-    }
-  } else {
-    for (std::size_t k = 0; k < total; ++k) {
-      max_diff = std::max(max_diff, std::fabs(pa[k]));
-    }
-  }
-  return max_diff;
-}
-
-}  // namespace
-
 common::StatusOr<BestResponseLearner2D> BestResponseLearner2D::Create(
     const MfgParams& params) {
   MFG_RETURN_IF_ERROR(params.Validate());
@@ -125,21 +103,17 @@ common::StatusOr<Equilibrium2D> BestResponseLearner2D::Solve(
     MFG_RETURN_IF_ERROR(estimate(eq.fpk, policy, mean_field));
     MFG_RETURN_IF_ERROR(hjb_.SolveInto(mean_field, hjb_ws, hjb_buf));
 
-    double max_change = 0.0;
-    const double gamma = params_.learning.relaxation;
-    double* p = policy.data();
-    const double* h = hjb_buf.policy.data();
-    const std::size_t total = (nt + 1) * nodes;
-    for (std::size_t k = 0; k < total; ++k) {
-      const double updated = (1.0 - gamma) * p[k] + gamma * h[k];
-      max_change = std::max(max_change, std::fabs(updated - p[k]));
-      p[k] = updated;
-    }
+    // Relaxed update and both residuals in one pass; the relaxed iterate
+    // lands in hjb_buf.policy too, so the swap exposes it without a copy.
+    const numerics::RelaxResiduals residuals =
+        numerics::RelaxAndMeasureResiduals(
+            params_.learning.relaxation, policy.elements(),
+            hjb_buf.policy.elements(), hjb_buf.value.elements(),
+            eq.hjb.value.elements());
+    const double max_change = residuals.policy_change;
     eq.policy_change_history.push_back(max_change);
-    eq.value_change_history.push_back(
-        MaxAbsDifference(hjb_buf.value, eq.hjb.value));
+    eq.value_change_history.push_back(residuals.value_change);
     std::swap(eq.hjb, hjb_buf);
-    eq.hjb.policy = policy;
     std::swap(eq.mean_field, mean_field);
 
     if (max_change < params_.learning.tolerance) {

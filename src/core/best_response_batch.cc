@@ -7,31 +7,12 @@
 #include "common/logging.h"
 #include "core/fault_injection.h"
 #include "core/nonconvergence_log.h"
+#include "numerics/residual_max.h"
 #include "obs/flight_recorder.h"
 #include "obs/obs.h"
 
 namespace mfg::core {
 namespace {
-
-// Copy of the scalar learner's residual helper (best_response.cc): max_k
-// |a[k] − b[k]|, against zero when `b` has a different size (iteration 1).
-double MaxAbsDifference(const numerics::TimeField2D& a,
-                        const numerics::TimeField2D& b) {
-  const double* pa = a.data();
-  const std::size_t total = a.size() * a.cols();
-  double max_diff = 0.0;
-  if (b.size() * b.cols() == total) {
-    const double* pb = b.data();
-    for (std::size_t k = 0; k < total; ++k) {
-      max_diff = std::max(max_diff, std::fabs(pa[k] - pb[k]));
-    }
-  } else {
-    for (std::size_t k = 0; k < total; ++k) {
-      max_diff = std::max(max_diff, std::fabs(pa[k]));
-    }
-  }
-  return max_diff;
-}
 
 // Per-lane fault polls. The scalar solve relies on the worker's ambient
 // (epoch, content, attempt) scope; the batch solve opens a lane-local
@@ -227,27 +208,22 @@ void BatchBestResponseLearner::SolveInto(std::span<LaneJob> lanes,
       LaneScratch& lane = ws.lanes[l];
       Equilibrium& eq = *job.out;
 
-      // (3) Relaxed policy update + convergence test (Alg. 2, line 6). The
-      // relaxed iterate also overwrites the best response in hjb_buffer, so
-      // the swap below exposes the *relaxed* policy (the population's
-      // actual play) without a copy.
-      double max_change = 0.0;
-      const double gamma = gamma_[l];
-      double* p = lane.policy.data();
-      double* h = lane.hjb_buffer.policy.data();
-      const std::size_t total = (nt + 1) * nq;
-      for (std::size_t k = 0; k < total; ++k) {
-        const double updated = (1.0 - gamma) * p[k] + gamma * h[k];
-        max_change = std::max(max_change, std::fabs(updated - p[k]));
-        p[k] = updated;
-        h[k] = updated;
-      }
+      // (3) Relaxed policy update + convergence test (Alg. 2, line 6), with
+      // the value residual vs the previous surface (still in eq.hjb), in one
+      // pass. The relaxed iterate also overwrites the best response in
+      // hjb_buffer, so the swap below exposes the *relaxed* policy (the
+      // population's actual play) without a copy.
+      const numerics::RelaxResiduals residuals =
+          numerics::RelaxAndMeasureResiduals(
+              gamma_[l], lane.policy.elements(),
+              lane.hjb_buffer.policy.elements(),
+              lane.hjb_buffer.value.elements(), eq.hjb.value.elements());
+      const double max_change = residuals.policy_change;
       eq.policy_change_history.push_back(max_change);
-      eq.value_change_history.push_back(
-          MaxAbsDifference(lane.hjb_buffer.value, eq.hjb.value));
+      eq.value_change_history.push_back(residuals.value_change);
       MFG_FLIGHT_EVENT(kIteration, 0, content_id_[l],
                        static_cast<std::uint32_t>(iter), max_change,
-                       eq.value_change_history.back());
+                       residuals.value_change);
       std::swap(eq.hjb, lane.hjb_buffer);
       std::swap(eq.mean_field, lane.mean_field);
 

@@ -12,14 +12,6 @@
 namespace mfg::core {
 namespace {
 
-bool LaneAllFinite(const numerics::BatchField& field, std::size_t lane) {
-  const std::size_t n = field.nodes();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!std::isfinite(field.at(i, lane))) return false;
-  }
-  return true;
-}
-
 // Hot lane loops as pointer-only free functions, for the same reason as in
 // hjb_batch.cc: member-vector reads mixed with double stores defeat the
 // vectorizer's aliasing analysis, and MFGCP_BATCH_TARGET_CLONES adds
@@ -118,6 +110,52 @@ void AssembleImplicitSystem(std::size_t nq, std::size_t m, const double* vel,
       up[prev + l] += c[l] * (v_minus - d_over_dx[l]);
       di[row + l] += -c[l] * (v_minus - d_over_dx[l]);
       lo[row + l] += -c[l] * (v_plus + d_over_dx[l]);
+    }
+  }
+}
+
+// The per-output-node tail: the non-finite latch bad[l] += λ − λ (+0.0
+// for finite λ, NaN otherwise, so a lane pre-filled with 0.0 stays 0.0 iff
+// its column is all-finite), taken before the clip clears NaN, then the
+// SoA transcription of Density1D::ClipAndNormalize + Normalize — same clip
+// predicate, the trapezoid mass in Trapezoid()'s exact order
+// (0.5·(f₀+fₙ₋₁), then the interior sum, then ·dx), and a per-element
+// division by the mass — so each lane reproduces the scalar result
+// bit-for-bit. A lane whose mass is ~0 gets failed[l] = 1 and keeps its
+// clipped, unnormalized samples (the scalar failure path returns before
+// dividing). All lanes are processed; the caller masks dead ones.
+MFGCP_BATCH_TARGET_CLONES
+void LatchClipAndNormalize(std::size_t nq, std::size_t m, const double* dx,
+                           double* __restrict lam, double* __restrict bad,
+                           double* __restrict mass,
+                           std::uint8_t* __restrict failed) {
+  for (std::size_t i = 0; i < nq; ++i) {
+    const std::size_t row = i * m;
+    for (std::size_t l = 0; l < m; ++l) {
+      const double v = lam[row + l];
+      bad[l] += v - v;
+      lam[row + l] = v > 0.0 ? v : 0.0;  // Also clears NaN.
+    }
+  }
+  const std::size_t last = (nq - 1) * m;
+  for (std::size_t l = 0; l < m; ++l) {
+    mass[l] = 0.5 * (lam[l] + lam[last + l]);
+  }
+  for (std::size_t i = 1; i + 1 < nq; ++i) {
+    const std::size_t row = i * m;
+    for (std::size_t l = 0; l < m; ++l) mass[l] += lam[row + l];
+  }
+  for (std::size_t l = 0; l < m; ++l) {
+    mass[l] *= dx[l];
+    failed[l] = !(mass[l] > 1e-300) ? 1 : 0;
+  }
+  for (std::size_t i = 0; i < nq; ++i) {
+    const std::size_t row = i * m;
+    for (std::size_t l = 0; l < m; ++l) {
+      // Division (not reciprocal-multiply), as in Normalize(); failed
+      // lanes keep their clipped samples, the spent quotient is discarded.
+      const double normalized = lam[row + l] / mass[l];
+      lam[row + l] = failed[l] != 0 ? lam[row + l] : normalized;
     }
   }
 }
@@ -314,20 +352,10 @@ void FpkBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
                                           ws.lambda, ws.singular_row);
       lam = ws.lambda.data();  // Assign may have (first call) reallocated.
       for (std::size_t l = 0; l < m; ++l) {
-        if (!alive[l]) continue;
-        if (ws.singular_row[l] >= 0) {
-          lanes[l].status = common::Status::NumericalError(
-              "singular pivot at row " +
-              std::to_string(ws.singular_row[l]));
-          alive[l] = 0;
-        } else if (!LaneAllFinite(ws.lambda, l)) {
-          MFG_FLIGHT_EVENT(kDivergence, obs::kFlightDivergenceFpk,
-                           params_[l].content_id,
-                           static_cast<std::uint32_t>(n), 0.0, 0.0);
-          lanes[l].status = common::Status::NumericalError(
-              "implicit FPK diverged at time node " + std::to_string(n));
-          alive[l] = 0;
-        }
+        if (alive[l] == 0 || ws.singular_row[l] < 0) continue;
+        lanes[l].status = common::Status::NumericalError(
+            "singular pivot at row " + std::to_string(ws.singular_row[l]));
+        alive[l] = 0;
       }
     } else {
       for (std::size_t sub = 0; sub < max_substeps; ++sub) {
@@ -337,37 +365,36 @@ void FpkBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
         FusedFpkSubstep(nq, m, vel, d_dx, dts_dx, update.data(), lam,
                         ws.face_flux.data());
       }
-      // Divergence sweep once per output node, before the clip — the
-      // HjbBatchSolver argument: λ − c·(flux difference) is non-finite
-      // whenever λ is, and the select keeps a masked lane's bits, so a
-      // non-finite density never turns finite again within the node. A
-      // lane the scalar solver stops at any substep of node n is caught
-      // here with the same "time node n" error.
-      std::fill(ws.bad.begin(), ws.bad.end(), 0.0);
-      numerics::AccumulateNonFiniteLanesInto(ws.lambda, ws.bad);
-      for (std::size_t l = 0; l < m; ++l) {
-        if (alive[l] == 0 || ws.bad[l] == 0.0) continue;
+    }
+
+    // Divergence latch, clip and normalize in one lane-parallel pass, then
+    // each live lane's normalized row is scattered into its Density1D
+    // through raw pointers — λ never leaves the batch layout. The explicit
+    // scheme checks once per output node where the scalar solver checks
+    // every substep (the HjbBatchSolver argument: λ − c·(flux difference)
+    // is non-finite whenever λ is, and the select keeps a masked lane's
+    // bits, so a non-finite density never turns finite again within the
+    // node), and reports the same "time node n" error. A lane whose mass
+    // underflows keeps its clipped row (the scalar failure path leaves out
+    // the same way) and drops out.
+    std::fill(ws.bad.begin(), ws.bad.end(), 0.0);
+    LatchClipAndNormalize(nq, m, dx_.data(), lam, ws.bad.data(),
+                          ws.clip_mass.data(), ws.clip_failed.data());
+    for (std::size_t l = 0; l < m; ++l) {
+      if (!alive[l]) continue;
+      if (ws.bad[l] != 0.0) {
         MFG_FLIGHT_EVENT(kDivergence, obs::kFlightDivergenceFpk,
                          params_[l].content_id, static_cast<std::uint32_t>(n),
                          0.0, 0.0);
         lanes[l].status = common::Status::NumericalError(
-            "FPK density diverged at time node " + std::to_string(n));
+            (implicit_ ? "implicit FPK diverged at time node "
+                       : "FPK density diverged at time node ") +
+            std::to_string(n));
         alive[l] = 0;
+        continue;
       }
-    }
-
-    // Lane-parallel clip-and-normalize in SoA layout (bit-identical to the
-    // scalar Density1D::ClipAndNormalize per lane), then scatter each live
-    // lane's normalized row into its Density1D — λ never leaves the batch
-    // layout. A lane whose mass underflows keeps its clipped row (the
-    // scalar failure path leaves out the same way) and drops out.
-    numerics::ClipAndNormalizeBatchInto(std::span<const double>(dx_),
-                                        ws.lambda, ws.clip_mass,
-                                        ws.clip_failed);
-    for (std::size_t l = 0; l < m; ++l) {
-      if (!alive[l]) continue;
-      numerics::Density1D& out = lanes[l].solution->densities[n + 1];
-      std::vector<double>& values = out.mutable_values();
+      double* __restrict values =
+          lanes[l].solution->densities[n + 1].mutable_values().data();
       for (std::size_t i = 0; i < nq; ++i) values[i] = lam[i * m + l];
       if (ws.clip_failed[l] != 0) {
         lanes[l].status = common::Status::NumericalError("density mass is ~0");

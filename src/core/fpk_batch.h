@@ -18,15 +18,16 @@
 // batching model). Lane l runs the scalar forward sweep expression tree on
 // its own density/policy, so active lanes reproduce FpkSolver1D::SolveInto
 // bit-for-bit. The ClipAndNormalize guard runs lane-parallel in SoA layout
-// (numerics::ClipAndNormalizeBatchInto, the scalar accumulation order per
-// lane); each output node then scatters the normalized row into the lane's
-// Density1D — λ stays in the batch layout end-to-end, with no per-node
-// gather-back.
+// (the scalar accumulation order per lane), in one pass with the per-node
+// divergence latch; each output node then scatters the normalized row into
+// the lane's Density1D — λ stays in the batch layout end-to-end, with no
+// per-node gather-back.
 //
 // Both stepping schemes are supported; all bound lanes must share
 // grid.implicit_fpk (they derive from one base_params on the epoch path).
 // A lane that diverges or hits a singular implicit pivot records the
-// scalar solver's error in its LaneIo::status and drops out of the batch.
+// scalar solver's error in its LaneIo::status and drops out of the batch;
+// its output densities are then unspecified (reused storage is not reset).
 
 namespace mfg::core {
 
@@ -43,11 +44,11 @@ class FpkBatchSolver {
     std::vector<std::ptrdiff_t> singular_row;
     std::vector<std::uint8_t> alive;
     // Double-wide masks, as in HjbBatchSolver::Workspace: the substep
-    // update select and the divergence accumulator vectorize only when the
-    // mask lanes match the double data width.
+    // update select and the divergence latch vectorize only when the mask
+    // lanes match the double data width.
     std::vector<double> update;
     std::vector<double> bad;
-    // Scratch for the lane-parallel ClipAndNormalizeBatchInto guard.
+    // Scratch for the lane-parallel clip-and-normalize guard.
     std::vector<double> clip_mass;
     std::vector<std::uint8_t> clip_failed;
   };

@@ -23,6 +23,23 @@ inline double Logistic(double sharpness, double x) {
   return e / (1.0 + e);
 }
 
+// {Logistic(sharpness, x), Logistic(sharpness, −x)} from one std::exp.
+// Both branches of Logistic take e = exp(−|z|): with z = 2·s·x, the side
+// with z ≥ 0 is 1/(1 + e) and the other e/(1 + e). The per-node fold's
+// arguments peer − αQ and αQ − peer are exact negatives (IEEE rounding is
+// sign-symmetric, and so is the 2·s multiply), so the pair reproduces the
+// two separate calls bit-for-bit; at z = ±0 both sides are 0.5 on either
+// branch.
+inline void LogisticPair(double sharpness, double x, double& at_x,
+                         double& at_neg_x) {
+  const double z = 2.0 * sharpness * x;
+  const double e = std::exp(-std::fabs(z));
+  const double upper = 1.0 / (1.0 + e);
+  const double lower = e / (1.0 + e);
+  at_x = z >= 0.0 ? upper : lower;
+  at_neg_x = z >= 0.0 ? lower : upper;
+}
+
 // common::ClampUnit verbatim (min(max(x, 0), 1)), inlined so the substep
 // loop stays call-free.
 inline double ClampUnitInline(double x) {
@@ -261,18 +278,33 @@ void FusedHjbSubstep(
   }
 }
 
-// The Theorem-1 policy alone (the terminal condition and the per-node
-// policy scatter), same control expression as ComputeControlAndDrift.
+// The per-output-node tail as one pass over the value surface: the
+// gradient (GradientInto's one-sided/central stencil, verbatim), the
+// Theorem-1 policy from it (the fused substep's control expression) into
+// the x* scratch, and the non-finite latch bad[l] += v − v (+0.0 for every
+// finite v, NaN for ±inf/NaN, so a lane pre-filled with 0.0 stays exactly
+// 0.0 iff its column is all-finite; the build never enables
+// -ffinite-math-only). The gradient lives in registers. Runs at the
+// terminal row (V = 0; the latch stays 0) and after every time node's
+// substeps, before the per-lane scatter.
 MFGCP_BATCH_TARGET_CLONES
-void ComputePolicyBatch(std::size_t nq, std::size_t m, const double* dvd,
-                        const double* avd, const double* w4,
-                        const double* inv_2w5, const double* opt_k1,
-                        const double* opt_k2, double* __restrict xsd) {
+void EmitNode(std::size_t nq, std::size_t m, const double* vd,
+              const double* avd, const double* w4, const double* inv_2w5,
+              const double* opt_k1, const double* opt_k2,
+              const double* inv_dx, const double* inv_2dx,
+              double* __restrict xsd, double* __restrict bad) {
   for (std::size_t i = 0; i < nq; ++i) {
     const std::size_t row = i * m;
+    // Row i's stencil ends (one-sided at the boundaries).
+    const std::size_t hi = (i + 1 < nq ? i + 1 : i) * m;
+    const std::size_t lo = (i > 0 ? i - 1 : i) * m;
+    const double* inv = (i > 0 && i + 1 < nq) ? inv_2dx : inv_dx;
     for (std::size_t l = 0; l < m; ++l) {
+      const double v = vd[row + l];
+      bad[l] += v - v;
+      const double dv = (vd[hi + l] - vd[lo + l]) * inv[l];
       const double numerator =
-          w4[l] + avd[row + l] * (opt_k1[l] + opt_k2[l] * dvd[row + l]);
+          w4[l] + avd[row + l] * (opt_k1[l] + opt_k2[l] * dv);
       xsd[row + l] = ClampUnitInline(-numerator * inv_2w5[l]);
     }
   }
@@ -466,14 +498,15 @@ void HjbBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
     HjbSolution& solution = *lane.solution;
     solution.q_grid = grids_[l];
     solution.dt = dt_[l];
-    solution.value.Assign(nt + 1, nq, 0.0);
-    solution.policy.Assign(nt + 1, nq, 0.0);
+    // No fill: the sweep writes every row of a live lane (V(T) = 0
+    // explicitly below); a failed lane's rows are unspecified.
+    solution.value.Reshape(nt + 1, nq);
+    solution.policy.Reshape(nt + 1, nq);
     alive[l] = 1;
     max_substeps = std::max(max_substeps, substeps_[l]);
   }
 
   ws.v.Assign(nq, m, 0.0);
-  ws.dv.Assign(nq, m, 0.0);
   ws.x_star.Assign(nq, m, 0.0);
   ws.base.Assign(nq, m, 0.0);
   ws.rot.assign(4 * m, 0.0);
@@ -486,9 +519,6 @@ void HjbBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
   ws.num_requests.assign(m, 0.0);
   ws.price.assign(m, 0.0);
   ws.peer.assign(m, 0.0);
-
-  const std::span<const double> inv_dx_span(inv_dx_);
-  const std::span<const double> inv_2dx_span(inv_2dx_);
 
   // Hoisted data pointers for the hot helpers: handing the per-lane tables
   // over as plain pointers (instead of member-vector reads inside the
@@ -513,26 +543,37 @@ void HjbBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
   const double* eta2 = eta2_.data();
   const double* diffusion = diffusion_.data();
   const double* dt_sub = dt_sub_.data();
+  const double* i_dx = inv_dx_.data();
+  const double* i_2dx = inv_2dx_.data();
+  const double* vd = ws.v.data();
+  double* xsd = ws.x_star.data();
 
-  // Terminal condition V(T, ·) = 0 and the corresponding terminal policy.
-  // The policy is computed in batch layout by the vectorized helper
-  // (reusing ws.x_star) and then scattered per lane — a strided copy is
-  // much cheaper than evaluating Theorem 1 element-by-element down a
-  // 64-byte-strided column.
-  numerics::GradientBatchInto(inv_dx_span, inv_2dx_span, ws.v, ws.dv);
-  ComputePolicyBatch(nq, m, ws.dv.data(), avd, w4, i2w5, k1, k2,
-                     ws.x_star.data());
-  for (std::size_t l = 0; l < m; ++l) {
-    if (!alive[l]) continue;
-    const auto policy_row = lanes[l].solution->policy[nt];
-    for (std::size_t i = 0; i < nq; ++i) {
-      policy_row[i] = ws.x_star.at(i, l);
+  // Copies each live lane's column of v and x* into its output rows for
+  // time node n, through raw row pointers.
+  auto scatter = [&](std::size_t n) {
+    for (std::size_t l = 0; l < m; ++l) {
+      if (!alive[l]) continue;
+      HjbSolution& solution = *lanes[l].solution;
+      double* __restrict value_row = solution.value[n].data();
+      double* __restrict policy_row = solution.policy[n].data();
+      for (std::size_t i = 0; i < nq; ++i) {
+        value_row[i] = vd[i * m + l];
+        policy_row[i] = xsd[i * m + l];
+      }
     }
-  }
+  };
+
+  // Terminal condition V(T, ·) = 0 (ws.v is all zeros) and the
+  // corresponding terminal policy, computed in batch layout and scattered
+  // per lane like every other node — a strided copy is much cheaper than
+  // evaluating Theorem 1 element-by-element down a 64-byte-strided column.
+  EmitNode(nq, m, vd, avd, w4, i2w5, k1, k2, i_dx, i_2dx, xsd,
+           ws.bad.data());
+  scatter(nt);
 
   for (std::size_t n = nt; n-- > 0;) {
-    // Per-lane per-node folds; the two logistics here are the only
-    // transcendentals of the whole output interval.
+    // Per-lane per-node folds; the logistic pair here is the only
+    // transcendental of the whole output interval.
     for (std::size_t l = 0; l < m; ++l) {
       if (!alive[l]) continue;
       const MeanFieldQuantities& mf = (*lanes[l].mean_field)[n];
@@ -543,9 +584,9 @@ void HjbBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
       const bool sharing = sharing_[l] != 0;
       ws.share_n[l] = sharing ? mf.sharing_benefit : 0.0;
       ws.served_peer[l] = std::max(content_size_[l] - ws.peer[l], 0.0);
-      const double fpeer_le =
-          Logistic(sharpness_[l], threshold_[l] - ws.peer[l]);
-      ws.fpeer_gt[l] = Logistic(sharpness_[l], ws.peer[l] - threshold_[l]);
+      double fpeer_le = 0.0;
+      LogisticPair(sharpness_[l], ws.peer[l] - threshold_[l], ws.fpeer_gt[l],
+                   fpeer_le);
       ws.p2_factor[l] = sharing ? fpeer_le : 0.0;
       ws.p2_extra[l] = sharing ? 0.0 : fpeer_le;
       ws.gated_share_price[l] = sharing ? sharing_price_[l] : 0.0;
@@ -571,15 +612,15 @@ void HjbBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
                       cs_rd, kdel, diffusion, dt_sub, update.data(),
                       ws.v.data(), ws.rot.data());
     }
-    // Divergence sweep once per output time node instead of per substep: a
+    // Divergence check once per output time node instead of per substep: a
     // non-finite value can never become finite again (inf/NaN propagate
     // through the affine update and the select keeps a masked lane's bits),
     // so a lane that diverged at any substep of this node is still caught
-    // here, with the same time-node error the scalar solver reports, before
-    // anything is scattered. One contiguous pass; the accumulator only
-    // latches non-zero for a lane with a non-finite node.
+    // by EmitNode's latch, with the same time-node error the scalar solver
+    // reports, before anything is scattered.
     std::fill(ws.bad.begin(), ws.bad.end(), 0.0);
-    numerics::AccumulateNonFiniteLanesInto(ws.v, ws.bad);
+    EmitNode(nq, m, vd, avd, w4, i2w5, k1, k2, i_dx, i_2dx, xsd,
+             ws.bad.data());
     for (std::size_t l = 0; l < m; ++l) {
       if (alive[l] == 0 || ws.bad[l] == 0.0) continue;
       MFG_FLIGHT_EVENT(kDivergence, obs::kFlightDivergenceHjb,
@@ -589,20 +630,7 @@ void HjbBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
           "HJB value diverged at time node " + std::to_string(n));
       alive[l] = 0;
     }
-
-    numerics::GradientBatchInto(inv_dx_span, inv_2dx_span, ws.v, ws.dv);
-    ComputePolicyBatch(nq, m, ws.dv.data(), avd, w4, i2w5, k1, k2,
-                       ws.x_star.data());
-    for (std::size_t l = 0; l < m; ++l) {
-      if (!alive[l]) continue;
-      HjbSolution& solution = *lanes[l].solution;
-      const auto value_row = solution.value[n];
-      const auto policy_row = solution.policy[n];
-      for (std::size_t i = 0; i < nq; ++i) {
-        value_row[i] = ws.v.at(i, l);
-        policy_row[i] = ws.x_star.at(i, l);
-      }
-    }
+    scatter(n);
   }
 
   for (std::size_t l = 0; l < m; ++l) {

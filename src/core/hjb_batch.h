@@ -36,8 +36,10 @@
 //
 // A lane that diverges (non-finite value surface, exactly the scalar
 // check) is recorded in its LaneIo::status and drops out of the batch; the
-// remaining lanes are unaffected. The caller (BatchBestResponseLearner)
-// routes such lanes onto the scalar recovery ladder.
+// remaining lanes are unaffected. A failed lane's output rows are
+// unspecified (the output is reshaped without a fill). The caller
+// (BatchBestResponseLearner) routes such lanes onto the scalar recovery
+// ladder.
 
 namespace mfg::core {
 
@@ -49,10 +51,10 @@ class HjbBatchSolver {
     // The substep loop is a single fused pass (see FusedHjbSubstep in the
     // .cc): gradient, control, drift, upwind and second derivative live in
     // registers, so only the value surface itself, the per-node folds and
-    // the policy scratch need workspace storage. dv/x_star back the
-    // terminal-condition and per-node policy scatter.
+    // the policy scratch need workspace storage. x_star backs the
+    // terminal-condition and per-node policy scatter (EmitNode in the .cc
+    // keeps the gradient in registers too).
     numerics::BatchField v;
-    numerics::BatchField dv;
     numerics::BatchField x_star;
     // Per-(node, lane) fold of every control-independent utility term
     // (trading income, sharing benefit, η₂·request-service delay, sharing

@@ -5,49 +5,8 @@
 
 #include "common/math_util.h"
 #include "numerics/quadrature.h"
-#include "numerics/simd_support.h"
 
 namespace mfg::numerics {
-namespace {
-
-// The SoA transcription of ClipAndNormalize + Normalize: same clip
-// predicate, the trapezoid accumulation in Trapezoid()'s exact order
-// (0.5·(f₀+fₙ₋₁), then the interior sum, then ·dx), and a per-element
-// division by the mass — so each lane reproduces the scalar result
-// bit-for-bit. Pointer-only free function for the vectorizer, with
-// AVX2/AVX-512 clones behind runtime dispatch (see fpk_batch.cc).
-MFGCP_BATCH_TARGET_CLONES
-void ClipAndNormalizeLanes(std::size_t nq, std::size_t m, const double* dx,
-                           double* __restrict v, double* __restrict mass,
-                           std::uint8_t* __restrict failed) {
-  for (std::size_t k = 0; k < nq * m; ++k) {
-    v[k] = v[k] > 0.0 ? v[k] : 0.0;  // Also clears NaN.
-  }
-  const std::size_t last = (nq - 1) * m;
-  for (std::size_t l = 0; l < m; ++l) {
-    mass[l] = 0.5 * (v[l] + v[last + l]);
-  }
-  for (std::size_t i = 1; i + 1 < nq; ++i) {
-    const std::size_t row = i * m;
-    for (std::size_t l = 0; l < m; ++l) mass[l] += v[row + l];
-  }
-  for (std::size_t l = 0; l < m; ++l) {
-    mass[l] *= dx[l];
-    failed[l] = !(mass[l] > 1e-300) ? 1 : 0;
-  }
-  for (std::size_t i = 0; i < nq; ++i) {
-    const std::size_t row = i * m;
-    for (std::size_t l = 0; l < m; ++l) {
-      // Division (not reciprocal-multiply), as in Normalize(); failed
-      // lanes keep their clipped samples, the spent quotient is discarded.
-      const double normalized = v[row + l] / mass[l];
-      v[row + l] = failed[l] != 0 ? v[row + l] : normalized;
-    }
-  }
-}
-
-}  // namespace
-
 double GaussianPdf(double x, double mean, double stddev) {
   const double z = (x - mean) / stddev;
   return std::exp(-0.5 * z * z) /
@@ -190,13 +149,6 @@ common::StatusOr<double> Density1D::L1Distance(const Density1D& other) const {
     diff[i] = std::fabs(values_[i] - other.values_[i]);
   }
   return Trapezoid(grid_, diff);
-}
-
-void ClipAndNormalizeBatchInto(std::span<const double> dx, BatchField& values,
-                               std::span<double> mass,
-                               std::span<std::uint8_t> mass_failed) {
-  ClipAndNormalizeLanes(values.nodes(), values.lanes(), dx.data(),
-                        values.data(), mass.data(), mass_failed.data());
 }
 
 }  // namespace mfg::numerics

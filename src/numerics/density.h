@@ -1,12 +1,9 @@
 #ifndef MFGCP_NUMERICS_DENSITY_H_
 #define MFGCP_NUMERICS_DENSITY_H_
 
-#include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/status.h"
-#include "numerics/batch_field.h"
 #include "numerics/grid.h"
 
 // Probability densities sampled on a Grid1D — the representation of the
@@ -96,19 +93,6 @@ class Density1D {
 
 // Standard normal PDF.
 double GaussianPdf(double x, double mean, double stddev);
-
-// Lane-parallel ClipAndNormalize over an SoA batch of density rows
-// ([node][lane] layout): clips non-positive/NaN samples to zero, computes
-// each lane's trapezoid mass in the exact scalar accumulation order, and
-// divides the lane by its mass — bit-identical per lane to
-// Density1D::ClipAndNormalize on the gathered row. A lane whose mass is ~0
-// gets mass_failed[l] = 1 and keeps its clipped, unnormalized samples
-// (matching the scalar failure path, which returns before dividing).
-// `mass` is caller-owned scratch, one slot per lane. All lanes are
-// processed unconditionally; callers mask out dead lanes themselves.
-void ClipAndNormalizeBatchInto(std::span<const double> dx, BatchField& values,
-                               std::span<double> mass,
-                               std::span<std::uint8_t> mass_failed);
 
 }  // namespace mfg::numerics
 

@@ -208,26 +208,6 @@ void SecondDerivativeBatchInto(std::span<const double> inv_dx2,
   }
 }
 
-MFGCP_BATCH_TARGET_CLONES
-void AccumulateNonFiniteLanesInto(const BatchField& f, std::span<double> bad) {
-  const std::size_t n = f.nodes();
-  const std::size_t m = f.lanes();
-  const double* fd = f.data();
-  double* __restrict bd = bad.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t row = i * m;
-    for (std::size_t l = 0; l < m; ++l) {
-      // v - v is +0.0 for every finite v and NaN for ±inf/NaN, so the
-      // running sum stays exactly 0.0 iff the lane is all-finite — a pure
-      // unconditional accumulation (no select, no conditional store) that
-      // vectorizes at any ISA width. Relies on the build never enabling
-      // -ffinite-math-only.
-      const double v = fd[row + l];
-      bd[l] += v - v;
-    }
-  }
-}
-
 common::StatusOr<std::vector<double>> Gradient(const Grid1D& grid,
                                                const std::vector<double>& f) {
   MFG_RETURN_IF_ERROR(ValidateField(grid, f));

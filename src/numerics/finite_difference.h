@@ -77,15 +77,6 @@ void UpwindGradientBatchInto(std::span<const double> inv_dx,
 void SecondDerivativeBatchInto(std::span<const double> inv_dx2,
                                const BatchField& f, BatchField& out);
 
-// Lane-wise finiteness sweep: accumulates v - v into bad[l] for every value
-// of the lane's column, so an entry pre-filled with 0.0 is still exactly
-// 0.0 afterwards iff the lane is all-finite (a NaN or infinity anywhere
-// turns it into NaN, which compares unequal to 0.0). One contiguous
-// branch-free pass over the field, replacing per-lane strided
-// std::isfinite walks in the solvers' substep loops.
-// bad.size() >= f.lanes().
-void AccumulateNonFiniteLanesInto(const BatchField& f, std::span<double> bad);
-
 // First derivative by central differences in the interior, one-sided at the
 // boundaries.
 common::StatusOr<std::vector<double>> Gradient(const Grid1D& grid,

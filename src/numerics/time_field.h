@@ -30,6 +30,15 @@ class TimeField2D {
     data_.assign(rows * cols, fill);
   }
 
+  // Re-shapes without the fill: samples surviving from the previous shape
+  // keep stale values (only growth value-initializes). For outputs whose
+  // every element the caller overwrites before anyone reads it.
+  void Reshape(std::size_t rows, std::size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.resize(rows * cols);
+  }
+
   void clear() {
     rows_ = 0;
     cols_ = 0;
@@ -59,6 +68,8 @@ class TimeField2D {
   double* data() { return data_.data(); }
   const double* data() const { return data_.data(); }
   const std::vector<double>& flat() const { return data_; }
+  // All rows × cols samples as one mutable span, for whole-field kernels.
+  std::span<double> elements() { return data_; }
 
   // Row iteration for `for (const auto& slice : field)`.
   class ConstRowIterator {

@@ -107,6 +107,56 @@ TEST_P(BatchSolverTest, HjbBatchMatchesScalarBitwise) {
   }
 }
 
+// The batched HJB checks divergence once per output node, in the same pass
+// that computes the node's gradient and policy, where the scalar solver
+// checks every substep; a diverging lane must still fail with the scalar
+// solver's exact error (same time node) and leave its neighbours bitwise
+// untouched. The middle lane's mean-field price turns NaN at node 7.
+TEST_P(BatchSolverTest, HjbBatchDivergentLaneMatchesScalarError) {
+  const std::size_t lanes = GetParam();
+  const std::size_t nan_lane = lanes / 2;
+  constexpr std::size_t kNanNode = 7;
+  HjbBatchSolver batch;
+  batch.Reset(lanes);
+  std::vector<std::vector<MeanFieldQuantities>> mean_fields(lanes);
+  std::vector<HjbSolution> solutions(lanes);
+  std::vector<HjbBatchSolver::LaneIo> io(lanes);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    const MfgParams params = LaneParams(l);
+    ASSERT_TRUE(batch.BindLane(l, params).ok()) << "lane " << l;
+    mean_fields[l] = LaneMeanField(params.grid.num_time_steps, l);
+    if (l == nan_lane) {
+      mean_fields[l][kNanNode].price =
+          std::numeric_limits<double>::quiet_NaN();
+    }
+    io[l].mean_field = &mean_fields[l];
+    io[l].solution = &solutions[l];
+    io[l].active = true;
+  }
+  HjbBatchSolver::Workspace ws;
+  batch.SolveInto(io, ws);
+
+  for (std::size_t l = 0; l < lanes; ++l) {
+    SCOPED_TRACE(::testing::Message() << "lane " << l);
+    auto scalar = HjbSolver1D::Create(LaneParams(l)).value();
+    const auto expected = scalar.Solve(mean_fields[l]);
+    if (l == nan_lane) {
+      ASSERT_FALSE(expected.ok());
+      EXPECT_EQ(expected.status().code(), common::StatusCode::kNumericalError);
+      EXPECT_THAT(expected.status().message(),
+                  ::testing::HasSubstr("time node " +
+                                       std::to_string(kNanNode)));
+      EXPECT_EQ(io[l].status.code(), expected.status().code());
+      EXPECT_EQ(io[l].status.message(), expected.status().message());
+      continue;
+    }
+    ASSERT_TRUE(io[l].status.ok()) << io[l].status;
+    ASSERT_TRUE(expected.ok());
+    EXPECT_TRUE(solutions[l].value == expected->value);
+    EXPECT_TRUE(solutions[l].policy == expected->policy);
+  }
+}
+
 void CheckFpkBatch(std::size_t lanes, bool implicit) {
   FpkBatchSolver batch;
   batch.Reset(lanes);
