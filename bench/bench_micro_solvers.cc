@@ -215,6 +215,46 @@ void BM_BestResponseSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_BestResponseSolve)->Arg(41)->Arg(81)->Unit(benchmark::kMillisecond);
 
+// One Alg. 2 block solve on perfbench's planning grid (41 × 50, 25
+// iterations): K heterogeneous lanes (content sizes 60–140 MB, so dx, CFL
+// substep counts and iteration counts differ per lane) through the
+// batch-resident BatchBestResponseLearner. items_per_second counts
+// contents; `allocs_per_iter` must be 0 after the warm-up solve.
+void BM_BestResponseBatchSolveInto(benchmark::State& state) {
+  static constexpr double kSizes[] = {100.0, 60.0, 140.0, 90.0,
+                                      120.0, 75.0, 105.0, 130.0};
+  const std::size_t lanes = static_cast<std::size_t>(state.range(0));
+  core::BatchBestResponseLearner learner;
+  learner.Reset(lanes);
+  std::vector<core::Equilibrium> equilibria(lanes);
+  std::vector<core::BatchBestResponseLearner::LaneJob> jobs(lanes);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    core::MfgParams params = Params(41, 50);
+    params.learning.max_iterations = 25;
+    params.content_id = l;
+    params.content_size = kSizes[l % 8];
+    params.popularity = 0.15 + 0.08 * static_cast<double>(l);
+    MFG_CHECK(learner.BindLane(l, params).ok());
+    jobs[l].content = l;
+    jobs[l].active = true;
+    jobs[l].out = &equilibria[l];
+  }
+  core::BatchBestResponseLearner::Workspace workspace;
+  learner.SolveInto(jobs, workspace);  // Warm-up.
+  for (const auto& job : jobs) MFG_CHECK(job.status.ok());
+  LoopCountingAllocs(state, [&] {
+    learner.SolveInto(jobs, workspace);
+    benchmark::DoNotOptimize(equilibria.data());
+  });
+  state.counters["batch_width"] = static_cast<double>(lanes);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(lanes));
+}
+BENCHMARK(BM_BestResponseBatchSolveInto)
+    ->Arg(1)
+    ->Arg(8)
+    ->Unit(benchmark::kMicrosecond);
+
 // End-to-end Alg. 1 epoch over a 64-content Zipf catalog: the per-epoch
 // planning cost an operator actually pays. Runs serial so the time is one
 // core's worth of the K' equilibrium solves. The argument is the SoA

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "common/logging.h"
 #include "core/fault_injection.h"
 #include "core/nonconvergence_log.h"
-#include "numerics/residual_max.h"
 #include "obs/flight_recorder.h"
 #include "obs/obs.h"
 
@@ -50,9 +48,7 @@ void BatchBestResponseLearner::Reset(std::size_t num_lanes) {
   bound_lanes_ = 0;
   hjb_.Reset(num_lanes);
   fpk_.Reset(num_lanes);
-  // Grow-only: a ragged last block must not drop the estimators (and
-  // their tables) the next full-width block re-binds.
-  if (estimators_.size() < num_lanes) estimators_.resize(num_lanes);
+  estimator_.Reset(num_lanes);
   gamma_.resize(num_lanes);
   tolerance_.resize(num_lanes);
   max_iterations_.resize(num_lanes);
@@ -68,13 +64,7 @@ common::Status BatchBestResponseLearner::BindLane(std::size_t lane,
   MFG_FAULT_POINT(kRebind);
   MFG_RETURN_IF_ERROR(hjb_.BindLane(lane, params));
   MFG_RETURN_IF_ERROR(fpk_.BindLane(lane, params));
-  if (estimators_[lane].has_value()) {
-    MFG_RETURN_IF_ERROR(estimators_[lane]->Rebind(params));
-  } else {
-    MFG_ASSIGN_OR_RETURN(MeanFieldEstimator estimator,
-                         MeanFieldEstimator::Create(params));
-    estimators_[lane].emplace(std::move(estimator));
-  }
+  MFG_RETURN_IF_ERROR(estimator_.BindLane(lane, params));
   if (bound_lanes_ == 0) {
     nq_ = params.grid.num_q_nodes;
     nt_ = params.grid.num_time_steps;
@@ -96,163 +86,173 @@ void BatchBestResponseLearner::SolveInto(std::span<LaneJob> lanes,
   const std::size_t nt = nt_;
   const std::size_t nq = nq_;
 
-  if (ws.lanes.size() < m) ws.lanes.resize(m);  // Grow-only, as estimators_.
-  ws.hjb_io.resize(m);
-  ws.fpk_io.resize(m);
+  // The batch-resident iterate: the flat 0.5 initial policy guess, and a
+  // zero value surface — iteration 1's value residual measures against it,
+  // as the scalar learner's against its cleared output.
+  ws.policy.Assign((nt + 1) * nq, m, 0.5);
+  ws.value.Assign((nt + 1) * nq, m, 0.0);
+  ws.density.Reshape((nt + 1) * nq, m);  // Row 0 is written per lane.
+  ws.mean_field.resize((nt + 1) * m);
+  ws.policy_change.assign(m, 0.0);
+  ws.value_change.assign(m, 0.0);
   ws.running.assign(m, 0);
+  ws.leaving.assign(m, 0);
+  ws.estimate.assign(m, 0);
+  ws.hjb_alive.assign(m, 0);
+  ws.fpk_alive.assign(m, 0);
+  double* policy = ws.policy.data();
+  double* value = ws.value.data();
+  double* density = ws.density.data();
 
-  // Per-lane setup: fault poll, initial density, equilibrium reset, flat
-  // initial policy — the scalar SolveInto preamble, lane by lane.
+  // Per-lane setup: fault poll, initial density, equilibrium reset — the
+  // scalar SolveInto preamble, lane by lane.
   for (std::size_t l = 0; l < m; ++l) {
     LaneJob& job = lanes[l];
-    ws.hjb_io[l].active = false;
-    ws.fpk_io[l].active = false;
     if (!job.active) continue;
     job.status = LaneFaultCheck(job, faults::FaultSite::kSolve);
     if (!job.status.ok()) continue;
-    LaneScratch& lane = ws.lanes[l];
-    job.status = fpk_.MakeInitialDensityInto(l, lane.initial);
+    job.status = fpk_.MakeInitialDensityInto(l, ws.initial);
     if (!job.status.ok()) continue;
     MFG_OBS_COUNT("core.best_response.solves", 1);
     ++timed_lanes;
 
-    // Reset a (possibly reused) output to the fresh-Equilibrium state
-    // while keeping every buffer's capacity; clearing the value surface
-    // matters for bit-identity (iteration 1's value residual measures
-    // against the zero initialization).
+    // Reset a (possibly reused) output's scalars and histories, keeping
+    // every buffer's capacity; its fields are written at lane exit.
     Equilibrium& eq = *job.out;
     eq.iterations = 0;
     eq.converged = false;
     eq.policy_change_history.clear();
     eq.value_change_history.clear();
-    eq.hjb.value.clear();
-    eq.hjb.policy.clear();
-    lane.policy.Assign(nt + 1, nq, 0.5);
+    eq.policy_change_history.reserve(max_iterations_[l]);
+    eq.value_change_history.reserve(max_iterations_[l]);
+    const double* init = ws.initial.values().data();
+    for (std::size_t i = 0; i < nq; ++i) density[i * m + l] = init[i];
 
     // λ trajectory under the initial guess; the scalar path polls
     // kFpkStep once, right before this first FPK sweep.
     job.status = LaneFaultCheck(job, faults::FaultSite::kFpkStep);
     if (!job.status.ok()) continue;
-    ws.fpk_io[l].initial = &lane.initial;
-    ws.fpk_io[l].policy = &lane.policy;
-    ws.fpk_io[l].solution = &eq.fpk;
-    ws.fpk_io[l].active = true;
-    ws.hjb_io[l].mean_field = &lane.mean_field;
-    ws.hjb_io[l].solution = &lane.hjb_buffer;
+    ws.fpk_alive[l] = 1;
+  }
+
+  fpk_.SweepInto(policy, density, ws.fpk_alive, ws.fpk);
+  for (std::size_t l = 0; l < m; ++l) {
+    LaneJob& job = lanes[l];
+    if (!job.active || !job.status.ok()) continue;
+    if (ws.fpk_alive[l] == 0) {
+      job.status = ws.fpk.status[l];
+      continue;
+    }
     ws.running[l] = 1;
   }
 
-  fpk_.SolveInto(ws.fpk_io, ws.fpk);
-  for (std::size_t l = 0; l < m; ++l) {
-    if (!ws.running[l]) continue;
-    if (!ws.fpk_io[l].status.ok()) {
-      lanes[l].status = ws.fpk_io[l].status;
-      ws.running[l] = 0;
-      continue;
-    }
+  // A leaving lane's outputs, from its columns of the fields and of the
+  // round's estimate (its final mean-field refresh).
+  auto write_equilibrium = [&](std::size_t l) {
     Equilibrium& eq = *lanes[l].out;
-    eq.hjb.q_grid = eq.fpk.q_grid;
-    eq.hjb.dt = eq.fpk.dt;
-    eq.policy_change_history.reserve(max_iterations_[l]);
-    eq.value_change_history.reserve(max_iterations_[l]);
-  }
+    hjb_.WriteLaneInto(l, value, policy, eq.hjb);
+    fpk_.WriteLaneInto(l, density, eq.fpk);
+    eq.mean_field.resize(nt + 1);
+    for (std::size_t n = 0; n <= nt; ++n) {
+      eq.mean_field[n] = ws.mean_field[n * m + l];
+    }
+  };
 
   // Lockstep fixed-point loop. Each round runs one scalar iteration for
   // every lane still in flight; lanes leave the loop exactly where the
   // scalar control flow would (converged -> before FPK; exhausted ->
   // after the trailing FPK of iteration max_iterations).
   for (std::size_t iter = 1;; ++iter) {
+    // (1) Mean-field quantities per time node from (λ, x): this round's
+    // iteration for the running lanes, the final refresh for the lanes
+    // that left last round — the (λ, x) pair the scalar learner refreshes
+    // from, since neither sweep touched their columns since.
     bool any = false;
     for (std::size_t l = 0; l < m; ++l) {
-      ws.hjb_io[l].active = false;
-      ws.fpk_io[l].active = false;
+      ws.estimate[l] = (ws.running[l] | ws.leaving[l]) != 0 ? 1 : 0;
+      any = any || ws.estimate[l] != 0;
+    }
+    if (!any) break;
+    estimator_.EstimateTrajectoryInto(nt + 1, density, policy, ws.estimate,
+                                      ws.mean_field);
+    for (std::size_t l = 0; l < m; ++l) {
+      if (ws.leaving[l] == 0) continue;
+      write_equilibrium(l);
+      ws.leaving[l] = 0;
+    }
+
+    // (2) Backward HJB -> candidate best response, relaxed in place.
+    bool any_hjb = false;
+    for (std::size_t l = 0; l < m; ++l) {
+      ws.hjb_alive[l] = 0;
       if (!ws.running[l]) continue;
-      if (iter > max_iterations_[l]) {
-        ws.running[l] = 0;
-        continue;
-      }
       LaneJob& job = lanes[l];
-      LaneScratch& lane = ws.lanes[l];
-      Equilibrium& eq = *job.out;
-      eq.iterations = iter;
-
-      // (1) Mean-field quantities per time node from (λ, x).
-      job.status = estimators_[l]->EstimateTrajectoryInto(
-          eq.fpk.densities, lane.policy, lane.estimator, lane.mean_field);
-      if (!job.status.ok()) {
-        ws.running[l] = 0;
-        continue;
-      }
-
-      // (2) Backward HJB -> candidate best response.
+      job.out->iterations = iter;
       job.status = LaneFaultCheck(job, faults::FaultSite::kHjbStep);
       if (!job.status.ok()) {
         ws.running[l] = 0;
         continue;
       }
-      ws.hjb_io[l].active = true;
-      any = true;
+      ws.hjb_alive[l] = 1;
+      any_hjb = true;
     }
-    if (!any) break;
+    if (!any_hjb) continue;
+    std::fill(ws.policy_change.begin(), ws.policy_change.end(), 0.0);
+    std::fill(ws.value_change.begin(), ws.value_change.end(), 0.0);
+    hjb_.SweepInto(ws.mean_field,
+                   {value, policy, gamma_.data(), ws.policy_change.data(),
+                    ws.value_change.data()},
+                   ws.hjb_alive, ws.hjb);
 
-    hjb_.SolveInto(ws.hjb_io, ws.hjb);
-
+    // (3) Relaxed policy update + convergence test (Alg. 2, line 6): the
+    // HJB tail already relaxed p in place and measured both residuals
+    // (the value residual against the previous surface in the field).
+    bool any_fpk = false;
     for (std::size_t l = 0; l < m; ++l) {
-      if (!ws.hjb_io[l].active) continue;
+      ws.fpk_alive[l] = 0;
+      if (!ws.running[l]) continue;
       LaneJob& job = lanes[l];
-      if (!ws.hjb_io[l].status.ok()) {
-        job.status = ws.hjb_io[l].status;
+      if (ws.hjb_alive[l] == 0) {
+        job.status = ws.hjb.status[l];
         ws.running[l] = 0;
         continue;
       }
-      LaneScratch& lane = ws.lanes[l];
       Equilibrium& eq = *job.out;
-
-      // (3) Relaxed policy update + convergence test (Alg. 2, line 6), with
-      // the value residual vs the previous surface (still in eq.hjb), in one
-      // pass. The relaxed iterate also overwrites the best response in
-      // hjb_buffer, so the swap below exposes the *relaxed* policy (the
-      // population's actual play) without a copy.
-      const numerics::RelaxResiduals residuals =
-          numerics::RelaxAndMeasureResiduals(
-              gamma_[l], lane.policy.elements(),
-              lane.hjb_buffer.policy.elements(),
-              lane.hjb_buffer.value.elements(), eq.hjb.value.elements());
-      const double max_change = residuals.policy_change;
+      const double max_change = ws.policy_change[l];
       eq.policy_change_history.push_back(max_change);
-      eq.value_change_history.push_back(residuals.value_change);
+      eq.value_change_history.push_back(ws.value_change[l]);
       MFG_FLIGHT_EVENT(kIteration, 0, content_id_[l],
                        static_cast<std::uint32_t>(iter), max_change,
-                       residuals.value_change);
-      std::swap(eq.hjb, lane.hjb_buffer);
-      std::swap(eq.mean_field, lane.mean_field);
-
+                       ws.value_change[l]);
       if (max_change < tolerance_[l]) {
         eq.converged = true;
         ws.running[l] = 0;  // Scalar `break`: skips the FPK sweep.
+        ws.leaving[l] = 1;
         continue;
       }
-
       // (4) Forward FPK under the relaxed policy.
-      ws.fpk_io[l].active = true;
+      ws.fpk_alive[l] = 1;
+      any_fpk = true;
     }
-
-    fpk_.SolveInto(ws.fpk_io, ws.fpk);
+    if (!any_fpk) continue;
+    fpk_.SweepInto(policy, density, ws.fpk_alive, ws.fpk);
     for (std::size_t l = 0; l < m; ++l) {
-      if (!ws.fpk_io[l].active) continue;
-      if (!ws.fpk_io[l].status.ok()) {
-        lanes[l].status = ws.fpk_io[l].status;
+      if (!ws.running[l]) continue;
+      if (ws.fpk_alive[l] == 0) {
+        lanes[l].status = ws.fpk.status[l];
         ws.running[l] = 0;
+      } else if (iter >= max_iterations_[l]) {
+        ws.running[l] = 0;  // Exhausted after the trailing FPK.
+        ws.leaving[l] = 1;
       }
     }
   }
 
   // Post-loop bookkeeping per surviving lane, verbatim from the scalar
-  // SolveFromInto epilogue.
+  // SolveFromInto epilogue (the mean-field refresh is already written).
   for (std::size_t l = 0; l < m; ++l) {
     LaneJob& job = lanes[l];
     if (!job.active || !job.status.ok()) continue;
-    LaneScratch& lane = ws.lanes[l];
     Equilibrium& eq = *job.out;
     if (LaneFaultFires(job, faults::FaultSite::kNonConvergence)) {
       eq.converged = false;
@@ -282,10 +282,6 @@ void BatchBestResponseLearner::SolveInto(std::span<LaneJob> lanes,
                                          : eq.policy_change_history.back(),
         eq.value_change_history.empty() ? 0.0
                                         : eq.value_change_history.back());
-    // Refresh the mean-field quantities for the final policy/density pair
-    // so callers see a consistent triple (x, λ, mf).
-    job.status = estimators_[l]->EstimateTrajectoryInto(
-        eq.fpk.densities, eq.hjb.policy, lane.estimator, eq.mean_field);
   }
 }
 

@@ -2,7 +2,6 @@
 #define MFGCP_CORE_BEST_RESPONSE_BATCH_H_
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -12,6 +11,8 @@
 #include "core/hjb_batch.h"
 #include "core/mean_field_estimator.h"
 #include "core/mfg_params.h"
+#include "numerics/batch_field.h"
+#include "numerics/density.h"
 
 // Content-batched counterpart of BestResponseLearner: runs Alg. 2 for K
 // contents (the lanes) in lockstep, delegating the HJB/FPK sweeps to the
@@ -34,6 +35,16 @@
 // degraded contents see the identical retry/carry-forward/fallback
 // behavior as before.
 //
+// Batch residency: the iterate lives in the workspace's [time][node][lane]
+// fields for the whole solve (see Workspace), so nothing is gathered or
+// scattered per iteration. One lane-parallel estimate per round serves
+// both the running lanes' next iteration and the final mean-field refresh
+// of the lanes that left in the previous round (that estimate reads
+// exactly the (λ, x) pair the scalar refresh does); a leaving lane's
+// Equilibrium is written right after it. After that write, and for a
+// failed lane from the moment it fails, the lane's columns are garbage
+// the kernels may keep computing on and nothing reads.
+//
 // Fault injection: the scalar solve polls kSolve / kFpkStep / kHjbStep /
 // kNonConvergence under the worker's ambient (epoch, content, attempt)
 // scope. The batch solve has no single ambient content, so each poll
@@ -45,25 +56,27 @@ namespace mfg::core {
 
 class BatchBestResponseLearner {
  public:
-  // Per-lane solve state mirroring BestResponseLearner::Workspace (minus
-  // the sub-solver scratch, which lives batch-wide below).
-  struct LaneScratch {
-    numerics::Density1D initial;
-    numerics::TimeField2D policy;
-    MeanFieldEstimator::Workspace estimator;
-    HjbSolution hjb_buffer;
-    std::vector<MeanFieldQuantities> mean_field;
-  };
-
   // Long-lived scratch; all buffers re-shape in place so repeated solves
-  // on a warmed grid shape never touch the heap (allocs_per_epoch=0).
+  // on a warmed grid shape never touch the heap (allocs_per_epoch=0). The
+  // three fields hold the block's iterate in [time][node][lane] layout,
+  // (nt + 1)·nq·lanes doubles each, node i of lane l at time node n at
+  // [(n·nq + i)·lanes + l].
   struct Workspace {
-    std::vector<LaneScratch> lanes;
+    numerics::BatchField policy;   // The iterate p (relaxed in place).
+    numerics::BatchField value;    // V; the previous surface until the
+                                   // HJB tail overwrites a row.
+    numerics::BatchField density;  // λ; row 0 is the initial density.
+    std::vector<MeanFieldQuantities> mean_field;  // [time][lane].
+    numerics::Density1D initial;  // MakeInitialDensityInto scratch.
     HjbBatchSolver::Workspace hjb;
     FpkBatchSolver::Workspace fpk;
-    std::vector<HjbBatchSolver::LaneIo> hjb_io;
-    std::vector<FpkBatchSolver::LaneIo> fpk_io;
+    std::vector<double> policy_change;  // This iteration's residuals.
+    std::vector<double> value_change;
     std::vector<std::uint8_t> running;   // Lane still in the lockstep loop.
+    std::vector<std::uint8_t> leaving;   // Left last round; not yet written.
+    std::vector<std::uint8_t> estimate;  // Lanes the next estimate serves.
+    std::vector<std::uint8_t> hjb_alive;
+    std::vector<std::uint8_t> fpk_alive;
   };
 
   // One content's solve request/result. `epoch`/`content` key the
@@ -104,9 +117,7 @@ class BatchBestResponseLearner {
 
   HjbBatchSolver hjb_;
   FpkBatchSolver fpk_;
-  // optional<> because MeanFieldEstimator has no default constructor;
-  // engaged lanes are Rebind()-ed in place on later epochs.
-  std::vector<std::optional<MeanFieldEstimator>> estimators_;
+  MeanFieldBatchEstimator estimator_;
 
   // Per-lane learning controls (LearningParams of the bound params).
   std::vector<double> gamma_;

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "numerics/finite_difference.h"
+#include "numerics/lane_vector.h"
 #include "numerics/simd_support.h"
 #include "obs/flight_recorder.h"
 #include "obs/obs.h"
@@ -114,50 +117,108 @@ void AssembleImplicitSystem(std::size_t nq, std::size_t m, const double* vel,
   }
 }
 
-// The per-output-node tail: the non-finite latch bad[l] += λ − λ (+0.0
-// for finite λ, NaN otherwise, so a lane pre-filled with 0.0 stays 0.0 iff
-// its column is all-finite), taken before the clip clears NaN, then the
-// SoA transcription of Density1D::ClipAndNormalize + Normalize — same clip
-// predicate, the trapezoid mass in Trapezoid()'s exact order
-// (0.5·(f₀+fₙ₋₁), then the interior sum, then ·dx), and a per-element
-// division by the mass — so each lane reproduces the scalar result
-// bit-for-bit. A lane whose mass is ~0 gets failed[l] = 1 and keeps its
-// clipped, unnormalized samples (the scalar failure path returns before
-// dividing). All lanes are processed; the caller masks dead ones.
+// The node-n drift velocity of every (node, lane) under the policy row
+// (the [node][lane] row of the batch's policy field): the scalar sweep's
+// Q_k·(−w1·a(q)·x − w2·Π(t_n) + w3·ξ^L(t_n)), verbatim.
+template <std::size_t M>
+__attribute__((always_inline)) inline void DriftVelocityImpl(
+    std::size_t nq, std::size_t mm, const double* content_size,
+    const double* nwd, const double* retention, const double* discard,
+    const double* policy_row, double* __restrict vel) {
+  const std::size_t m = M ? M : mm;
+  for (std::size_t i = 0; i < nq; ++i) {
+    const std::size_t row = i * m;
+    for (std::size_t l = 0; l < m; ++l) {
+      vel[row + l] = content_size[l] * (nwd[row + l] * policy_row[row + l] -
+                                        retention[l] + discard[l]);
+    }
+  }
+}
+
+// The per-output-node tail for lanes [l0, l0 + W): the non-finite latch
+// bad[l] += λ − λ (+0.0 for finite λ, NaN otherwise, so a lane pre-filled
+// with 0.0 stays 0.0 iff its column is all-finite), taken before the clip
+// clears NaN, then the lane-pack transcription of
+// Density1D::ClipAndNormalize + Normalize — same clip predicate, the
+// trapezoid mass in Trapezoid()'s exact order (0.5·(f₀+fₙ₋₁), then the
+// interior sum, then ·dx), and a per-element division by the mass — so
+// each lane reproduces the scalar result bit-for-bit. The end rows are
+// clipped first so the interior rows clip and sum in one pass. A lane
+// whose mass is ~0 gets failed[l] = 1.0 and keeps its clipped,
+// unnormalized samples (the scalar failure path returns before dividing).
+// Every lane is processed; the result is stored into the output row `out`
+// only for lanes with live[l] != 0, so a lane that left the sweep keeps
+// its column of the caller's field.
+template <std::size_t W>
+__attribute__((always_inline)) inline void LatchClipAndNormalizeImpl(
+    std::size_t nq, std::size_t m, std::size_t l0, const double* dx,
+    const double* live, double* __restrict lam, double* __restrict out,
+    double* __restrict bad, double* __restrict failed) {
+  using numerics::LoadLanes;
+  using numerics::StoreLanes;
+  using Pack = numerics::LaneVector<W>;
+  const Pack zero{};
+  Pack latch = LoadLanes<W>(bad + l0);
+  auto clip_row = [&](std::size_t i) __attribute__((always_inline)) {
+    const Pack v = LoadLanes<W>(lam + i * m + l0);
+    latch += v - v;
+    const Pack clipped = v > zero ? v : zero;  // Also clears NaN.
+    StoreLanes<W>(lam + i * m + l0, clipped);
+    return clipped;
+  };
+  Pack sum = clip_row(0);
+  sum = 0.5 * (sum + clip_row(nq - 1));
+  for (std::size_t i = 1; i + 1 < nq; ++i) sum += clip_row(i);
+  sum *= LoadLanes<W>(dx + l0);
+  const Pack one = zero + 1.0;
+  // Normalize's mass test, 1.0 where the lane's mass is usable.
+  const Pack usable = numerics::GreaterLanes<W>(sum, zero + 1e-300);
+  StoreLanes<W>(bad + l0, latch);
+  StoreLanes<W>(failed + l0, one - usable);
+  const Pack keep = LoadLanes<W>(live + l0);
+  for (std::size_t i = 0; i < nq; ++i) {
+    const std::size_t at = i * m + l0;
+    // Division (not reciprocal-multiply), as in Normalize(); failed
+    // lanes keep their clipped samples, the spent quotient is discarded.
+    const Pack clipped = LoadLanes<W>(lam + at);
+    const Pack kept =
+        numerics::SelectLanes<W>(usable, clipped / sum, clipped);
+    StoreLanes<W>(lam + at, kept);
+    StoreLanes<W>(out + at, numerics::SelectLanes<W>(
+                                keep, kept, LoadLanes<W>(out + at)));
+  }
+}
+
+// Runtime dispatch of the two per-node lane passes: DriftVelocity to the
+// lane-width specializations (see FusedFpkSubstep), the tail to lane
+// packs.
+MFGCP_BATCH_TARGET_CLONES
+void DriftVelocity(std::size_t nq, std::size_t m, const double* content_size,
+                   const double* nwd, const double* retention,
+                   const double* discard, const double* policy_row,
+                   double* __restrict vel) {
+#define MFGCP_DRIFT(M)                                                   \
+  DriftVelocityImpl<M>(nq, m, content_size, nwd, retention, discard,     \
+                       policy_row, vel)
+  switch (m) {
+    case 2: MFGCP_DRIFT(2); break;
+    case 4: MFGCP_DRIFT(4); break;
+    case 8: MFGCP_DRIFT(8); break;
+    default: MFGCP_DRIFT(0); break;
+  }
+#undef MFGCP_DRIFT
+}
+
 MFGCP_BATCH_TARGET_CLONES
 void LatchClipAndNormalize(std::size_t nq, std::size_t m, const double* dx,
-                           double* __restrict lam, double* __restrict bad,
-                           double* __restrict mass,
-                           std::uint8_t* __restrict failed) {
-  for (std::size_t i = 0; i < nq; ++i) {
-    const std::size_t row = i * m;
-    for (std::size_t l = 0; l < m; ++l) {
-      const double v = lam[row + l];
-      bad[l] += v - v;
-      lam[row + l] = v > 0.0 ? v : 0.0;  // Also clears NaN.
-    }
-  }
-  const std::size_t last = (nq - 1) * m;
-  for (std::size_t l = 0; l < m; ++l) {
-    mass[l] = 0.5 * (lam[l] + lam[last + l]);
-  }
-  for (std::size_t i = 1; i + 1 < nq; ++i) {
-    const std::size_t row = i * m;
-    for (std::size_t l = 0; l < m; ++l) mass[l] += lam[row + l];
-  }
-  for (std::size_t l = 0; l < m; ++l) {
-    mass[l] *= dx[l];
-    failed[l] = !(mass[l] > 1e-300) ? 1 : 0;
-  }
-  for (std::size_t i = 0; i < nq; ++i) {
-    const std::size_t row = i * m;
-    for (std::size_t l = 0; l < m; ++l) {
-      // Division (not reciprocal-multiply), as in Normalize(); failed
-      // lanes keep their clipped samples, the spent quotient is discarded.
-      const double normalized = lam[row + l] / mass[l];
-      lam[row + l] = failed[l] != 0 ? lam[row + l] : normalized;
-    }
-  }
+                           const double* live, double* __restrict lam,
+                           double* __restrict out, double* __restrict bad,
+                           double* __restrict failed) {
+  numerics::ForEachLaneChunk(
+      m, [&]<std::size_t W>(std::size_t l0) __attribute__((always_inline)) {
+        LatchClipAndNormalizeImpl<W>(nq, m, l0, dx, live, lam, out, bad,
+                                     failed);
+      });
 }
 
 }  // namespace
@@ -248,27 +309,18 @@ common::Status FpkBatchSolver::MakeInitialDensityInto(
 }
 
 void FpkBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
-  MFG_OBS_SPAN("FpkBatch.SolveInto");
-  std::size_t timed_lanes = 0;  // One core.fpk.sweeps count each.
-  MFG_OBS_SCOPED_LANE_TIMER("core.fpk.sweep_seconds", timed_lanes);
   const std::size_t m = num_lanes_;
   const std::size_t nq = nq_;
   const std::size_t nt = nt_;
-
-  std::vector<std::uint8_t>& alive = ws.alive;
-  std::vector<double>& update = ws.update;
-  alive.assign(m, 0);
-  update.assign(m, 0.0);
-  ws.bad.assign(m, 0.0);
-  ws.clip_mass.assign(m, 0.0);
-  ws.clip_failed.assign(m, 0);
-
-  std::size_t max_substeps = 0;
+  ws.io_alive.assign(m, 0);
+  // No fill: only the running lanes' columns are read for a result.
+  ws.io_policy.Reshape((nt + 1) * nq, m);
+  ws.io_density.Reshape((nt + 1) * nq, m);
+  double* policy = ws.io_policy.data();
+  double* density = ws.io_density.data();
   for (std::size_t l = 0; l < m; ++l) {
     LaneIo& lane = lanes[l];
     if (!lane.active) continue;
-    MFG_OBS_COUNT("core.fpk.sweeps", 1);
-    ++timed_lanes;
     lane.status = common::Status::Ok();
     // Per-lane validation, verbatim from the scalar SolveInto.
     if (!(lane.initial->grid() == grids_[l])) {
@@ -286,32 +338,85 @@ void FpkBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
           common::Status::InvalidArgument("policy slice size mismatch");
       continue;
     }
-    FpkSolution& solution = *lane.solution;
-    solution.q_grid = grids_[l];
-    solution.dt = dt_out_[l];
-    const bool reuse = solution.densities.size() == nt + 1 &&
-                       solution.densities.front().grid() == grids_[l];
-    if (!reuse) {
-      solution.densities.clear();
-      solution.densities.reserve(nt + 1);
-      for (std::size_t n = 0; n <= nt; ++n) {
-        solution.densities.push_back(*lane.initial);
-      }
-    } else {
-      solution.densities.front().mutable_values() = lane.initial->values();
+    const double* init = lane.initial->values().data();
+    for (std::size_t i = 0; i < nq; ++i) density[i * m + l] = init[i];
+    const double* x = lane.policy->data();
+    for (std::size_t k = 0; k < (nt + 1) * nq; ++k) policy[k * m + l] = x[k];
+    ws.io_alive[l] = 1;
+  }
+  SweepInto(policy, density, ws.io_alive, ws);
+  for (std::size_t l = 0; l < m; ++l) {
+    LaneIo& lane = lanes[l];
+    if (!lane.active || !lane.status.ok()) continue;
+    if (ws.io_alive[l] == 0) {
+      lane.status = ws.status[l];
+      continue;
     }
-    alive[l] = 1;
+    WriteLaneInto(l, density, *lane.solution);
+  }
+}
+
+void FpkBatchSolver::WriteLaneInto(std::size_t lane, const double* densities,
+                                   FpkSolution& out) const {
+  const std::size_t m = num_lanes_;
+  const std::size_t nq = nq_;
+  const std::size_t nt = nt_;
+  out.q_grid = grids_[lane];
+  out.dt = dt_out_[lane];
+  const bool reuse = out.densities.size() == nt + 1 &&
+                     out.densities.front().grid() == grids_[lane];
+  if (!reuse) {
+    out.densities.clear();
+    out.densities.reserve(nt + 1);
+  }
+  for (std::size_t n = 0; n <= nt; ++n) {
+    const double* row = densities + n * nq * m + lane;
+    if (!reuse) {
+      std::vector<double> values(nq);
+      for (std::size_t i = 0; i < nq; ++i) values[i] = row[i * m];
+      // Cannot fail: the sample count is the grid's.
+      out.densities.push_back(numerics::Density1D::FromSamplesUnchecked(
+                                  grids_[lane], std::move(values))
+                                  .value());
+      continue;
+    }
+    double* __restrict values = out.densities[n].mutable_values().data();
+    for (std::size_t i = 0; i < nq; ++i) values[i] = row[i * m];
+  }
+}
+
+void FpkBatchSolver::SweepInto(const double* policy, double* densities,
+                               std::span<std::uint8_t> alive,
+                               Workspace& ws) const {
+  MFG_OBS_SPAN("FpkBatch.SolveInto");
+  std::size_t timed_lanes = 0;  // One core.fpk.sweeps count each.
+  MFG_OBS_SCOPED_LANE_TIMER("core.fpk.sweep_seconds", timed_lanes);
+  const std::size_t m = num_lanes_;
+  const std::size_t nq = nq_;
+  const std::size_t nt = nt_;
+  const std::size_t row_size = nq * m;
+
+  std::vector<double>& update = ws.update;
+  update.assign(m, 0.0);
+  ws.live.assign(m, 0.0);
+  ws.bad.assign(m, 0.0);
+  ws.clip_failed.assign(m, 0.0);
+  ws.status.resize(m);
+
+  std::size_t max_substeps = 0;
+  for (std::size_t l = 0; l < m; ++l) {
+    if (!alive[l]) continue;
+    MFG_OBS_COUNT("core.fpk.sweeps", 1);
+    ++timed_lanes;
     max_substeps = std::max(max_substeps, substeps_[l]);
   }
 
+  // λ(t_0) is row 0 of the caller's field; the running density is copied
+  // out of it for every lane (dead lanes evolve harmlessly, masked).
   ws.lambda.Assign(nq, m, 0.0);
   ws.velocity.Assign(nq, m, 0.0);
   ws.face_flux.assign(m, 0.0);
-  for (std::size_t l = 0; l < m; ++l) {
-    if (!alive[l]) continue;
-    const std::vector<double>& init = lanes[l].initial->values();
-    for (std::size_t i = 0; i < nq; ++i) ws.lambda.at(i, l) = init[i];
-  }
+  std::copy(densities, densities + row_size, ws.lambda.data());
 
   double* lam = ws.lambda.data();
   double* vel = ws.velocity.data();
@@ -321,19 +426,10 @@ void FpkBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
   const double* dto_dx = dt_out_over_dx_.data();
 
   for (std::size_t n = 0; n < nt; ++n) {
-    // Drift under the node-n policy slice, gathered per lane from its
-    // (row-major, per-content) policy field.
-    for (std::size_t l = 0; l < m; ++l) {
-      if (!alive[l]) continue;
-      const double retention = retention_.at(n, l);
-      const double discard = discard_.at(n, l);
-      const auto policy_row = (*lanes[l].policy)[n];
-      for (std::size_t i = 0; i < nq; ++i) {
-        vel[i * m + l] =
-            content_size_[l] *
-            (nwd[i * m + l] * policy_row[i] - retention + discard);
-      }
-    }
+    for (std::size_t l = 0; l < m; ++l) ws.live[l] = alive[l] ? 1.0 : 0.0;
+    // Drift under the node-n policy row, at unit stride across lanes.
+    DriftVelocity(nq, m, content_size_.data(), nwd, retention_[n].data(),
+                  discard_[n].data(), policy + n * row_size, vel);
 
     if (implicit_) {
       // Implicit (backward Euler) assembly, per-lane transcription of the
@@ -353,9 +449,10 @@ void FpkBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
       lam = ws.lambda.data();  // Assign may have (first call) reallocated.
       for (std::size_t l = 0; l < m; ++l) {
         if (alive[l] == 0 || ws.singular_row[l] < 0) continue;
-        lanes[l].status = common::Status::NumericalError(
+        ws.status[l] = common::Status::NumericalError(
             "singular pivot at row " + std::to_string(ws.singular_row[l]));
         alive[l] = 0;
+        ws.live[l] = 0.0;
       }
     } else {
       for (std::size_t sub = 0; sub < max_substeps; ++sub) {
@@ -367,37 +464,34 @@ void FpkBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
       }
     }
 
-    // Divergence latch, clip and normalize in one lane-parallel pass, then
-    // each live lane's normalized row is scattered into its Density1D
-    // through raw pointers — λ never leaves the batch layout. The explicit
-    // scheme checks once per output node where the scalar solver checks
-    // every substep (the HjbBatchSolver argument: λ − c·(flux difference)
-    // is non-finite whenever λ is, and the select keeps a masked lane's
-    // bits, so a non-finite density never turns finite again within the
-    // node), and reports the same "time node n" error. A lane whose mass
-    // underflows keeps its clipped row (the scalar failure path leaves out
-    // the same way) and drops out.
+    // Divergence latch, clip and normalize in one lane-parallel pass that
+    // also stores each live lane's row n + 1 of the caller's field. The
+    // explicit scheme checks once per output node where the scalar solver
+    // checks every substep (the HjbBatchSolver argument: λ − c·(flux
+    // difference) is non-finite whenever λ is, and the select keeps a
+    // masked lane's bits, so a non-finite density never turns finite again
+    // within the node), and reports the same "time node n" error. A lane
+    // whose mass underflows keeps its clipped row (the scalar failure path
+    // leaves out the same way) and drops out.
     std::fill(ws.bad.begin(), ws.bad.end(), 0.0);
-    LatchClipAndNormalize(nq, m, dx_.data(), lam, ws.bad.data(),
-                          ws.clip_mass.data(), ws.clip_failed.data());
+    LatchClipAndNormalize(nq, m, dx_.data(), ws.live.data(), lam,
+                          densities + (n + 1) * row_size, ws.bad.data(),
+                          ws.clip_failed.data());
     for (std::size_t l = 0; l < m; ++l) {
       if (!alive[l]) continue;
       if (ws.bad[l] != 0.0) {
         MFG_FLIGHT_EVENT(kDivergence, obs::kFlightDivergenceFpk,
                          params_[l].content_id, static_cast<std::uint32_t>(n),
                          0.0, 0.0);
-        lanes[l].status = common::Status::NumericalError(
+        ws.status[l] = common::Status::NumericalError(
             (implicit_ ? "implicit FPK diverged at time node "
                        : "FPK density diverged at time node ") +
             std::to_string(n));
         alive[l] = 0;
         continue;
       }
-      double* __restrict values =
-          lanes[l].solution->densities[n + 1].mutable_values().data();
-      for (std::size_t i = 0; i < nq; ++i) values[i] = lam[i * m + l];
-      if (ws.clip_failed[l] != 0) {
-        lanes[l].status = common::Status::NumericalError("density mass is ~0");
+      if (ws.clip_failed[l] != 0.0) {
+        ws.status[l] = common::Status::NumericalError("density mass is ~0");
         alive[l] = 0;
       }
     }
@@ -407,8 +501,7 @@ void FpkBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
     if (!alive[l]) continue;
     MFG_FLIGHT_EVENT(kFpkSweep, 0, params_[l].content_id, 0,
                      static_cast<double>(substeps_[l]),
-                     obs::FlightMaxAbs(std::span<const double>(
-                         lanes[l].solution->densities[nt].values())));
+                     obs::FlightMaxAbs(densities + nt * row_size + l, nq, m));
   }
 }
 

@@ -17,17 +17,18 @@
 // Content-batched counterpart of FpkSolver1D (see hjb_batch.h for the
 // batching model). Lane l runs the scalar forward sweep expression tree on
 // its own density/policy, so active lanes reproduce FpkSolver1D::SolveInto
-// bit-for-bit. The ClipAndNormalize guard runs lane-parallel in SoA layout
-// (the scalar accumulation order per lane), in one pass with the per-node
-// divergence latch; each output node then scatters the normalized row into
-// the lane's Density1D — λ stays in the batch layout end-to-end, with no
-// per-node gather-back.
+// bit-for-bit. The sweep core (SweepInto) reads the policy rows of a
+// [time][node][lane] field and writes the λ rows of another at unit
+// stride; the ClipAndNormalize guard runs lane-parallel (the scalar
+// accumulation order per lane), in one pass with the per-node divergence
+// latch and the row store. SolveInto's per-lane LaneIo entry point is a
+// gather → SweepInto → scatter adapter.
 //
 // Both stepping schemes are supported; all bound lanes must share
 // grid.implicit_fpk (they derive from one base_params on the epoch path).
 // A lane that diverges or hits a singular implicit pivot records the
-// scalar solver's error in its LaneIo::status and drops out of the batch;
-// its output densities are then unspecified (reused storage is not reset).
+// scalar solver's error in its status and drops out of the batch; its
+// output densities are then unspecified.
 
 namespace mfg::core {
 
@@ -42,15 +43,21 @@ class FpkBatchSolver {
     numerics::BatchTridiagonalSystem system;  // Implicit stepping only.
     numerics::BatchTridiagonalWorkspace tridiagonal;
     std::vector<std::ptrdiff_t> singular_row;
-    std::vector<std::uint8_t> alive;
     // Double-wide masks, as in HjbBatchSolver::Workspace: the substep
     // update select and the divergence latch vectorize only when the mask
     // lanes match the double data width.
     std::vector<double> update;
     std::vector<double> bad;
-    // Scratch for the lane-parallel clip-and-normalize guard.
-    std::vector<double> clip_mass;
-    std::vector<std::uint8_t> clip_failed;
+    std::vector<double> live;  // 1.0 while the lane stores its rows.
+    // 1.0 where the clip-and-normalize guard found a lane's mass ~0.
+    std::vector<double> clip_failed;
+    // SweepInto's per-lane error for every lane it drops.
+    std::vector<common::Status> status;
+    // LaneIo adapter only: the lanes it runs and the gathered
+    // [time][node][lane] policy and density fields.
+    std::vector<std::uint8_t> io_alive;
+    numerics::BatchField io_policy;
+    numerics::BatchField io_density;
   };
 
   struct LaneIo {
@@ -74,6 +81,22 @@ class FpkBatchSolver {
                                         numerics::Density1D& out) const;
 
   void SolveInto(std::span<LaneIo> lanes, Workspace& ws) const;
+
+  // The sweep itself on [time][node][lane] fields ((nt + 1)·nq·lanes
+  // doubles, node i of lane l at time node n at [(n·nq + i)·lanes + l]):
+  // reads every row of `policy` and row 0 of `densities` (λ(t_0)), and
+  // writes rows 1..nt of `densities` for the lanes with alive[l] != 0 —
+  // only theirs: another lane's column is left as it was. A lane that
+  // fails gets alive[l] cleared, its error in ws.status[l], and an
+  // unspecified column.
+  void SweepInto(const double* policy, double* densities,
+                 std::span<std::uint8_t> alive, Workspace& ws) const;
+
+  // Copies lane `lane`'s column of a [time][node][lane] density field into
+  // `out` (grid, dt and every λ row), reusing `out`'s densities when they
+  // already have the lane's grid.
+  void WriteLaneInto(std::size_t lane, const double* densities,
+                     FpkSolution& out) const;
 
  private:
   std::size_t num_lanes_ = 0;

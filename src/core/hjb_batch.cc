@@ -5,6 +5,7 @@
 #include <string>
 
 #include "numerics/finite_difference.h"
+#include "numerics/lane_vector.h"
 #include "numerics/simd_support.h"
 #include "obs/flight_recorder.h"
 #include "obs/obs.h"
@@ -64,9 +65,13 @@ inline double ClampUnitInline(double x) {
 // branch is pre-folded into p2_factor/p2_extra/gated_share_price (see
 // Workspace); p3 = fq·fgt + fq·extra reproduces both scalar branches
 // bit-for-bit because the gated term is exactly +0.0 on the disabled side.
-MFGCP_BATCH_TARGET_CLONES
-void FoldControlIndependentTerms(
-    std::size_t nq, std::size_t m, const double* p1d, const double* fqd,
+//
+// M is the compile-time lane count (0 = runtime `mm`), as in
+// FusedSubstepImpl: with M fixed each row is one unrolled lane loop, with
+// no per-row trip-count and remainder bookkeeping.
+template <std::size_t M>
+__attribute__((always_inline)) inline void FoldControlIndependentTermsImpl(
+    std::size_t nq, std::size_t mm, const double* p1d, const double* fqd,
     const double* sod, const double* qpd, const double* qcd,
     const double* p2_factor, const double* fpeer_gt, const double* p2_extra,
     const double* served_peer, const double* content_size,
@@ -74,6 +79,7 @@ void FoldControlIndependentTerms(
     const double* inv_ond, const double* gated_share_price,
     const double* peer, const double* share_n, const double* eta2,
     double* __restrict based) {
+  const std::size_t m = M ? M : mm;
   for (std::size_t i = 0; i < nq; ++i) {
     const std::size_t row = i * m;
     for (std::size_t l = 0; l < m; ++l) {
@@ -99,6 +105,30 @@ void FoldControlIndependentTerms(
           trading + share_n[l] - eta2[l] * rest_delay - sharing_cost;
     }
   }
+}
+
+MFGCP_BATCH_TARGET_CLONES
+void FoldControlIndependentTerms(
+    std::size_t nq, std::size_t m, const double* p1d, const double* fqd,
+    const double* sod, const double* qpd, const double* qcd,
+    const double* p2_factor, const double* fpeer_gt, const double* p2_extra,
+    const double* served_peer, const double* content_size,
+    const double* num_requests, const double* price, const double* inv_edge,
+    const double* inv_ond, const double* gated_share_price,
+    const double* peer, const double* share_n, const double* eta2,
+    double* __restrict based) {
+#define MFGCP_FOLD(M)                                                      \
+  FoldControlIndependentTermsImpl<M>(                                      \
+      nq, m, p1d, fqd, sod, qpd, qcd, p2_factor, fpeer_gt, p2_extra,       \
+      served_peer, content_size, num_requests, price, inv_edge, inv_ond,   \
+      gated_share_price, peer, share_n, eta2, based)
+  switch (m) {
+    case 2: MFGCP_FOLD(2); break;
+    case 4: MFGCP_FOLD(4); break;
+    case 8: MFGCP_FOLD(8); break;
+    default: MFGCP_FOLD(0); break;
+  }
+#undef MFGCP_FOLD
 }
 
 // One whole CFL substep — gradient, Theorem-1 control, drift, upwind
@@ -278,36 +308,112 @@ void FusedHjbSubstep(
   }
 }
 
-// The per-output-node tail as one pass over the value surface: the
-// gradient (GradientInto's one-sided/central stencil, verbatim), the
-// Theorem-1 policy from it (the fused substep's control expression) into
-// the x* scratch, and the non-finite latch bad[l] += v − v (+0.0 for every
+// ClampUnitInline per lane.
+template <std::size_t W>
+__attribute__((always_inline)) inline numerics::LaneVector<W> ClampUnitLanes(
+    numerics::LaneVector<W> x) {
+  const numerics::LaneVector<W> zero{};
+  const numerics::LaneVector<W> one = zero + 1.0;
+  const numerics::LaneVector<W> low = x < zero ? zero : x;  // std::max.
+  return one < low ? one : low;                             // std::min.
+}
+
+// The per-output-node tail for lanes [l0, l0 + W), as one pass over the
+// value surface: the gradient (GradientInto's one-sided/central stencil,
+// verbatim), the Theorem-1 policy from it (the fused substep's control
+// expression), and the non-finite latch bad[l] += v − v (+0.0 for every
 // finite v, NaN for ±inf/NaN, so a lane pre-filled with 0.0 stays exactly
 // 0.0 iff its column is all-finite; the build never enables
-// -ffinite-math-only). The gradient lives in registers. Runs at the
-// terminal row (V = 0; the latch stays 0) and after every time node's
-// substeps, before the per-lane scatter.
+// -ffinite-math-only). The node's value and policy rows land in the
+// [node][lane] rows `value_row` / `policy_row` of the caller's
+// [time][node][lane] fields.
+//
+// kRelax folds Alg. 2's relaxed update into the same pass: the policy row
+// holds the previous iterate p, replaced by p' = (1 − γ)·p + γ·x* (the
+// learners' expression, verbatim), and the value row holds the previous
+// surface; max|p' − p| and max|V − V_prev| fold into policy_change[l] and
+// value_change[l] — exact in any order, as in RelaxAndMeasureResiduals.
+// The latch and both maxima stay in LaneVector registers across the node.
+template <std::size_t W, bool kRelax>
+__attribute__((always_inline)) inline void EmitNodeImpl(
+    std::size_t nq, std::size_t m, std::size_t l0, const double* vd,
+    const double* avd, const double* w4, const double* inv_2w5,
+    const double* opt_k1, const double* opt_k2, const double* inv_dx,
+    const double* inv_2dx, const double* gamma, double* __restrict value_row,
+    double* __restrict policy_row, double* __restrict bad,
+    double* __restrict policy_change, double* __restrict value_change) {
+  using numerics::LoadLanes;
+  using numerics::StoreLanes;
+  using Pack = numerics::LaneVector<W>;
+  const Pack w4_l = LoadLanes<W>(w4 + l0);
+  const Pack inv_2w5_l = LoadLanes<W>(inv_2w5 + l0);
+  const Pack k1 = LoadLanes<W>(opt_k1 + l0);
+  const Pack k2 = LoadLanes<W>(opt_k2 + l0);
+  const Pack one_sided = LoadLanes<W>(inv_dx + l0);
+  const Pack central = LoadLanes<W>(inv_2dx + l0);
+  Pack latch = LoadLanes<W>(bad + l0);
+  Pack gamma_l{};
+  Pack dp{};
+  Pack dv_max{};
+  if constexpr (kRelax) {
+    gamma_l = LoadLanes<W>(gamma + l0);
+    dp = LoadLanes<W>(policy_change + l0);
+    dv_max = LoadLanes<W>(value_change + l0);
+  }
+  for (std::size_t i = 0; i < nq; ++i) {
+    const std::size_t row = i * m + l0;
+    // Row i's stencil ends (one-sided at the boundaries).
+    const std::size_t hi = (i + 1 < nq ? i + 1 : i) * m + l0;
+    const std::size_t lo = (i > 0 ? i - 1 : i) * m + l0;
+    const Pack inv = (i > 0 && i + 1 < nq) ? central : one_sided;
+    const Pack v = LoadLanes<W>(vd + row);
+    latch += v - v;
+    const Pack dv = (LoadLanes<W>(vd + hi) - LoadLanes<W>(vd + lo)) * inv;
+    const Pack numerator = w4_l + LoadLanes<W>(avd + row) * (k1 + k2 * dv);
+    const Pack x = ClampUnitLanes<W>(-numerator * inv_2w5_l);
+    if constexpr (kRelax) {
+      const Pack old = LoadLanes<W>(policy_row + row);
+      const Pack updated = (1.0 - gamma_l) * old + gamma_l * x;
+      dp = numerics::MaxKeepLanes<W>(dp, numerics::AbsLanes<W>(updated - old));
+      dv_max = numerics::MaxKeepLanes<W>(
+          dv_max, numerics::AbsLanes<W>(v - LoadLanes<W>(value_row + row)));
+      StoreLanes<W>(policy_row + row, updated);
+    } else {
+      StoreLanes<W>(policy_row + row, x);
+    }
+    StoreLanes<W>(value_row + row, v);
+  }
+  StoreLanes<W>(bad + l0, latch);
+  if constexpr (kRelax) {
+    StoreLanes<W>(policy_change + l0, dp);
+    StoreLanes<W>(value_change + l0, dv_max);
+  }
+}
+
+// Runs the tail over every lane as lane packs, relaxed when `gamma` is
+// non-null.
 MFGCP_BATCH_TARGET_CLONES
 void EmitNode(std::size_t nq, std::size_t m, const double* vd,
               const double* avd, const double* w4, const double* inv_2w5,
               const double* opt_k1, const double* opt_k2,
               const double* inv_dx, const double* inv_2dx,
-              double* __restrict xsd, double* __restrict bad) {
-  for (std::size_t i = 0; i < nq; ++i) {
-    const std::size_t row = i * m;
-    // Row i's stencil ends (one-sided at the boundaries).
-    const std::size_t hi = (i + 1 < nq ? i + 1 : i) * m;
-    const std::size_t lo = (i > 0 ? i - 1 : i) * m;
-    const double* inv = (i > 0 && i + 1 < nq) ? inv_2dx : inv_dx;
-    for (std::size_t l = 0; l < m; ++l) {
-      const double v = vd[row + l];
-      bad[l] += v - v;
-      const double dv = (vd[hi + l] - vd[lo + l]) * inv[l];
-      const double numerator =
-          w4[l] + avd[row + l] * (opt_k1[l] + opt_k2[l] * dv);
-      xsd[row + l] = ClampUnitInline(-numerator * inv_2w5[l]);
-    }
-  }
+              const double* gamma, double* __restrict value_row,
+              double* __restrict policy_row, double* __restrict bad,
+              double* __restrict policy_change,
+              double* __restrict value_change) {
+  numerics::ForEachLaneChunk(
+      m, [&]<std::size_t W>(std::size_t l0) __attribute__((always_inline)) {
+        if (gamma == nullptr) {
+          EmitNodeImpl<W, false>(nq, m, l0, vd, avd, w4, inv_2w5, opt_k1,
+                                 opt_k2, inv_dx, inv_2dx, gamma, value_row,
+                                 policy_row, bad, policy_change,
+                                 value_change);
+        } else {
+          EmitNodeImpl<W, true>(nq, m, l0, vd, avd, w4, inv_2w5, opt_k1,
+                                opt_k2, inv_dx, inv_2dx, gamma, value_row,
+                                policy_row, bad, policy_change, value_change);
+        }
+      });
 }
 
 }  // namespace
@@ -446,27 +552,14 @@ common::Status HjbBatchSolver::BindLane(std::size_t lane,
 }
 
 void HjbBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
-  MFG_OBS_SPAN("HjbBatch.SolveInto");
-  std::size_t timed_lanes = 0;  // One core.hjb.sweeps count each.
-  MFG_OBS_SCOPED_LANE_TIMER("core.hjb.sweep_seconds", timed_lanes);
   const std::size_t m = num_lanes_;
-  const std::size_t nq = nq_;
   const std::size_t nt = nt_;
-
-  // `alive` tracks lanes still advancing; a lane leaves the batch on the
-  // same condition that fails the scalar solve.
-  std::vector<std::uint8_t>& alive = ws.alive;
-  std::vector<double>& update = ws.update;
-  alive.assign(m, 0);
-  update.assign(m, 0.0);
-  ws.bad.assign(m, 0.0);
-
-  std::size_t max_substeps = 0;
+  const std::size_t nq = nq_;
+  ws.io_alive.assign(m, 0);
+  ws.io_mean_field.resize((nt + 1) * m);
   for (std::size_t l = 0; l < m; ++l) {
     LaneIo& lane = lanes[l];
     if (!lane.active) continue;
-    MFG_OBS_COUNT("core.hjb.sweeps", 1);
-    ++timed_lanes;
     lane.status = common::Status::Ok();
     // Per-lane validation, verbatim from the scalar SolveInto.
     if (lane.mean_field->size() != nt + 1) {
@@ -475,39 +568,88 @@ void HjbBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
           std::to_string(lane.mean_field->size()));
       continue;
     }
+    for (std::size_t n = 0; n <= nt; ++n) {
+      ws.io_mean_field[n * m + l] = (*lane.mean_field)[n];
+    }
+    ws.io_alive[l] = 1;
+  }
+  ws.io_value.Reshape((nt + 1) * nq, m);
+  ws.io_policy.Reshape((nt + 1) * nq, m);
+  SweepInto(ws.io_mean_field, {ws.io_value.data(), ws.io_policy.data()},
+            ws.io_alive, ws);
+  for (std::size_t l = 0; l < m; ++l) {
+    LaneIo& lane = lanes[l];
+    if (!lane.active || !lane.status.ok()) continue;
+    if (ws.io_alive[l] == 0) {
+      lane.status = ws.status[l];
+      continue;
+    }
+    WriteLaneInto(l, ws.io_value.data(), ws.io_policy.data(),
+                  *lane.solution);
+  }
+}
+
+void HjbBatchSolver::WriteLaneInto(std::size_t lane, const double* value,
+                                   const double* policy,
+                                   HjbSolution& out) const {
+  const std::size_t m = num_lanes_;
+  const std::size_t nq = nq_;
+  const std::size_t nt = nt_;
+  out.q_grid = grids_[lane];
+  out.dt = dt_[lane];
+  out.value.Reshape(nt + 1, nq);
+  out.policy.Reshape(nt + 1, nq);
+  double* __restrict value_out = out.value.data();
+  double* __restrict policy_out = out.policy.data();
+  const std::size_t elements = (nt + 1) * nq;
+  for (std::size_t k = 0; k < elements; ++k) {
+    value_out[k] = value[k * m + lane];
+    policy_out[k] = policy[k * m + lane];
+  }
+}
+
+void HjbBatchSolver::SweepInto(std::span<const MeanFieldQuantities> mean_field,
+                               const Fields& out,
+                               std::span<std::uint8_t> alive,
+                               Workspace& ws) const {
+  MFG_OBS_SPAN("HjbBatch.SolveInto");
+  std::size_t timed_lanes = 0;  // One core.hjb.sweeps count each.
+  MFG_OBS_SCOPED_LANE_TIMER("core.hjb.sweep_seconds", timed_lanes);
+  const std::size_t m = num_lanes_;
+  const std::size_t nq = nq_;
+  const std::size_t nt = nt_;
+  const std::size_t row_size = nq * m;
+
+  std::vector<double>& update = ws.update;
+  update.assign(m, 0.0);
+  ws.bad.assign(m, 0.0);
+  ws.status.resize(m);
+
+  std::size_t max_substeps = 0;
+  for (std::size_t l = 0; l < m; ++l) {
+    if (!alive[l]) continue;
+    MFG_OBS_COUNT("core.hjb.sweeps", 1);
+    ++timed_lanes;
+    // Per-lane validation, verbatim from the scalar SolveInto.
+    const char* invalid = nullptr;
     if (cloud_rate_[l] <= 0.0 || ondemand_rate_[l] <= 0.0) {
-      lane.status =
-          common::Status::InvalidArgument("cloud rates must be positive");
+      invalid = "cloud rates must be positive";
+    } else if (edge_rate_[l] <= 0.0) {
+      invalid = "edge rate must be positive";
+    } else if (content_size_[l] <= 0.0) {
+      invalid = "content size must be positive";
+    } else if (eta2_[l] < 0.0) {
+      invalid = "eta2 must be non-negative";
+    }
+    if (invalid != nullptr) {
+      ws.status[l] = common::Status::InvalidArgument(invalid);
+      alive[l] = 0;
       continue;
     }
-    if (edge_rate_[l] <= 0.0) {
-      lane.status =
-          common::Status::InvalidArgument("edge rate must be positive");
-      continue;
-    }
-    if (content_size_[l] <= 0.0) {
-      lane.status =
-          common::Status::InvalidArgument("content size must be positive");
-      continue;
-    }
-    if (eta2_[l] < 0.0) {
-      lane.status =
-          common::Status::InvalidArgument("eta2 must be non-negative");
-      continue;
-    }
-    HjbSolution& solution = *lane.solution;
-    solution.q_grid = grids_[l];
-    solution.dt = dt_[l];
-    // No fill: the sweep writes every row of a live lane (V(T) = 0
-    // explicitly below); a failed lane's rows are unspecified.
-    solution.value.Reshape(nt + 1, nq);
-    solution.policy.Reshape(nt + 1, nq);
-    alive[l] = 1;
     max_substeps = std::max(max_substeps, substeps_[l]);
   }
 
   ws.v.Assign(nq, m, 0.0);
-  ws.x_star.Assign(nq, m, 0.0);
   ws.base.Assign(nq, m, 0.0);
   ws.rot.assign(4 * m, 0.0);
   ws.p2_factor.assign(m, 0.0);
@@ -546,37 +688,19 @@ void HjbBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
   const double* i_dx = inv_dx_.data();
   const double* i_2dx = inv_2dx_.data();
   const double* vd = ws.v.data();
-  double* xsd = ws.x_star.data();
-
-  // Copies each live lane's column of v and x* into its output rows for
-  // time node n, through raw row pointers.
-  auto scatter = [&](std::size_t n) {
-    for (std::size_t l = 0; l < m; ++l) {
-      if (!alive[l]) continue;
-      HjbSolution& solution = *lanes[l].solution;
-      double* __restrict value_row = solution.value[n].data();
-      double* __restrict policy_row = solution.policy[n].data();
-      for (std::size_t i = 0; i < nq; ++i) {
-        value_row[i] = vd[i * m + l];
-        policy_row[i] = xsd[i * m + l];
-      }
-    }
-  };
 
   // Terminal condition V(T, ·) = 0 (ws.v is all zeros) and the
-  // corresponding terminal policy, computed in batch layout and scattered
-  // per lane like every other node — a strided copy is much cheaper than
-  // evaluating Theorem 1 element-by-element down a 64-byte-strided column.
-  EmitNode(nq, m, vd, avd, w4, i2w5, k1, k2, i_dx, i_2dx, xsd,
-           ws.bad.data());
-  scatter(nt);
+  // corresponding terminal policy, emitted like every other node.
+  EmitNode(nq, m, vd, avd, w4, i2w5, k1, k2, i_dx, i_2dx, out.gamma,
+           out.value + nt * row_size, out.policy + nt * row_size,
+           ws.bad.data(), out.policy_change, out.value_change);
 
   for (std::size_t n = nt; n-- > 0;) {
     // Per-lane per-node folds; the logistic pair here is the only
     // transcendental of the whole output interval.
     for (std::size_t l = 0; l < m; ++l) {
       if (!alive[l]) continue;
-      const MeanFieldQuantities& mf = (*lanes[l].mean_field)[n];
+      const MeanFieldQuantities& mf = mean_field[n * m + l];
       const MfgParams& params = params_[l];
       ws.peer[l] = mf.mean_peer_remaining;
       ws.price[l] = mf.price;
@@ -594,7 +718,7 @@ void HjbBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
 
     // Control-independent fold, collapsed into the single per-node table
     // ws.base — the scalar loop with the separable case factors
-    // substituted. Dead lanes compute garbage that is never scattered.
+    // substituted. Dead lanes compute garbage that is never read.
     FoldControlIndependentTerms(
         nq, m, p1d, fqd, sod, qpd, qcd, ws.p2_factor.data(),
         ws.fpeer_gt.data(), ws.p2_extra.data(), ws.served_peer.data(), cs,
@@ -617,28 +741,27 @@ void HjbBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
     // through the affine update and the select keeps a masked lane's bits),
     // so a lane that diverged at any substep of this node is still caught
     // by EmitNode's latch, with the same time-node error the scalar solver
-    // reports, before anything is scattered.
+    // reports.
     std::fill(ws.bad.begin(), ws.bad.end(), 0.0);
-    EmitNode(nq, m, vd, avd, w4, i2w5, k1, k2, i_dx, i_2dx, xsd,
-             ws.bad.data());
+    EmitNode(nq, m, vd, avd, w4, i2w5, k1, k2, i_dx, i_2dx, out.gamma,
+             out.value + n * row_size, out.policy + n * row_size,
+             ws.bad.data(), out.policy_change, out.value_change);
     for (std::size_t l = 0; l < m; ++l) {
       if (alive[l] == 0 || ws.bad[l] == 0.0) continue;
       MFG_FLIGHT_EVENT(kDivergence, obs::kFlightDivergenceHjb,
                        params_[l].content_id, static_cast<std::uint32_t>(n),
                        0.0, 0.0);
-      lanes[l].status = common::Status::NumericalError(
+      ws.status[l] = common::Status::NumericalError(
           "HJB value diverged at time node " + std::to_string(n));
       alive[l] = 0;
     }
-    scatter(n);
   }
 
   for (std::size_t l = 0; l < m; ++l) {
     if (!alive[l]) continue;
     MFG_FLIGHT_EVENT(kHjbSweep, 0, params_[l].content_id, 0,
                      static_cast<double>(substeps_[l]),
-                     obs::FlightMaxAbs(std::span<const double>(
-                         lanes[l].solution->value[0])));
+                     obs::FlightMaxAbs(out.value + l, nq, m));
   }
 }
 

@@ -34,12 +34,17 @@
 //    harmlessly but their value update is masked out by a per-lane select,
 //    never by multiply-by-zero (NaN·0 would poison the lane).
 //
+// The sweep core (SweepInto) writes straight into the caller's
+// [time][node][lane] value and policy fields, optionally folding Alg. 2's
+// relaxed update and residual maxima into each node's tail — the batched
+// learner keeps its whole iterate in that layout. SolveInto's per-lane
+// LaneIo entry point is an adapter over the same core.
+//
 // A lane that diverges (non-finite value surface, exactly the scalar
-// check) is recorded in its LaneIo::status and drops out of the batch; the
-// remaining lanes are unaffected. A failed lane's output rows are
-// unspecified (the output is reshaped without a fill). The caller
-// (BatchBestResponseLearner) routes such lanes onto the scalar recovery
-// ladder.
+// check) is recorded in its status and drops out of the batch; the
+// remaining lanes are unaffected. A failed lane's output is unspecified.
+// The caller (BatchBestResponseLearner) routes such lanes onto the scalar
+// recovery ladder.
 
 namespace mfg::core {
 
@@ -48,14 +53,12 @@ class HjbBatchSolver {
   // SoA scratch sized (nq x lanes); Assign() reuse keeps repeated solves
   // allocation-free (allocs_per_epoch=0).
   struct Workspace {
-    // The substep loop is a single fused pass (see FusedHjbSubstep in the
-    // .cc): gradient, control, drift, upwind and second derivative live in
-    // registers, so only the value surface itself, the per-node folds and
-    // the policy scratch need workspace storage. x_star backs the
-    // terminal-condition and per-node policy scatter (EmitNode in the .cc
-    // keeps the gradient in registers too).
+    // The running value surface of the backward sweep. The substep loop is
+    // a single fused pass (see FusedHjbSubstep in the .cc): gradient,
+    // control, drift, upwind and second derivative live in registers, and
+    // each node's tail (EmitNode) writes its value and policy rows straight
+    // into the caller's [time][node][lane] fields.
     numerics::BatchField v;
-    numerics::BatchField x_star;
     // Per-(node, lane) fold of every control-independent utility term
     // (trading income, sharing benefit, η₂·request-service delay, sharing
     // cost), recomputed once per time node — the substep loop streams this
@@ -76,7 +79,6 @@ class HjbBatchSolver {
     std::vector<double> num_requests;
     std::vector<double> price;
     std::vector<double> peer;
-    std::vector<std::uint8_t> alive;  // Lane still advancing.
     // Per-substep value-update mask and per-lane divergence accumulator,
     // kept as doubles (0.0 / nonzero): double-wide select masks vectorize
     // where a byte-mask blend against double data does not.
@@ -86,6 +88,14 @@ class HjbBatchSolver {
     // value rows plus the carried d²v row, 4·lanes doubles); the
     // compile-time lane specializations keep these in registers instead.
     std::vector<double> rot;
+    // SweepInto's per-lane error for every lane it drops.
+    std::vector<common::Status> status;
+    // LaneIo adapter only: the gathered [time][lane] mean field, the lanes
+    // it runs, and the [time][node][lane] output fields it scatters.
+    std::vector<MeanFieldQuantities> io_mean_field;
+    std::vector<std::uint8_t> io_alive;
+    numerics::BatchField io_value;
+    numerics::BatchField io_policy;
   };
 
   // Per-lane solve IO. Inactive lanes are skipped entirely (their solution
@@ -96,6 +106,23 @@ class HjbBatchSolver {
     HjbSolution* solution = nullptr;
     bool active = false;
     common::Status status;
+  };
+
+  // The sweep's batch-resident output: [time][node][lane] fields of
+  // (nt + 1)·nq·lanes doubles, node i of lane l at time node n stored at
+  // [(n·nq + i)·lanes + l].
+  struct Fields {
+    double* value = nullptr;
+    double* policy = nullptr;
+    // Relaxed mode (Alg. 2, line 6) when non-null, one γ per lane: on
+    // entry `policy` holds the previous iterate p and `value` the previous
+    // surface (all +0.0 before the first iteration). Each node then writes
+    // p' = (1 − γ)·p + γ·x* instead of x*, and folds max|p' − p| and
+    // max|V − V_prev| into policy_change[l] / value_change[l], which the
+    // caller starts at +0.0.
+    const double* gamma = nullptr;
+    double* policy_change = nullptr;
+    double* value_change = nullptr;
   };
 
   HjbBatchSolver() = default;
@@ -114,8 +141,23 @@ class HjbBatchSolver {
 
   // Runs the backward sweep for every active lane. lanes.size() must equal
   // num_lanes(). Statuses are written per lane; the call itself cannot
-  // fail globally.
+  // fail globally. An adapter over SweepInto: gathers the mean field into
+  // batch layout, sweeps, and scatters each live lane's rows.
   void SolveInto(std::span<LaneIo> lanes, Workspace& ws) const;
+
+  // The sweep itself, on a [time][lane] mean field (entry n·lanes + l).
+  // Runs the lanes with alive[l] != 0; a lane that fails gets alive[l]
+  // cleared and its error in ws.status[l]. Every lane's columns of `out`
+  // may be written; only the live lanes' hold the solution.
+  void SweepInto(std::span<const MeanFieldQuantities> mean_field,
+                 const Fields& out, std::span<std::uint8_t> alive,
+                 Workspace& ws) const;
+
+  // Copies lane `lane`'s columns of [time][node][lane] value and policy
+  // fields into `out` (grid, dt and both surfaces); allocation-free once
+  // `out` has had the shape.
+  void WriteLaneInto(std::size_t lane, const double* value,
+                     const double* policy, HjbSolution& out) const;
 
  private:
   std::size_t num_lanes_ = 0;

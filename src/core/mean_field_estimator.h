@@ -1,11 +1,14 @@
 #ifndef MFGCP_CORE_MEAN_FIELD_ESTIMATOR_H_
 #define MFGCP_CORE_MEAN_FIELD_ESTIMATOR_H_
 
+#include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "common/status.h"
 #include "core/mfg_params.h"
+#include "numerics/batch_field.h"
 #include "numerics/density.h"
 #include "numerics/grid.h"
 #include "numerics/time_field.h"
@@ -34,6 +37,10 @@
 // the partial cell widths — depends on the params alone, so Create/Rebind
 // tabulate it and a slice estimate is one straight pass over the density
 // and policy rows, bitwise equal to calling the quadrature helpers.
+//
+// MeanFieldBatchEstimator (below) runs the same pass lane-parallel over a
+// block of contents held in the batched learner's [time][node][lane]
+// fields.
 
 namespace mfg::core {
 
@@ -75,8 +82,9 @@ class MeanFieldEstimator {
 
   // Every time node of a trajectory at once: out[n] is the estimate of
   // (densities[n], policy[n]). The best-response loop's call; validates all
-  // nodes before writing any and counts densities.size() estimates in one
-  // counter update. `out` is resized to densities.size().
+  // nodes before writing any, counts densities.size() estimates in one
+  // counter update and times the call as one trajectory. `out` is resized
+  // to densities.size().
   common::Status EstimateTrajectoryInto(
       std::span<const numerics::Density1D> densities,
       const numerics::TimeField2D& policy, Workspace& workspace,
@@ -85,6 +93,8 @@ class MeanFieldEstimator {
   const MfgParams& params() const { return params_; }
 
  private:
+  friend class MeanFieldBatchEstimator;
+
   // TrapezoidOnInterval(grid, f, a, b) with everything that does not depend
   // on f precomputed (same expressions, so the same bits).
   struct IntervalTable {
@@ -110,6 +120,16 @@ class MeanFieldEstimator {
     InitTables();
   }
 
+  // λ and q·λ interpolated at the interval ends.
+  struct SliceEnds {
+    double sa_w = 0.0;
+    double sb_w = 0.0;
+    double sa_v = 0.0;
+    double sb_v = 0.0;
+    double da_w = 0.0;
+    double db_w = 0.0;
+  };
+
   void InitTables();
   common::Status CheckSlice(const numerics::Density1D& density,
                             std::size_t policy_size) const;
@@ -117,6 +137,18 @@ class MeanFieldEstimator {
   // policy row x.
   void EstimateSlice(const double* v, const double* x,
                      MeanFieldQuantities& out) const;
+  // The two ends of that pass around the interior walk (shared with the
+  // lane-parallel estimator): node i of the slice is v[i * stride] /
+  // x[i * stride], and sum k (rate, peer, sharer moment, sharer mass,
+  // needer moment) sits at sums[k * sum_stride]. OpenSlice interpolates
+  // the interval ends and starts every sum (halved end nodes, head partial
+  // cells); CloseSlice adds the tail partial cells and derives the
+  // quantities from the walked sums.
+  void OpenSlice(const double* v, const double* x, std::size_t stride,
+                 SliceEnds& ends, double* sums, std::size_t sum_stride) const;
+  void CloseSlice(const double* v, std::size_t stride, const SliceEnds& ends,
+                  const double* sums, std::size_t sum_stride,
+                  MeanFieldQuantities& out) const;
 
   MfgParams params_;
   numerics::Grid1D q_grid_;
@@ -124,6 +156,53 @@ class MeanFieldEstimator {
   std::vector<double> q_coords_;  // q_grid_.x(i).
   IntervalTable sharer_;          // [lo, αQ].
   IntervalTable needer_;          // [αQ, hi].
+};
+
+// Lane-parallel MeanFieldEstimator::EstimateTrajectoryInto for a block of
+// K contents (the lanes of BatchBestResponseLearner), reading the batch's
+// [time][node][lane] density and policy fields in place: node i of lane l
+// at time node n is field[(n * nq + i) * K + l].
+//
+// Each lane runs its own estimator's expression tree: the interval ends
+// and closing terms go through the lane's MeanFieldEstimator, and the
+// interior walk — the bulk of the work — runs across lanes at unit stride
+// with the sums in registers (numerics/lane_vector.h packs). A lane's
+// interior-cell ranges become [cell][lane] LaneSelect masks, never
+// multiply-by-mask, so every output is bitwise the per-lane call's
+// (guarded by LaneParallelTrajectoryMatchesPerLaneBitwise).
+class MeanFieldBatchEstimator {
+ public:
+  MeanFieldBatchEstimator() = default;
+
+  // Declares the batch width; lanes [0, num_lanes) must be bound before
+  // use. Grow-only: lanes keep their estimators across ragged blocks.
+  void Reset(std::size_t num_lanes);
+
+  // Validates and tabulates lane `lane` (MeanFieldEstimator::Create or
+  // Rebind). All bound lanes must share the q-grid size.
+  common::Status BindLane(std::size_t lane, const MfgParams& params);
+
+  // Estimates time nodes [0, nodes) of every lane with counted[l] != 0
+  // into out[n * K + l]; the other lanes' entries are left as they are
+  // (their field columns may hold anything). Counts and times one
+  // trajectory — nodes estimates — per counted lane.
+  void EstimateTrajectoryInto(std::size_t nodes, const double* densities,
+                              const double* policy,
+                              std::span<const std::uint8_t> counted,
+                              std::span<MeanFieldQuantities> out) const;
+
+ private:
+  std::size_t num_lanes_ = 0;
+  std::size_t bound_lanes_ = 0;
+  std::size_t nq_ = 0;
+  // optional<> because MeanFieldEstimator has no default constructor.
+  std::vector<std::optional<MeanFieldEstimator>> lanes_;
+  // [node][lane] tables: node coordinates, and 1.0 where cell c is an
+  // interior cell of the lane's sharer / needer interval (else 0.0).
+  numerics::BatchField q_coords_;
+  numerics::BatchField in_sharer_;
+  numerics::BatchField in_needer_;
+  std::vector<double> dx_;
 };
 
 }  // namespace mfg::core

@@ -33,6 +33,14 @@ class BatchField {
     data_.assign(nodes * lanes, fill);
   }
 
+  // Resizes to nodes x lanes without the fill (TimeField2D::Reshape): for
+  // outputs whose every element the caller writes before reading it.
+  void Reshape(std::size_t nodes, std::size_t lanes) {
+    nodes_ = nodes;
+    lanes_ = lanes;
+    data_.resize(nodes * lanes);
+  }
+
   std::size_t nodes() const { return nodes_; }
   std::size_t lanes() const { return lanes_; }
   bool empty() const { return data_.empty(); }

@@ -110,6 +110,17 @@ inline double FlightMaxAbs(std::span<const double> values) {
   return max_abs;
 }
 
+// The same over `count` values `stride` apart: one lane's row of a
+// batched [node][lane] field.
+inline double FlightMaxAbs(const double* values, std::size_t count,
+                           std::size_t stride) {
+  double max_abs = 0.0;
+  for (std::size_t i = 0; i < count; ++i) {
+    max_abs = std::max(max_abs, std::fabs(values[i * stride]));
+  }
+  return max_abs;
+}
+
 class FlightJournal {
  public:
   static constexpr std::size_t kDefaultRingCapacity = 4096;

@@ -22,6 +22,7 @@
 
 #include "core/best_response.h"
 #include "core/best_response_batch.h"
+#include "core/fault_injection.h"
 #include "core/fpk_batch.h"
 #include "core/fpk_solver.h"
 #include "core/hjb_batch.h"
@@ -330,6 +331,69 @@ TEST_P(BatchSolverTest, BestResponseBatchMatchesScalarBitwise) {
     EXPECT_TRUE(any_converged);
     EXPECT_TRUE(any_unconverged);
   }
+}
+
+// A lane that fails inside the lockstep loop — an injected kHjbStep or
+// kFpkStep fault on its content — must report the scalar learner's exact
+// error, while its neighbours, leaving at different iterations (converged
+// or exhausted), stay bitwise equal to their scalar solves: the batch-
+// resident fields carry no cross-lane state.
+TEST_P(BatchSolverTest, BestResponseBatchFailedLaneLeavesNeighboursBitwise) {
+#if !MFGCP_FAULTS_ENABLED
+  GTEST_SKIP() << "built with MFGCP_FAULTS=OFF; needs the injection seam";
+#else
+  const std::size_t lanes = GetParam();
+  const std::size_t failed = lanes / 2;
+  auto lane_params = [](std::size_t l) {
+    MfgParams params = LaneParams(l);
+    params.learning.max_iterations = 3 + 2 * l;
+    return params;
+  };
+  for (const faults::FaultSite site :
+       {faults::FaultSite::kHjbStep, faults::FaultSite::kFpkStep}) {
+    SCOPED_TRACE(faults::FaultSiteName(site));
+    faults::FaultPlan plan;
+    faults::FaultSpec spec;
+    spec.site = site;
+    spec.epoch = 3;
+    spec.content = 100 + failed;
+    plan.Add(spec);
+    faults::ScopedFaultInjection arm(plan);
+
+    BatchBestResponseLearner batch;
+    batch.Reset(lanes);
+    std::vector<Equilibrium> equilibria(lanes);
+    std::vector<BatchBestResponseLearner::LaneJob> jobs(lanes);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      ASSERT_TRUE(batch.BindLane(l, lane_params(l)).ok()) << "lane " << l;
+      jobs[l].epoch = 3;
+      jobs[l].content = 100 + l;
+      jobs[l].active = true;
+      jobs[l].out = &equilibria[l];
+    }
+    BatchBestResponseLearner::Workspace ws;
+    batch.SolveInto(jobs, ws);
+
+    for (std::size_t l = 0; l < lanes; ++l) {
+      SCOPED_TRACE(::testing::Message() << "lane " << l);
+      auto scalar = BestResponseLearner::Create(lane_params(l)).value();
+      BestResponseLearner::Workspace sws;
+      Equilibrium expected;
+      // The scalar solve under the lane's ambient fault coordinates.
+      faults::ScopedFaultScope scope(3, 100 + l, 0);
+      const common::Status status = scalar.SolveInto(sws, expected);
+      if (l == failed) {
+        ASSERT_FALSE(status.ok());
+        EXPECT_EQ(jobs[l].status.code(), status.code());
+        EXPECT_EQ(jobs[l].status.message(), status.message());
+        continue;
+      }
+      ASSERT_TRUE(status.ok());
+      ASSERT_TRUE(jobs[l].status.ok()) << jobs[l].status;
+      ExpectEquilibriumIdentical(equilibria[l], expected);
+    }
+  }
+#endif
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, BatchSolverTest,

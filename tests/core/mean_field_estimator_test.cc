@@ -275,6 +275,107 @@ TEST(MeanFieldEstimatorTest, MatchesQuadratureHelpersBitwise) {
   }
 }
 
+// Lane-parallel trajectory estimates over a [time][node][lane] block must
+// equal the per-lane EstimateTrajectoryInto bit for bit, at every width.
+// Lanes take the batched learner's heterogeneous content sizes (60–140 MB:
+// dx, node coordinates and αQ all differ per lane) and mix the interval
+// shapes: αQ on a grid node, a sharer interval inside the first cell, and
+// thresholds inside interior cells, with sharing on and off.
+TEST(MeanFieldEstimatorTest, LaneParallelTrajectoryMatchesPerLaneBitwise) {
+  static constexpr double kSizes[] = {100.0, 60.0, 140.0, 90.0,
+                                      120.0, 75.0, 105.0, 130.0};
+  // Lane 0: αQ = 20 is node 8 of the 41-node [0, 100] grid. Lane 1:
+  // αQ = 0.6 < dx = 1.5, a one-cell sharer interval.
+  static constexpr double kAlphas[] = {0.2,  0.01, 0.237, 0.5,
+                                       0.33, 0.2,  0.71,  0.9};
+  constexpr std::size_t kNodes = 41;
+  constexpr std::size_t kSlices = 12;
+  for (const std::size_t lanes : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(::testing::Message() << "K" << lanes);
+    std::vector<MfgParams> params(lanes);
+    MeanFieldBatchEstimator batch;
+    batch.Reset(lanes);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      params[l] = DefaultPaperParams();
+      params[l].grid.num_q_nodes = kNodes;
+      params[l].content_size = kSizes[l];
+      params[l].case_alpha = kAlphas[l];
+      params[l].sharing_enabled = l != 3;
+      ASSERT_TRUE(batch.BindLane(l, params[l]).ok()) << "lane " << l;
+    }
+    {
+      const numerics::Grid1D grid = params[0].MakeQGrid().value();
+      ASSERT_EQ(params[0].case_alpha * params[0].content_size, grid.x(8));
+    }
+    if (lanes >= 2) {
+      const numerics::Grid1D grid = params[1].MakeQGrid().value();
+      ASSERT_LT(params[1].case_alpha * params[1].content_size, grid.x(1));
+    }
+
+    // Seeded densities (some exact zeros, unnormalized) and policies, laid
+    // out per lane for the reference and interleaved for the batch.
+    std::mt19937_64 rng(lanes);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    std::vector<double> density_field(kSlices * kNodes * lanes);
+    std::vector<double> policy_field(kSlices * kNodes * lanes);
+    for (double& v : density_field) {
+      const double u = unit(rng);
+      v = u < 0.1 ? 0.0 : 0.05 * u;
+    }
+    for (double& x : policy_field) x = unit(rng);
+
+    const MeanFieldQuantities kUntouched{-1.0, -1.0, -1.0, -1.0,
+                                         -1.0, -1.0, -1.0};
+    std::vector<MeanFieldQuantities> out(kSlices * lanes, kUntouched);
+    // The last lane of a wide block is left out: its entries must stay.
+    std::vector<std::uint8_t> counted(lanes, 1);
+    if (lanes >= 4) counted[lanes - 1] = 0;
+    batch.EstimateTrajectoryInto(kSlices, density_field.data(),
+                                 policy_field.data(), counted, out);
+
+    for (std::size_t l = 0; l < lanes; ++l) {
+      SCOPED_TRACE(::testing::Message() << "lane " << l);
+      const numerics::Grid1D grid = params[l].MakeQGrid().value();
+      std::vector<numerics::Density1D> densities;
+      numerics::TimeField2D policy(kSlices, kNodes, 0.0);
+      for (std::size_t n = 0; n < kSlices; ++n) {
+        std::vector<double> values(kNodes);
+        for (std::size_t i = 0; i < kNodes; ++i) {
+          values[i] = density_field[(n * kNodes + i) * lanes + l];
+          policy[n][i] = policy_field[(n * kNodes + i) * lanes + l];
+        }
+        densities.push_back(
+            numerics::Density1D::FromSamplesUnchecked(grid, values).value());
+      }
+      const auto estimator = MeanFieldEstimator::Create(params[l]).value();
+      MeanFieldEstimator::Workspace workspace;
+      std::vector<MeanFieldQuantities> expected;
+      ASSERT_TRUE(estimator
+                      .EstimateTrajectoryInto(densities, policy, workspace,
+                                              expected)
+                      .ok());
+      for (std::size_t n = 0; n < kSlices; ++n) {
+        SCOPED_TRACE(::testing::Message() << "slice " << n);
+        const MeanFieldQuantities& want =
+            counted[l] != 0 ? expected[n] : kUntouched;
+        const MeanFieldQuantities& got = out[n * lanes + l];
+        ExpectBitwiseEqual(got.mean_caching_rate, want.mean_caching_rate,
+                           "mean_caching_rate");
+        ExpectBitwiseEqual(got.price, want.price, "price");
+        ExpectBitwiseEqual(got.mean_peer_remaining, want.mean_peer_remaining,
+                           "mean_peer_remaining");
+        ExpectBitwiseEqual(got.delta_q, want.delta_q, "delta_q");
+        ExpectBitwiseEqual(got.sharer_fraction, want.sharer_fraction,
+                           "sharer_fraction");
+        ExpectBitwiseEqual(got.case3_fraction, want.case3_fraction,
+                           "case3_fraction");
+        ExpectBitwiseEqual(got.sharing_benefit, want.sharing_benefit,
+                           "sharing_benefit");
+      }
+    }
+  }
+}
+
 TEST(MeanFieldEstimatorTest, RejectsDensityOffTheParamsGrid) {
   MfgParams params = MakeParams();
   auto estimator = MeanFieldEstimator::Create(params).value();

@@ -127,6 +127,7 @@ TEST(ObsEquivalenceTest, SolverTimerCountsMatchTheirCounters) {
       {"core.hjb.sweep_seconds", "core.hjb.sweeps"},
       {"core.fpk.sweep_seconds", "core.fpk.sweeps"},
       {"core.best_response.seconds", "core.best_response.solves"},
+      {"core.mean_field.trajectory_seconds", "core.mean_field.trajectories"},
   };
   constexpr std::size_t kContents = 8;
   obs::Registry& registry = obs::Registry::Global();
