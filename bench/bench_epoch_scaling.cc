@@ -108,7 +108,7 @@ BENCHMARK(BM_PlanEpochInto64)
     ->UseRealTime();
 
 // Batch-width sweep at workers=1: how much of the epoch cost the SoA
-// batch path recovers on one core. Width 1 is the scalar per-slot path.
+// batch path recovers on one core. Width 1 solves one content per block.
 void BM_PlanEpochInto64BatchWidth(benchmark::State& state) {
   core::MfgCpOptions options = ScalingOptions(1);
   options.batch_width = static_cast<std::size_t>(state.range(0));

@@ -258,7 +258,7 @@ BENCHMARK(BM_BestResponseBatchSolveInto)
 // End-to-end Alg. 1 epoch over a 64-content Zipf catalog: the per-epoch
 // planning cost an operator actually pays. Runs serial so the time is one
 // core's worth of the K' equilibrium solves. The argument is the SoA
-// batch width (1 = the scalar per-slot path).
+// batch width (1 = one content per block).
 void BM_PlanEpoch64(benchmark::State& state) {
   constexpr std::size_t kContents = 64;
   core::MfgCpOptions options;

@@ -4,90 +4,50 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/best_response_batch.h"
 #include "core/fpk_solver.h"
 #include "core/hjb_solver.h"
 #include "core/mean_field_estimator.h"
 #include "core/mfg_params.h"
+#include "numerics/density.h"
 
-// Iterative best-response learning (Algorithm 2): the fixed-point loop
-// that couples the backward HJB equation (the generic player's best
-// response) with the forward FPK equation (the population's density
-// evolution). Each iteration:
-//
-//   1. estimate the mean-field quantities from (λ, x)            [Eq. 17-18]
-//   2. solve the HJB backward under those quantities  -> x_new    [Eq. 20-21]
-//   3. relax: x <- (1-γ) x + γ x_new and test convergence         [Alg. 2 l.6]
-//   4. solve the FPK forward under x                 -> λ         [Eq. 15]
-//
-// Theorem 2 guarantees a unique fixed point; the relaxation factor γ only
-// affects the path to it (the ablation bench sweeps γ and grid size).
+// Iterative best-response learning (Algorithm 2) for one content: the
+// HJB ↔ FPK fixed point documented in best_response_batch.h, as a
+// one-lane view of BatchBestResponseLearner. Fault sites are polled under
+// the caller's ambient fault scope, so direct use outside an epoch never
+// sees an injected fault.
 
 namespace mfg::core {
 
-// The converged mean-field equilibrium for one content.
-struct Equilibrium {
-  HjbSolution hjb;                       // V(t, q) and x*(t, q).
-  FpkSolution fpk;                       // λ(t, q).
-  std::vector<MeanFieldQuantities> mean_field;  // Per time node.
-  std::size_t iterations = 0;
-  bool converged = false;
-  // Convergence trace, one entry per fixed-point iteration. Both vectors
-  // are reserved to max_iterations up front, so the trace records without
-  // reallocating inside the solve loop (and benches can reproduce Fig. 9
-  // style residual plots from the result alone).
-  //   policy_change_history[ψ−1] = max_{t,q} |x^ψ − x^{ψ−1}|
-  //   value_change_history[ψ−1]  = max_{t,q} |V^ψ − V^{ψ−1}|
-  //     (iteration 1 has no predecessor value surface; its entry is
-  //      max |V^1|, the change from the zero initialization).
-  std::vector<double> policy_change_history;
-  std::vector<double> value_change_history;
-};
-
 class BestResponseLearner {
  public:
-  // Long-lived scratch for SolveInto: the initial density, the relaxed
-  // policy iterate, the sub-solver workspaces, and the double buffers the
-  // fixed-point loop swaps with the Equilibrium. An epoch worker owns one
-  // Workspace for its whole lifetime; every buffer is re-shaped in place,
-  // so repeated solves on the same grid shape never touch the heap.
-  struct Workspace {
-    numerics::Density1D initial;
-    numerics::TimeField2D policy;
-    HjbSolver1D::Workspace hjb;
-    FpkSolver1D::Workspace fpk;
-    MeanFieldEstimator::Workspace estimator;
-    HjbSolution hjb_buffer;
-    std::vector<MeanFieldQuantities> mean_field;
-  };
+  // The batch learner's scratch at one lane. Every buffer is re-shaped in
+  // place, so repeated solves on the same grid shape never touch the heap.
+  using Workspace = BatchBestResponseLearner::Workspace;
 
   static common::StatusOr<BestResponseLearner> Create(const MfgParams& params);
 
-  // Re-parameterizes the learner and its sub-solvers in place — the pooled
-  // epoch workers rebind one long-lived learner per content instead of
-  // constructing fresh ones. Allocation-free when the grid shape is
-  // unchanged. On failure the learner must be rebound again before use
-  // (in practice all failure modes are caught by params.Validate() before
-  // any member is touched).
+  // Re-parameterizes the learner in place. Allocation-free when the grid
+  // shape is unchanged. On failure the learner must be rebound again
+  // before use.
   common::Status Rebind(const MfgParams& params);
 
   // Runs Alg. 2 from the params' initial density and a flat initial
-  // policy guess.
+  // policy guess of 0.5 (SolveInto with fresh storage).
   common::StatusOr<Equilibrium> Solve() const;
 
-  // Same, but from an explicit initial density and/or initial policy
-  // guess (policy guess is a constant rate in [0, 1]). Used by the
-  // uniqueness property tests (different starts -> same fixed point).
+  // Same, but from an explicit initial density and initial policy guess
+  // (a constant rate in [0, 1]). Used by the uniqueness property tests
+  // (different starts -> same fixed point).
   common::StatusOr<Equilibrium> SolveFrom(const numerics::Density1D& initial,
                                           double initial_rate) const;
 
   // Hot-path counterpart of Solve(): writes the equilibrium into `out`,
-  // reusing its storage and `workspace` scratch. Bit-identical to Solve()
-  // (guarded by solver_equivalence_test) and zero heap allocations once
-  // both have warmed up on the current grid shape.
+  // reusing its storage and `workspace` scratch. Zero heap allocations
+  // once both have warmed up on the current grid shape.
   common::Status SolveInto(Workspace& workspace, Equilibrium& out) const;
 
-  // SolveFrom's in-place counterpart; Solve/SolveFrom delegate here with
-  // fresh storage.
+  // SolveFrom's in-place counterpart.
   common::Status SolveFromInto(const numerics::Density1D& initial,
                                double initial_rate, Workspace& workspace,
                                Equilibrium& out) const;
@@ -95,17 +55,14 @@ class BestResponseLearner {
   const MfgParams& params() const { return params_; }
 
  private:
-  BestResponseLearner(const MfgParams& params, HjbSolver1D hjb,
-                      FpkSolver1D fpk, MeanFieldEstimator estimator)
-      : params_(params),
-        hjb_(std::move(hjb)),
-        fpk_(std::move(fpk)),
-        estimator_(std::move(estimator)) {}
+  BestResponseLearner() = default;
+
+  // Runs `job` (active, out set) on the one-lane learner.
+  common::Status Run(BatchBestResponseLearner::LaneJob& job,
+                     Workspace& workspace) const;
 
   MfgParams params_;
-  HjbSolver1D hjb_;
-  FpkSolver1D fpk_;
-  MeanFieldEstimator estimator_;
+  BatchBestResponseLearner batch_;  // Bound at one lane.
 };
 
 // Accumulates the generic player's realized utility along the equilibrium:

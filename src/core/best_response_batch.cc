@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/logging.h"
 #include "core/fault_injection.h"
@@ -12,14 +13,32 @@
 namespace mfg::core {
 namespace {
 
-// Per-lane fault polls. The scalar solve relies on the worker's ambient
-// (epoch, content, attempt) scope; the batch solve opens a lane-local
-// scope per poll instead (attempt 0 — ladder retries run scalar). Firing
-// is purely functional in the coordinates, so this preserves the
-// determinism contract at any parallelism / batch width.
+// Rows of Workspace::flags.
+enum FlagRow : std::size_t {
+  kRunning,   // Lane still in the lockstep loop.
+  kLeaving,   // Left last round; its Equilibrium is not yet written.
+  kEstimate,  // Lanes the next estimate serves.
+  kHjbAlive,  // Lanes of this round's HJB sweep.
+  kFpkAlive,  // Lanes of this round's FPK sweep.
+  kFlagRows,
+};
+
+// Rows of Workspace::residuals.
+enum ResidualRow : std::size_t {
+  kPolicyChange,
+  kValueChange,
+  kResidualRows,
+};
+
+// Per-lane fault polls. A block solve has no single ambient content, so
+// by default each poll opens a lane-local scope at attempt 0; a job that
+// asks for the ambient scope (a ladder retry, a one-lane view) polls under
+// its caller's. Firing is purely functional in the coordinates, so this
+// preserves the determinism contract at any parallelism / batch width.
 common::Status LaneFaultCheck(const BatchBestResponseLearner::LaneJob& job,
                               faults::FaultSite site) {
 #if MFGCP_FAULTS_ENABLED
+  if (job.ambient_fault_scope) return faults::Check(site);
   faults::ScopedFaultScope scope(job.epoch, job.content, 0);
   return faults::Check(site);
 #else
@@ -32,6 +51,7 @@ common::Status LaneFaultCheck(const BatchBestResponseLearner::LaneJob& job,
 bool LaneFaultFires(const BatchBestResponseLearner::LaneJob& job,
                     faults::FaultSite site) {
 #if MFGCP_FAULTS_ENABLED
+  if (job.ambient_fault_scope) return faults::Fires(site);
   faults::ScopedFaultScope scope(job.epoch, job.content, 0);
   return faults::Fires(site);
 #else
@@ -86,33 +106,44 @@ void BatchBestResponseLearner::SolveInto(std::span<LaneJob> lanes,
   const std::size_t nt = nt_;
   const std::size_t nq = nq_;
 
-  // The batch-resident iterate: the flat 0.5 initial policy guess, and a
-  // zero value surface — iteration 1's value residual measures against it,
-  // as the scalar learner's against its cleared output.
+  // The batch-resident iterate: the flat initial policy guess (0.5 unless
+  // a job says otherwise), and a zero value surface — iteration 1's value
+  // residual measures against it.
   ws.policy.Assign((nt + 1) * nq, m, 0.5);
   ws.value.Assign((nt + 1) * nq, m, 0.0);
   ws.density.Reshape((nt + 1) * nq, m);  // Row 0 is written per lane.
   ws.mean_field.resize((nt + 1) * m);
-  ws.policy_change.assign(m, 0.0);
-  ws.value_change.assign(m, 0.0);
-  ws.running.assign(m, 0);
-  ws.leaving.assign(m, 0);
-  ws.estimate.assign(m, 0);
-  ws.hjb_alive.assign(m, 0);
-  ws.fpk_alive.assign(m, 0);
+  ws.residuals.Assign(kResidualRows, m, 0.0);
+  ws.flags.assign(kFlagRows * m, 0);
   double* policy = ws.policy.data();
   double* value = ws.value.data();
   double* density = ws.density.data();
+  double* policy_change = ws.residuals[kPolicyChange].data();
+  double* value_change = ws.residuals[kValueChange].data();
+  auto flags = [&](FlagRow row) {
+    return std::span<std::uint8_t>(ws.flags.data() + row * m, m);
+  };
+  const std::span<std::uint8_t> running = flags(kRunning);
+  const std::span<std::uint8_t> leaving = flags(kLeaving);
+  const std::span<std::uint8_t> estimate = flags(kEstimate);
+  const std::span<std::uint8_t> hjb_alive = flags(kHjbAlive);
+  const std::span<std::uint8_t> fpk_alive = flags(kFpkAlive);
 
-  // Per-lane setup: fault poll, initial density, equilibrium reset — the
-  // scalar SolveInto preamble, lane by lane.
+  // Per-lane setup: start density, fault polls, equilibrium reset.
   for (std::size_t l = 0; l < m; ++l) {
     LaneJob& job = lanes[l];
     if (!job.active) continue;
-    job.status = LaneFaultCheck(job, faults::FaultSite::kSolve);
-    if (!job.status.ok()) continue;
-    job.status = fpk_.MakeInitialDensityInto(l, ws.initial);
-    if (!job.status.ok()) continue;
+    if (job.initial == nullptr) {
+      job.status = LaneFaultCheck(job, faults::FaultSite::kSolve);
+      if (!job.status.ok()) continue;
+      job.status = fpk_.MakeInitialDensityInto(l, ws.initial);
+      if (!job.status.ok()) continue;
+    }
+    if (job.initial_rate < 0.0 || job.initial_rate > 1.0) {
+      job.status = common::Status::InvalidArgument(
+          "initial policy rate must be in [0, 1]");
+      continue;
+    }
     MFG_OBS_COUNT("core.best_response.solves", 1);
     ++timed_lanes;
 
@@ -125,25 +156,37 @@ void BatchBestResponseLearner::SolveInto(std::span<LaneJob> lanes,
     eq.value_change_history.clear();
     eq.policy_change_history.reserve(max_iterations_[l]);
     eq.value_change_history.reserve(max_iterations_[l]);
-    const double* init = ws.initial.values().data();
-    for (std::size_t i = 0; i < nq; ++i) density[i * m + l] = init[i];
 
-    // λ trajectory under the initial guess; the scalar path polls
-    // kFpkStep once, right before this first FPK sweep.
+    // λ trajectory under the initial guess; kFpkStep is polled once,
+    // right before this first FPK sweep.
     job.status = LaneFaultCheck(job, faults::FaultSite::kFpkStep);
     if (!job.status.ok()) continue;
-    ws.fpk_alive[l] = 1;
+    const numerics::Density1D& initial =
+        job.initial != nullptr ? *job.initial : ws.initial;
+    if (!(initial.grid() == fpk_.grid(l))) {
+      job.status = common::Status::InvalidArgument(
+          "initial density grid does not match the solver grid");
+      continue;
+    }
+    const double* init = initial.values().data();
+    for (std::size_t i = 0; i < nq; ++i) density[i * m + l] = init[i];
+    if (job.initial_rate != 0.5) {
+      for (std::size_t k = 0; k < (nt + 1) * nq; ++k) {
+        policy[k * m + l] = job.initial_rate;
+      }
+    }
+    fpk_alive[l] = 1;
   }
 
-  fpk_.SweepInto(policy, density, ws.fpk_alive, ws.fpk);
+  fpk_.SweepInto(policy, density, fpk_alive, ws.fpk);
   for (std::size_t l = 0; l < m; ++l) {
     LaneJob& job = lanes[l];
     if (!job.active || !job.status.ok()) continue;
-    if (ws.fpk_alive[l] == 0) {
+    if (fpk_alive[l] == 0) {
       job.status = ws.fpk.status[l];
       continue;
     }
-    ws.running[l] = 1;
+    running[l] = 1;
   }
 
   // A leaving lane's outputs, from its columns of the fields and of the
@@ -158,98 +201,98 @@ void BatchBestResponseLearner::SolveInto(std::span<LaneJob> lanes,
     }
   };
 
-  // Lockstep fixed-point loop. Each round runs one scalar iteration for
-  // every lane still in flight; lanes leave the loop exactly where the
-  // scalar control flow would (converged -> before FPK; exhausted ->
-  // after the trailing FPK of iteration max_iterations).
+  // Lockstep fixed-point loop. Each round runs one Alg. 2 iteration for
+  // every lane still in flight; a lane leaves the loop converged (before
+  // the FPK sweep) or exhausted (after the trailing FPK of iteration
+  // max_iterations).
   for (std::size_t iter = 1;; ++iter) {
     // (1) Mean-field quantities per time node from (λ, x): this round's
     // iteration for the running lanes, the final refresh for the lanes
-    // that left last round — the (λ, x) pair the scalar learner refreshes
-    // from, since neither sweep touched their columns since.
+    // that left last round — their final (λ, x) pair, since neither sweep
+    // touched their columns since.
     bool any = false;
     for (std::size_t l = 0; l < m; ++l) {
-      ws.estimate[l] = (ws.running[l] | ws.leaving[l]) != 0 ? 1 : 0;
-      any = any || ws.estimate[l] != 0;
+      estimate[l] = (running[l] | leaving[l]) != 0 ? 1 : 0;
+      any = any || estimate[l] != 0;
     }
     if (!any) break;
-    estimator_.EstimateTrajectoryInto(nt + 1, density, policy, ws.estimate,
+    estimator_.EstimateTrajectoryInto(nt + 1, density, policy, estimate,
                                       ws.mean_field);
     for (std::size_t l = 0; l < m; ++l) {
-      if (ws.leaving[l] == 0) continue;
+      if (leaving[l] == 0) continue;
       write_equilibrium(l);
-      ws.leaving[l] = 0;
+      leaving[l] = 0;
     }
 
     // (2) Backward HJB -> candidate best response, relaxed in place.
     bool any_hjb = false;
     for (std::size_t l = 0; l < m; ++l) {
-      ws.hjb_alive[l] = 0;
-      if (!ws.running[l]) continue;
+      hjb_alive[l] = 0;
+      if (!running[l]) continue;
       LaneJob& job = lanes[l];
       job.out->iterations = iter;
       job.status = LaneFaultCheck(job, faults::FaultSite::kHjbStep);
       if (!job.status.ok()) {
-        ws.running[l] = 0;
+        running[l] = 0;
         continue;
       }
-      ws.hjb_alive[l] = 1;
+      hjb_alive[l] = 1;
       any_hjb = true;
     }
     if (!any_hjb) continue;
-    std::fill(ws.policy_change.begin(), ws.policy_change.end(), 0.0);
-    std::fill(ws.value_change.begin(), ws.value_change.end(), 0.0);
+    std::fill(policy_change, policy_change + m, 0.0);
+    std::fill(value_change, value_change + m, 0.0);
     hjb_.SweepInto(ws.mean_field,
-                   {value, policy, gamma_.data(), ws.policy_change.data(),
-                    ws.value_change.data()},
-                   ws.hjb_alive, ws.hjb);
+                   {value, policy, gamma_.data(), policy_change,
+                    value_change},
+                   hjb_alive, ws.hjb);
 
     // (3) Relaxed policy update + convergence test (Alg. 2, line 6): the
     // HJB tail already relaxed p in place and measured both residuals
     // (the value residual against the previous surface in the field).
     bool any_fpk = false;
     for (std::size_t l = 0; l < m; ++l) {
-      ws.fpk_alive[l] = 0;
-      if (!ws.running[l]) continue;
+      fpk_alive[l] = 0;
+      if (!running[l]) continue;
       LaneJob& job = lanes[l];
-      if (ws.hjb_alive[l] == 0) {
+      if (hjb_alive[l] == 0) {
         job.status = ws.hjb.status[l];
-        ws.running[l] = 0;
+        running[l] = 0;
         continue;
       }
       Equilibrium& eq = *job.out;
-      const double max_change = ws.policy_change[l];
+      const double max_change = policy_change[l];
       eq.policy_change_history.push_back(max_change);
-      eq.value_change_history.push_back(ws.value_change[l]);
+      eq.value_change_history.push_back(value_change[l]);
       MFG_FLIGHT_EVENT(kIteration, 0, content_id_[l],
                        static_cast<std::uint32_t>(iter), max_change,
-                       ws.value_change[l]);
+                       value_change[l]);
       if (max_change < tolerance_[l]) {
         eq.converged = true;
-        ws.running[l] = 0;  // Scalar `break`: skips the FPK sweep.
-        ws.leaving[l] = 1;
+        running[l] = 0;  // Converged: skips the FPK sweep.
+        leaving[l] = 1;
         continue;
       }
       // (4) Forward FPK under the relaxed policy.
-      ws.fpk_alive[l] = 1;
+      fpk_alive[l] = 1;
       any_fpk = true;
     }
     if (!any_fpk) continue;
-    fpk_.SweepInto(policy, density, ws.fpk_alive, ws.fpk);
+    fpk_.SweepInto(policy, density, fpk_alive, ws.fpk);
     for (std::size_t l = 0; l < m; ++l) {
-      if (!ws.running[l]) continue;
-      if (ws.fpk_alive[l] == 0) {
+      if (!running[l]) continue;
+      if (fpk_alive[l] == 0) {
         lanes[l].status = ws.fpk.status[l];
-        ws.running[l] = 0;
+        running[l] = 0;
       } else if (iter >= max_iterations_[l]) {
-        ws.running[l] = 0;  // Exhausted after the trailing FPK.
-        ws.leaving[l] = 1;
+        running[l] = 0;  // Exhausted after the trailing FPK.
+        leaving[l] = 1;
       }
     }
   }
 
-  // Post-loop bookkeeping per surviving lane, verbatim from the scalar
-  // SolveFromInto epilogue (the mean-field refresh is already written).
+  // Post-loop bookkeeping per surviving lane (the mean-field refresh is
+  // already written).
   for (std::size_t l = 0; l < m; ++l) {
     LaneJob& job = lanes[l];
     if (!job.active || !job.status.ok()) continue;

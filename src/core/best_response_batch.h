@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/best_response.h"
 #include "core/fpk_batch.h"
 #include "core/hjb_batch.h"
 #include "core/mean_field_estimator.h"
@@ -14,45 +13,74 @@
 #include "numerics/batch_field.h"
 #include "numerics/density.h"
 
-// Content-batched counterpart of BestResponseLearner: runs Alg. 2 for K
-// contents (the lanes) in lockstep, delegating the HJB/FPK sweeps to the
-// SoA batch solvers so the per-node inner loops vectorize across lanes.
+// Iterative best-response learning (Algorithm 2), content-batched: the
+// fixed-point loop that couples the backward HJB equation (the generic
+// player's best response) with the forward FPK equation (the population's
+// density evolution), for K contents (the lanes) in lockstep. Each
+// iteration, per lane:
 //
-// Bit-identity contract (guarded by batch_equivalence_test and the epoch
-// goldens): lane l performs the exact per-iteration sequence of
-// BestResponseLearner::SolveInto on lane-l data — estimate, HJB, relaxed
-// update, residual bookkeeping, FPK — with no cross-lane arithmetic, so
-// its Equilibrium is bitwise equal to the scalar learner's. Lanes may
-// converge at different iterations; a converged lane simply drops out of
-// the lockstep loop (and, exactly like the scalar `break`, skips the
-// final FPK), while a lane that exhausts max_iterations unconverged still
-// runs the trailing FPK sweep of its last loop body.
+//   1. estimate the mean-field quantities from (λ, x)            [Eq. 17-18]
+//   2. solve the HJB backward under those quantities  -> x_new    [Eq. 20-21]
+//   3. relax: x <- (1-γ) x + γ x_new and test convergence         [Alg. 2 l.6]
+//   4. solve the FPK forward under x                 -> λ         [Eq. 15]
+//
+// Theorem 2 guarantees a unique fixed point; the relaxation factor γ only
+// affects the path to it (the ablation bench sweeps γ and grid size). The
+// HJB/FPK sweeps run on the SoA batch solvers, so the per-node inner loops
+// vectorize across lanes; the scalar BestResponseLearner is the one-lane
+// view of this learner.
+//
+// Lane independence (guarded by batch_equivalence_test, the epoch goldens
+// and solver_equivalence_test): lane l runs the per-iteration sequence
+// above on lane-l data with no cross-lane arithmetic, so its Equilibrium
+// does not depend on the batch width or its neighbours. Lanes may converge
+// at different iterations; a converged lane drops out of the lockstep loop
+// before step 4, while a lane that exhausts max_iterations unconverged
+// still runs the trailing FPK sweep of its last loop body.
 //
 // Failure routing: a lane that fails (divergence, injected fault, ...)
-// records the scalar learner's error in its LaneJob::status and stops
-// participating; the remaining lanes are unaffected. The epoch path then
-// re-runs failed lanes on the scalar recovery ladder (mfg_cp.cc), so
-// degraded contents see the identical retry/carry-forward/fallback
-// behavior as before.
+// records its error in its LaneJob::status and stops participating; the
+// remaining lanes are unaffected. The epoch path then runs failed lanes
+// through the recovery ladder (mfg_cp.cc), whose relaxed retries re-bind
+// the content on this learner at one lane.
 //
 // Batch residency: the iterate lives in the workspace's [time][node][lane]
 // fields for the whole solve (see Workspace), so nothing is gathered or
 // scattered per iteration. One lane-parallel estimate per round serves
 // both the running lanes' next iteration and the final mean-field refresh
-// of the lanes that left in the previous round (that estimate reads
-// exactly the (λ, x) pair the scalar refresh does); a leaving lane's
-// Equilibrium is written right after it. After that write, and for a
-// failed lane from the moment it fails, the lane's columns are garbage
-// the kernels may keep computing on and nothing reads.
+// of the lanes that left in the previous round (that estimate reads the
+// lane's final (λ, x) pair); a leaving lane's Equilibrium is written right
+// after it. After that write, and for a failed lane from the moment it
+// fails, the lane's columns are garbage the kernels may keep computing on
+// and nothing reads.
 //
-// Fault injection: the scalar solve polls kSolve / kFpkStep / kHjbStep /
-// kNonConvergence under the worker's ambient (epoch, content, attempt)
-// scope. The batch solve has no single ambient content, so each poll
-// opens a per-lane scope with that lane's coordinates at attempt 0 —
-// firing decisions are purely functional in those coordinates, so the
-// determinism contract is unchanged.
+// Fault injection: each lane polls kSolve / kFpkStep / kHjbStep /
+// kNonConvergence under a lane-local scope with its (epoch, content)
+// coordinates at attempt 0, or under the caller's ambient scope when the
+// job asks for it (ladder retries and the one-lane views). Firing
+// decisions are purely functional in the coordinates, so the determinism
+// contract holds at any parallelism and batch width.
 
 namespace mfg::core {
+
+// The converged mean-field equilibrium for one content.
+struct Equilibrium {
+  HjbSolution hjb;                       // V(t, q) and x*(t, q).
+  FpkSolution fpk;                       // λ(t, q).
+  std::vector<MeanFieldQuantities> mean_field;  // Per time node.
+  std::size_t iterations = 0;
+  bool converged = false;
+  // Convergence trace, one entry per fixed-point iteration. Both vectors
+  // are reserved to max_iterations up front, so the trace records without
+  // reallocating inside the solve loop (and benches can reproduce Fig. 9
+  // style residual plots from the result alone).
+  //   policy_change_history[ψ−1] = max_{t,q} |x^ψ − x^{ψ−1}|
+  //   value_change_history[ψ−1]  = max_{t,q} |V^ψ − V^{ψ−1}|
+  //     (iteration 1 has no predecessor value surface; its entry is
+  //      max |V^1|, the change from the zero initialization).
+  std::vector<double> policy_change_history;
+  std::vector<double> value_change_history;
+};
 
 class BatchBestResponseLearner {
  public:
@@ -70,21 +98,30 @@ class BatchBestResponseLearner {
     numerics::Density1D initial;  // MakeInitialDensityInto scratch.
     HjbBatchSolver::Workspace hjb;
     FpkBatchSolver::Workspace fpk;
-    std::vector<double> policy_change;  // This iteration's residuals.
-    std::vector<double> value_change;
-    std::vector<std::uint8_t> running;   // Lane still in the lockstep loop.
-    std::vector<std::uint8_t> leaving;   // Left last round; not yet written.
-    std::vector<std::uint8_t> estimate;  // Lanes the next estimate serves.
-    std::vector<std::uint8_t> hjb_alive;
-    std::vector<std::uint8_t> fpk_alive;
+    // This iteration's policy and value residuals, a [2][lane] table.
+    numerics::BatchField residuals;
+    // Per-lane flags as one [flag][lane] byte table (rows listed in the
+    // .cc): in the lockstep loop, left last round and not yet written,
+    // served by the next estimate, and each sweep's live lanes.
+    std::vector<std::uint8_t> flags;
   };
 
   // One content's solve request/result. `epoch`/`content` key the
-  // fault-injection plan; `out` receives the equilibrium (storage reused
-  // across epochs, exactly like the scalar SolveInto contract).
+  // fault-injection plan; `out` receives the equilibrium (its storage is
+  // reused when it already has the lane's shape).
   struct LaneJob {
     std::size_t epoch = 0;
     std::size_t content = 0;
+    // Poll faults under the caller's ambient scope instead of a lane-local
+    // (epoch, content, attempt 0) one: the ladder's relaxed retries, whose
+    // scope carries the attempt, and the one-lane BestResponseLearner.
+    bool ambient_fault_scope = false;
+    // The solve's start. Null runs from the params' initial density after
+    // a kSolve poll (BestResponseLearner::SolveInto); otherwise from this
+    // density, which must lie on the lane's grid (SolveFromInto). The flat
+    // initial policy guess must lie in [0, 1].
+    const numerics::Density1D* initial = nullptr;
+    double initial_rate = 0.5;
     bool active = false;
     Equilibrium* out = nullptr;
     common::Status status;
@@ -96,17 +133,17 @@ class BatchBestResponseLearner {
   // SolveInto. Keeps table capacity across calls.
   void Reset(std::size_t num_lanes);
 
-  // Validates and tabulates lane `lane` (the batched Rebind). All bound
+  // Validates and tabulates lane `lane` (the per-lane Rebind). All bound
   // lanes must share the grid shape. Polls the kRebind fault site under
-  // the caller's ambient fault scope, like the scalar Rebind.
+  // the caller's ambient fault scope.
   common::Status BindLane(std::size_t lane, const MfgParams& params);
 
   std::size_t num_lanes() const { return num_lanes_; }
 
-  // Runs Alg. 2 for every active lane from the params' initial density
-  // and a flat 0.5 initial policy guess (the epoch path's invocation of
-  // the scalar SolveInto). lanes.size() must equal num_lanes(). Statuses
-  // are per lane; the call itself cannot fail globally.
+  // Runs Alg. 2 for every active lane from its job's start (by default the
+  // params' initial density and a flat 0.5 policy guess). lanes.size()
+  // must equal num_lanes(). Statuses are per lane; the call itself cannot
+  // fail globally.
   void SolveInto(std::span<LaneJob> lanes, Workspace& ws) const;
 
  private:

@@ -5,11 +5,9 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
-#include "core/best_response.h"
 #include "core/best_response_batch.h"
 
 // Persistent worker pool for the per-content equilibrium solves of Alg. 1
@@ -19,13 +17,14 @@
 // thread churn and a full re-warm of every buffer. The runtime instead
 // keeps `parallelism` threads alive for the lifetime of its owner
 // (MfgCpFramework) and gives each worker a long-lived
-// BestResponseLearner + Workspace + per-slot Equilibrium storage, so a
-// warmed pool runs whole epochs with zero steady-state heap allocations.
+// BatchBestResponseLearner + Workspace, so a warmed pool runs whole
+// epochs with zero steady-state heap allocations.
 //
 // Determinism contract: a slot's result depends only on that slot's
-// inputs — the learner is fully re-parameterized per slot via Rebind(),
-// every workspace buffer is overwritten before it is read, and each slot
-// writes only its own output storage. Results are therefore bit-identical
+// inputs — the learner's lanes are fully re-parameterized per block via
+// BindLane(), lanes share no arithmetic, every workspace buffer is
+// overwritten before it is read, and each slot writes only its own output
+// storage. Results are therefore bit-identical
 // across worker counts and across schedules (guarded by
 // solver_equivalence_test / obs_equivalence_test and the mfg_cp golden
 // tests).
@@ -41,8 +40,7 @@
 // depends only on (count, block_size) — never on the claiming order — and
 // a block writes only its own slots, so the determinism contract above
 // holds at every block size (guarded by epoch_degradation_test at several
-// parallelism × batch_width combinations). The scalar epoch path runs at
-// block size 1.
+// parallelism × batch_width combinations).
 
 namespace mfg::core {
 
@@ -54,15 +52,10 @@ class EpochRuntime {
   using BlockFn = void (*)(void* ctx, std::size_t worker, std::size_t begin,
                            std::size_t end);
 
-  // Long-lived solver state owned by one worker. `learner` is created on
-  // the worker's first slot and re-parameterized with Rebind() afterwards;
-  // the telemetry fields are rewritten every epoch.
+  // Long-lived solver state owned by one worker. The learner is re-bound
+  // per block (and at one lane per relaxed retry), its buffers reused
+  // across epochs; the telemetry fields are rewritten every epoch.
   struct WorkerContext {
-    std::optional<BestResponseLearner> learner;
-    BestResponseLearner::Workspace workspace;
-    // Batched counterparts used by the block-claiming epoch path
-    // (batch_width > 1); re-bound per block, buffers reused across
-    // epochs like the scalar pair above.
     BatchBestResponseLearner batch_learner;
     BatchBestResponseLearner::Workspace batch_workspace;
     std::vector<BatchBestResponseLearner::LaneJob> batch_jobs;

@@ -15,88 +15,91 @@
 namespace mfg::core {
 namespace {
 
-// Hot lane loops as pointer-only free functions, for the same reason as in
-// hjb_batch.cc: member-vector reads mixed with double stores defeat the
-// vectorizer's aliasing analysis, and MFGCP_BATCH_TARGET_CLONES adds
+// Rows of FpkBatchSolver::Workspace::lane, the per-lane scratch table.
+// The masks and latches are doubles (0.0 / nonzero), as in hjb_batch.cc:
+// the update select and the latches vectorize only when the mask lanes
+// match the double data width.
+enum LaneRow : std::size_t {
+  kUpdate,      // The substep's value-update mask.
+  kBad,         // Non-finite latch of the current output node.
+  kLive,        // 1.0 while the lane stores its rows.
+  kClipFailed,  // 1.0 where the clip guard found the lane's mass ~0.
+  kLaneRows,
+};
+
+// Hot lane loops as pointer-only free functions over lane packs, for the
+// same reasons as in hjb_batch.cc: member-vector reads mixed with double
+// stores defeat the vectorizer's aliasing analysis, and packs vectorize at
+// every lane width (ForEachLaneChunk); MFGCP_BATCH_TARGET_CLONES adds
 // AVX2/AVX-512 clones behind runtime dispatch.
 
-// One whole explicit substep — finite-volume face fluxes (advective
-// donor-cell + central diffusive) and the masked flux-divergence update —
-// as a single pass over the densities. Row i's update needs the fluxes of
-// its two faces; the left one is the previous row's right one, carried
-// across the row loop, and the right one reads λ[i] and λ[i+1] before row i
-// is overwritten (row i+1 is still old), so every flux sees the previous
-// substep's densities exactly as the two-kernel formulation did. Every
-// expression is the scalar FpkSolver1D substep's, verbatim; the boundary
+// One whole explicit substep for lanes [l0, l0 + W) — finite-volume face
+// fluxes (advective donor-cell + central diffusive) and the masked
+// flux-divergence update — as a single pass over the densities. Row i's
+// update needs the fluxes of its two faces; the left one is the previous
+// row's right one, carried across the row loop, and the right one reads
+// λ[i] and λ[i+1] before row i is overwritten (row i+1 is still old), so
+// every flux sees the previous substep's densities exactly as the
+// two-kernel formulation did, with its expressions verbatim. The boundary
 // faces 0 and nq are reflecting (zero flux) and enter as +0.0 operands.
-//
-// M is the compile-time lane count, as in FusedHjbSubstep (0 = runtime
-// `mm`, carrying the flux through the `carry` scratch of m doubles);
 // always_inline so every ISA clone of the dispatcher vectorizes the body
 // at its own width.
-template <std::size_t M>
+template <std::size_t W>
 __attribute__((always_inline)) inline void FusedFpkSubstepImpl(
-    std::size_t nq, std::size_t mm, const double* vel,
+    std::size_t nq, std::size_t m, std::size_t l0, const double* vel,
     const double* d_over_dx, const double* dt_sub_over_dx,
-    const double* update, double* __restrict lam,
-    double* __restrict carry) {
-  const std::size_t m = M ? M : mm;
-  constexpr std::size_t kStatic = M ? M : 1;
-  double left_s[kStatic] = {};
-  double* left = M ? left_s : carry;  // Flux through row i's left face.
-  for (std::size_t l = 0; l < m; ++l) left[l] = 0.0;  // Reflecting face 0.
-
+    const double* update, double* __restrict lam) {
+  using numerics::LoadLanes;
+  using Pack = numerics::LaneVector<W>;
+  const Pack d_dx = LoadLanes<W>(d_over_dx + l0);
+  const Pack dts_dx = LoadLanes<W>(dt_sub_over_dx + l0);
+  const Pack upd = LoadLanes<W>(update + l0);
+  const Pack zero{};
+  Pack left{};  // Flux through row i's left face; reflecting face 0.
+  Pack lam_i = LoadLanes<W>(lam + l0);  // Old λ[i].
+  Pack vel_i = LoadLanes<W>(vel + l0);
   for (std::size_t i = 0; i + 1 < nq; ++i) {
-    const std::size_t row = i * m;
-    const std::size_t next = (i + 1) * m;
-    for (std::size_t l = 0; l < m; ++l) {
-      const double v_face = 0.5 * (vel[row + l] + vel[next + l]);
-      const double donor = v_face > 0.0 ? lam[row + l] : lam[next + l];
-      const double advective = v_face * donor;
-      const double diffusive = -d_over_dx[l] * (lam[next + l] - lam[row + l]);
-      const double right = advective + diffusive;
-      const double updated =
-          lam[row + l] - dt_sub_over_dx[l] * (right - left[l]);
-      lam[row + l] = numerics::LaneSelect(update[l], updated, lam[row + l]);
-      left[l] = right;
-    }
+    const Pack lam_next = LoadLanes<W>(lam + (i + 1) * m + l0);
+    const Pack vel_next = LoadLanes<W>(vel + (i + 1) * m + l0);
+    const Pack v_face = 0.5 * (vel_i + vel_next);
+    const Pack donor = v_face > zero ? lam_i : lam_next;
+    const Pack advective = v_face * donor;
+    const Pack diffusive = -d_dx * (lam_next - lam_i);
+    const Pack right = advective + diffusive;
+    const Pack updated = lam_i - dts_dx * (right - left);
+    numerics::StoreLanes<W>(lam + i * m + l0,
+                            numerics::SelectLanes<W>(upd, updated, lam_i));
+    left = right;
+    lam_i = lam_next;
+    vel_i = vel_next;
   }
-  const std::size_t row = (nq - 1) * m;
-  for (std::size_t l = 0; l < m; ++l) {
-    const double updated = lam[row + l] - dt_sub_over_dx[l] * (0.0 - left[l]);
-    lam[row + l] = numerics::LaneSelect(update[l], updated, lam[row + l]);
-  }
+  const Pack updated = lam_i - dts_dx * (zero - left);
+  numerics::StoreLanes<W>(lam + (nq - 1) * m + l0,
+                          numerics::SelectLanes<W>(upd, updated, lam_i));
 }
 
-// Runtime dispatch to the lane-width specializations (see FusedHjbSubstep).
 MFGCP_BATCH_TARGET_CLONES
 void FusedFpkSubstep(std::size_t nq, std::size_t m, const double* vel,
                      const double* d_over_dx, const double* dt_sub_over_dx,
-                     const double* update, double* __restrict lam,
-                     double* __restrict carry) {
-  switch (m) {
-    case 2:
-      FusedFpkSubstepImpl<2>(nq, m, vel, d_over_dx, dt_sub_over_dx, update,
-                             lam, carry);
-      break;
-    case 4:
-      FusedFpkSubstepImpl<4>(nq, m, vel, d_over_dx, dt_sub_over_dx, update,
-                             lam, carry);
-      break;
-    case 8:
-      FusedFpkSubstepImpl<8>(nq, m, vel, d_over_dx, dt_sub_over_dx, update,
-                             lam, carry);
-      break;
-    default:
-      FusedFpkSubstepImpl<0>(nq, m, vel, d_over_dx, dt_sub_over_dx, update,
-                             lam, carry);
-      break;
-  }
+                     const double* update, double* __restrict lam) {
+  numerics::ForEachLaneChunk(
+      m, [&]<std::size_t W>(std::size_t l0) __attribute__((always_inline)) {
+        FusedFpkSubstepImpl<W>(nq, m, l0, vel, d_over_dx, dt_sub_over_dx,
+                               update, lam);
+      });
 }
 
-// Implicit (backward Euler) band assembly, per-lane transcription of the
-// scalar implicit_step lambda. diag/upper of face-1 and diag/lower of face
-// accumulate one face's contribution each pass.
+// Implicit (backward Euler) band assembly: λ^{n+1} satisfies
+//   (I − dt L) λ^{n+1} = λ^n
+// where L is the flux-form operator the explicit substep applies. Writing
+// the face flux between nodes i−1 and i as
+//   F = v⁺ λ_{i−1} + v⁻ λ_i − D (λ_i − λ_{i−1}) / dx
+// (v⁺ = max(v, 0), v⁻ = min(v, 0)), every face adds ±F/dx to its two
+// adjacent rows, so the column sums of L vanish and the discrete mass is
+// conserved by construction; boundary faces are absent (reflecting).
+// diag/upper of face−1 and diag/lower of face accumulate one face's
+// contribution each pass: dF/dλ_{face−1} = v⁺ + D/dx and
+// dF/dλ_face = v⁻ − D/dx, moved to the LHS with the −dt factor.
 MFGCP_BATCH_TARGET_CLONES
 void AssembleImplicitSystem(std::size_t nq, std::size_t m, const double* vel,
                             const double* d_over_dx, const double* c,
@@ -118,20 +121,25 @@ void AssembleImplicitSystem(std::size_t nq, std::size_t m, const double* vel,
 }
 
 // The node-n drift velocity of every (node, lane) under the policy row
-// (the [node][lane] row of the batch's policy field): the scalar sweep's
-// Q_k·(−w1·a(q)·x − w2·Π(t_n) + w3·ξ^L(t_n)), verbatim.
-template <std::size_t M>
+// (the [node][lane] row of the batch's policy field):
+// Q_k·(−w1·a(q)·x − w2·Π(t_n) + w3·ξ^L(t_n)), the same expression as
+// MfgParams::CacheDriftAtNode with the node constants hoisted.
+template <std::size_t W>
 __attribute__((always_inline)) inline void DriftVelocityImpl(
-    std::size_t nq, std::size_t mm, const double* content_size,
+    std::size_t nq, std::size_t m, std::size_t l0, const double* content_size,
     const double* nwd, const double* retention, const double* discard,
     const double* policy_row, double* __restrict vel) {
-  const std::size_t m = M ? M : mm;
+  using numerics::LoadLanes;
+  using Pack = numerics::LaneVector<W>;
+  const Pack cs = LoadLanes<W>(content_size + l0);
+  const Pack ret = LoadLanes<W>(retention + l0);
+  const Pack dis = LoadLanes<W>(discard + l0);
   for (std::size_t i = 0; i < nq; ++i) {
-    const std::size_t row = i * m;
-    for (std::size_t l = 0; l < m; ++l) {
-      vel[row + l] = content_size[l] * (nwd[row + l] * policy_row[row + l] -
-                                        retention[l] + discard[l]);
-    }
+    const std::size_t at = i * m + l0;
+    numerics::StoreLanes<W>(
+        vel + at,
+        cs * (LoadLanes<W>(nwd + at) * LoadLanes<W>(policy_row + at) - ret +
+              dis));
   }
 }
 
@@ -142,10 +150,10 @@ __attribute__((always_inline)) inline void DriftVelocityImpl(
 // Density1D::ClipAndNormalize + Normalize — same clip predicate, the
 // trapezoid mass in Trapezoid()'s exact order (0.5·(f₀+fₙ₋₁), then the
 // interior sum, then ·dx), and a per-element division by the mass — so
-// each lane reproduces the scalar result bit-for-bit. The end rows are
+// each lane reproduces Density1D's result bit-for-bit. The end rows are
 // clipped first so the interior rows clip and sum in one pass. A lane
 // whose mass is ~0 gets failed[l] = 1.0 and keeps its clipped,
-// unnormalized samples (the scalar failure path returns before dividing).
+// unnormalized samples (Density1D's failure path returns before dividing).
 // Every lane is processed; the result is stored into the output row `out`
 // only for lanes with live[l] != 0, so a lane that left the sweep keeps
 // its column of the caller's field.
@@ -189,24 +197,17 @@ __attribute__((always_inline)) inline void LatchClipAndNormalizeImpl(
   }
 }
 
-// Runtime dispatch of the two per-node lane passes: DriftVelocity to the
-// lane-width specializations (see FusedFpkSubstep), the tail to lane
-// packs.
+// Runtime dispatch of the two per-node lane passes to lane packs.
 MFGCP_BATCH_TARGET_CLONES
 void DriftVelocity(std::size_t nq, std::size_t m, const double* content_size,
                    const double* nwd, const double* retention,
                    const double* discard, const double* policy_row,
                    double* __restrict vel) {
-#define MFGCP_DRIFT(M)                                                   \
-  DriftVelocityImpl<M>(nq, m, content_size, nwd, retention, discard,     \
-                       policy_row, vel)
-  switch (m) {
-    case 2: MFGCP_DRIFT(2); break;
-    case 4: MFGCP_DRIFT(4); break;
-    case 8: MFGCP_DRIFT(8); break;
-    default: MFGCP_DRIFT(0); break;
-  }
-#undef MFGCP_DRIFT
+  numerics::ForEachLaneChunk(
+      m, [&]<std::size_t W>(std::size_t l0) __attribute__((always_inline)) {
+        DriftVelocityImpl<W>(nq, m, l0, content_size, nwd, retention, discard,
+                             policy_row, vel);
+      });
 }
 
 MFGCP_BATCH_TARGET_CLONES
@@ -272,8 +273,8 @@ common::Status FpkBatchSolver::BindLane(std::size_t lane,
     neg_w1_avail_.at(i, lane) =
         -params.dynamics.w1 * params.ControlAvailability(q_grid.x(i));
   }
-  // The scalar sweep's per-time-node drift constants (one std::pow each),
-  // tabulated once per bind instead of once per sweep.
+  // The per-time-node drift constants (one std::pow each), tabulated once
+  // per bind instead of once per sweep.
   for (std::size_t n = 0; n < nt; ++n) {
     retention_.at(n, lane) = params.dynamics.w2 * params.PopularityAt(n);
     discard_.at(n, lane) =
@@ -293,7 +294,7 @@ common::Status FpkBatchSolver::BindLane(std::size_t lane,
       1, static_cast<std::size_t>(std::ceil(dt_out_[lane] / stable_dt)));
   dt_sub_[lane] =
       dt_out_[lane] / static_cast<double>(substeps_[lane]);
-  // The scalar solver's once-per-solve reciprocal hoists, per lane.
+  // Once-per-bind reciprocal hoists, per lane.
   d_over_dx_[lane] = diffusion / dx_[lane];
   dt_sub_over_dx_[lane] = dt_sub_[lane] / dx_[lane];
   dt_out_over_dx_[lane] = dt_out_[lane] / dx_[lane];
@@ -322,7 +323,7 @@ void FpkBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
     LaneIo& lane = lanes[l];
     if (!lane.active) continue;
     lane.status = common::Status::Ok();
-    // Per-lane validation, verbatim from the scalar SolveInto.
+    // Per-lane validation, as in the one-lane FpkSolver1D::SolveInto.
     if (!(lane.initial->grid() == grids_[l])) {
       lane.status = common::Status::InvalidArgument(
           "initial density grid does not match the solver grid");
@@ -396,12 +397,12 @@ void FpkBatchSolver::SweepInto(const double* policy, double* densities,
   const std::size_t nt = nt_;
   const std::size_t row_size = nq * m;
 
-  std::vector<double>& update = ws.update;
-  update.assign(m, 0.0);
-  ws.live.assign(m, 0.0);
-  ws.bad.assign(m, 0.0);
-  ws.clip_failed.assign(m, 0.0);
+  ws.lane.Assign(kLaneRows, m, 0.0);
   ws.status.resize(m);
+  double* update = ws.lane[kUpdate].data();
+  double* bad = ws.lane[kBad].data();
+  double* live = ws.lane[kLive].data();
+  double* clip_failed = ws.lane[kClipFailed].data();
 
   std::size_t max_substeps = 0;
   for (std::size_t l = 0; l < m; ++l) {
@@ -415,7 +416,6 @@ void FpkBatchSolver::SweepInto(const double* policy, double* densities,
   // out of it for every lane (dead lanes evolve harmlessly, masked).
   ws.lambda.Assign(nq, m, 0.0);
   ws.velocity.Assign(nq, m, 0.0);
-  ws.face_flux.assign(m, 0.0);
   std::copy(densities, densities + row_size, ws.lambda.data());
 
   double* lam = ws.lambda.data();
@@ -426,14 +426,12 @@ void FpkBatchSolver::SweepInto(const double* policy, double* densities,
   const double* dto_dx = dt_out_over_dx_.data();
 
   for (std::size_t n = 0; n < nt; ++n) {
-    for (std::size_t l = 0; l < m; ++l) ws.live[l] = alive[l] ? 1.0 : 0.0;
+    for (std::size_t l = 0; l < m; ++l) live[l] = alive[l] ? 1.0 : 0.0;
     // Drift under the node-n policy row, at unit stride across lanes.
     DriftVelocity(nq, m, content_size_.data(), nwd, retention_[n].data(),
                   discard_[n].data(), policy + n * row_size, vel);
 
     if (implicit_) {
-      // Implicit (backward Euler) assembly, per-lane transcription of the
-      // scalar implicit_step lambda.
       ws.system.lower.Assign(nq, m, 0.0);
       ws.system.diag.Assign(nq, m, 1.0);
       ws.system.upper.Assign(nq, m, 0.0);
@@ -452,34 +450,31 @@ void FpkBatchSolver::SweepInto(const double* policy, double* densities,
         ws.status[l] = common::Status::NumericalError(
             "singular pivot at row " + std::to_string(ws.singular_row[l]));
         alive[l] = 0;
-        ws.live[l] = 0.0;
+        live[l] = 0.0;
       }
     } else {
       for (std::size_t sub = 0; sub < max_substeps; ++sub) {
         for (std::size_t l = 0; l < m; ++l) {
           update[l] = (alive[l] != 0 && sub < substeps_[l]) ? 1.0 : 0.0;
         }
-        FusedFpkSubstep(nq, m, vel, d_dx, dts_dx, update.data(), lam,
-                        ws.face_flux.data());
+        FusedFpkSubstep(nq, m, vel, d_dx, dts_dx, update, lam);
       }
     }
 
     // Divergence latch, clip and normalize in one lane-parallel pass that
     // also stores each live lane's row n + 1 of the caller's field. The
-    // explicit scheme checks once per output node where the scalar solver
-    // checks every substep (the HjbBatchSolver argument: λ − c·(flux
-    // difference) is non-finite whenever λ is, and the select keeps a
-    // masked lane's bits, so a non-finite density never turns finite again
-    // within the node), and reports the same "time node n" error. A lane
-    // whose mass underflows keeps its clipped row (the scalar failure path
-    // leaves out the same way) and drops out.
-    std::fill(ws.bad.begin(), ws.bad.end(), 0.0);
-    LatchClipAndNormalize(nq, m, dx_.data(), ws.live.data(), lam,
-                          densities + (n + 1) * row_size, ws.bad.data(),
-                          ws.clip_failed.data());
+    // explicit scheme checks once per output node rather than per substep
+    // (the HjbBatchSolver argument: λ − c·(flux difference) is non-finite
+    // whenever λ is, and the select keeps a masked lane's bits, so a
+    // non-finite density never turns finite again within the node) and
+    // reports the node where it diverged. A lane whose mass underflows
+    // keeps its clipped row and drops out.
+    std::fill(bad, bad + m, 0.0);
+    LatchClipAndNormalize(nq, m, dx_.data(), live, lam,
+                          densities + (n + 1) * row_size, bad, clip_failed);
     for (std::size_t l = 0; l < m; ++l) {
       if (!alive[l]) continue;
-      if (ws.bad[l] != 0.0) {
+      if (bad[l] != 0.0) {
         MFG_FLIGHT_EVENT(kDivergence, obs::kFlightDivergenceFpk,
                          params_[l].content_id, static_cast<std::uint32_t>(n),
                          0.0, 0.0);
@@ -490,7 +485,7 @@ void FpkBatchSolver::SweepInto(const double* policy, double* densities,
         alive[l] = 0;
         continue;
       }
-      if (ws.clip_failed[l] != 0.0) {
+      if (clip_failed[l] != 0.0) {
         ws.status[l] = common::Status::NumericalError("density mass is ~0");
         alive[l] = 0;
       }

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/fpk_solver.h"
 #include "core/mfg_params.h"
 #include "numerics/batch_field.h"
 #include "numerics/density.h"
@@ -14,43 +13,55 @@
 #include "numerics/time_field.h"
 #include "numerics/tridiagonal.h"
 
-// Content-batched counterpart of FpkSolver1D (see hjb_batch.h for the
-// batching model). Lane l runs the scalar forward sweep expression tree on
-// its own density/policy, so active lanes reproduce FpkSolver1D::SolveInto
-// bit-for-bit. The sweep core (SweepInto) reads the policy rows of a
-// [time][node][lane] field and writes the λ rows of another at unit
-// stride; the ClipAndNormalize guard runs lane-parallel (the scalar
-// accumulation order per lane), in one pass with the per-node divergence
-// latch and the row store. SolveInto's per-lane LaneIo entry point is a
-// gather → SweepInto → scatter adapter.
+// Forward Fokker–Planck–Kolmogorov solver (Eq. 15), content-batched (see
+// hjb_batch.h for the batching model): evolves the mean-field density of
+// the cache state under the population's caching policy,
+//
+//   ∂_t λ + ∂_q [ b(t, q) λ ] − ½ ϱ_q² ∂²_qq λ = 0,
+//   b(t, q) = Q_k ( −w1 x(t, q) − w2 Π + w3 ξ^L ),
+//
+// with reflecting (zero-flux) boundaries at q = 0 and q = Q_k — cache
+// space is physically confined to [0, Q_k]. The scheme is finite-volume:
+// advective face fluxes use donor-cell upwinding, diffusive face fluxes
+// are central, and boundary faces carry zero flux, so the discrete total
+// mass is conserved to rounding. A guard clips negative undershoot and
+// renormalizes each output node (Density1D::ClipAndNormalize, per lane).
+// The scalar FpkSolver1D is the one-lane view of this solver.
+//
+// The sweep core (SweepInto) reads the policy rows of a [time][node][lane]
+// field and writes the λ rows of another at unit stride; the clip guard
+// runs lane-parallel in one pass with the per-node divergence latch and
+// the row store. SolveInto's per-lane LaneIo entry point is a gather →
+// SweepInto → scatter adapter.
 //
 // Both stepping schemes are supported; all bound lanes must share
 // grid.implicit_fpk (they derive from one base_params on the epoch path).
-// A lane that diverges or hits a singular implicit pivot records the
-// scalar solver's error in its status and drops out of the batch; its
-// output densities are then unspecified.
+// A lane that diverges or hits a singular implicit pivot records its error
+// in its status and drops out of the batch; its output densities are then
+// unspecified.
 
 namespace mfg::core {
+
+struct FpkSolution {
+  numerics::Grid1D q_grid;
+  double dt = 0.0;
+  std::vector<numerics::Density1D> densities;  // λ(t_n, ·), n = 0..Nt.
+
+  std::size_t num_time_nodes() const { return densities.size(); }
+};
 
 class FpkBatchSolver {
  public:
   struct Workspace {
     numerics::BatchField lambda;
     numerics::BatchField velocity;
-    // Runtime-lane-count FusedFpkSubstep only: the flux through the
-    // current row's left face, carried across the row loop (m doubles).
-    std::vector<double> face_flux;
     numerics::BatchTridiagonalSystem system;  // Implicit stepping only.
     numerics::BatchTridiagonalWorkspace tridiagonal;
     std::vector<std::ptrdiff_t> singular_row;
-    // Double-wide masks, as in HjbBatchSolver::Workspace: the substep
-    // update select and the divergence latch vectorize only when the mask
-    // lanes match the double data width.
-    std::vector<double> update;
-    std::vector<double> bad;
-    std::vector<double> live;  // 1.0 while the lane stores its rows.
-    // 1.0 where the clip-and-normalize guard found a lane's mass ~0.
-    std::vector<double> clip_failed;
+    // Per-lane scratch as one [field][lane] table (one allocation): the
+    // substep mask, the divergence and clip latches and the live-lane
+    // store mask (rows listed in the .cc).
+    numerics::BatchField lane;
     // SweepInto's per-lane error for every lane it drops.
     std::vector<common::Status> status;
     // LaneIo adapter only: the lanes it runs and the gathered
@@ -75,8 +86,10 @@ class FpkBatchSolver {
   common::Status BindLane(std::size_t lane, const MfgParams& params);
 
   std::size_t num_lanes() const { return num_lanes_; }
+  const numerics::Grid1D& grid(std::size_t lane) const { return grids_[lane]; }
 
-  // Makes lane `lane`'s initial density (scalar TruncatedGaussianInto).
+  // Makes lane `lane`'s initial density (the truncated Gaussian with mean
+  // init_mean_frac·Q_k and std init_std_frac·Q_k).
   common::Status MakeInitialDensityInto(std::size_t lane,
                                         numerics::Density1D& out) const;
 
@@ -120,9 +133,8 @@ class FpkBatchSolver {
   std::vector<double> dt_sub_;
   std::vector<double> diffusion_;
   std::vector<std::size_t> substeps_;
-  // Per-lane reciprocals of the per-element divisors, the same expressions
-  // the scalar FpkSolver1D::SolveInto hoists once per solve (bit-identity;
-  // the substep loop is division-throughput-bound otherwise).
+  // Per-lane reciprocals of the per-element divisors, hoisted to bind time
+  // (the substep loop is division-throughput-bound otherwise).
   std::vector<double> d_over_dx_;       // diffusion / dx.
   std::vector<double> dt_sub_over_dx_;  // dt_sub / dx.
   std::vector<double> dt_out_over_dx_;  // dt_out / dx (implicit assembly).

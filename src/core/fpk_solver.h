@@ -4,57 +4,36 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/fpk_batch.h"
 #include "core/mfg_params.h"
+#include "numerics/batch_field.h"
 #include "numerics/density.h"
 #include "numerics/grid.h"
 #include "numerics/time_field.h"
-#include "numerics/tridiagonal.h"
 
-// Forward Fokker–Planck–Kolmogorov solver (Eq. 15): evolves the mean-field
-// density of the cache state under the population's caching policy,
-//
-//   ∂_t λ + ∂_q [ b(t, q) λ ] − ½ ϱ_q² ∂²_qq λ = 0,
-//   b(t, q) = Q_k ( −w1 x(t, q) − w2 Π + w3 ξ^L ),
-//
-// with reflecting (zero-flux) boundaries at q = 0 and q = Q_k — cache
-// space is physically confined to [0, Q_k]. The scheme is finite-volume:
-// advective face fluxes use donor-cell upwinding, diffusive face fluxes
-// are central, and boundary faces carry zero flux, so the discrete total
-// mass is conserved to rounding. A guard clips negative undershoot and
-// renormalizes (drift at most O(1e-12) per step in practice; tested).
-//
-// Shapes are validated once per Solve(); the stepping itself runs raw-double
-// kernels with the per-node control availability tabulated at construction.
-// SolveInto reuses a caller Workspace and the previous solution's density
-// storage, so the steady state of the best-response iteration performs no
-// heap allocation.
+// Forward FPK solver for one content (Eq. 15; the equation and the
+// finite-volume scheme are documented in fpk_batch.h). A one-lane view of
+// FpkBatchSolver: at one lane the batch's [time][node][lane] policy field
+// is exactly TimeField2D's [time][node] layout, so the sweep reads the
+// caller's policy in place; the λ rows land in a workspace field and are
+// copied into the solution's densities. SolveInto reuses a caller
+// Workspace and the previous solution's density storage, so the steady
+// state of a repeated solve performs no heap allocation.
 
 namespace mfg::core {
 
-struct FpkSolution {
-  numerics::Grid1D q_grid;
-  double dt = 0.0;
-  std::vector<numerics::Density1D> densities;  // λ(t_n, ·), n = 0..Nt.
-
-  std::size_t num_time_nodes() const { return densities.size(); }
-};
-
 class FpkSolver1D {
  public:
-  // Scratch buffers reused across Solve calls (sized on first use).
+  // Scratch reused across SolveInto calls (sized on first use).
   struct Workspace {
-    std::vector<double> lambda;
-    std::vector<double> velocity;
-    std::vector<double> face_flux;
-    numerics::TridiagonalSystem system;        // Implicit stepping only.
-    numerics::TridiagonalWorkspace tridiagonal;
+    FpkBatchSolver::Workspace batch;
+    numerics::BatchField densities;  // λ rows, [time][node].
   };
 
   static common::StatusOr<FpkSolver1D> Create(const MfgParams& params);
 
-  // Re-parameterizes the solver in place (see HjbSolver1D::Rebind):
-  // revalidates `params` and recomputes the per-node tables reusing their
-  // storage; allocation-free when the q-grid size is unchanged.
+  // Re-parameterizes the solver in place (see HjbSolver1D::Rebind);
+  // allocation-free when the grid shape is unchanged.
   common::Status Rebind(const MfgParams& params);
 
   // Evolves `initial` forward under `policy` (policy[n][i] = x at time
@@ -86,17 +65,11 @@ class FpkSolver1D {
   common::Status MakeInitialDensityInto(numerics::Density1D& out) const;
 
  private:
-  FpkSolver1D(const MfgParams& params, const numerics::Grid1D& q_grid);
-
-  // (Re)computes the per-node tables from params_/q_grid_; shared by the
-  // constructor and Rebind.
-  void InitTables();
+  FpkSolver1D() = default;
 
   MfgParams params_;
   numerics::Grid1D q_grid_;
-  // Hot-loop invariants: q_i and (−w1)·a(q_i), the drift's control gain.
-  std::vector<double> q_coords_;
-  std::vector<double> neg_w1_avail_;
+  FpkBatchSolver batch_;  // Bound at one lane.
 };
 
 }  // namespace mfg::core

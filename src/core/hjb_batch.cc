@@ -14,7 +14,7 @@ namespace mfg::core {
 namespace {
 
 // econ::SmoothHeaviside::operator() verbatim — the lane tables must carry
-// the same bits the scalar CaseModel::Evaluate produces.
+// the same bits econ::CaseModel::Evaluate produces.
 inline double Logistic(double sharpness, double x) {
   const double z = 2.0 * sharpness * x;
   if (z >= 0.0) {
@@ -41,274 +41,9 @@ inline void LogisticPair(double sharpness, double x, double& at_x,
   at_neg_x = z >= 0.0 ? lower : upper;
 }
 
-// common::ClampUnit verbatim (min(max(x, 0), 1)), inlined so the substep
-// loop stays call-free.
-inline double ClampUnitInline(double x) {
-  return std::min(std::max(x, 0.0), 1.0);
-}
-
-// The three per-substep lane loops below are the profile of the whole
-// backward sweep, so they are kept in a shape GCC's vectorizer accepts:
-// free functions whose every array comes in as a plain pointer (a member
-// std::vector read inside a loop that also stores doubles forces the
-// compiler to re-load the vector's data pointer each iteration — "evolution
-// of base is not affine" — because the store might alias the vector
-// header), __restrict on the stores, and selects instead of branches.
-// MFGCP_BATCH_TARGET_CLONES adds AVX2/AVX-512 clones behind a runtime
-// dispatch; -ffp-contract=off (forced project-wide) keeps every clone on
-// the scalar solvers' two-rounding multiply-add bits.
-
-// Every control-independent utility term for every (node, lane) — trading
-// income, sharing benefit, η₂·request-service delay, sharing cost —
-// folded into the single per-node constant `based`, once per time node
-// (HjbSolver1D folds the identical expression into ws.base). The sharing
-// branch is pre-folded into p2_factor/p2_extra/gated_share_price (see
-// Workspace); p3 = fq·fgt + fq·extra reproduces both scalar branches
-// bit-for-bit because the gated term is exactly +0.0 on the disabled side.
-//
-// M is the compile-time lane count (0 = runtime `mm`), as in
-// FusedSubstepImpl: with M fixed each row is one unrolled lane loop, with
-// no per-row trip-count and remainder bookkeeping.
-template <std::size_t M>
-__attribute__((always_inline)) inline void FoldControlIndependentTermsImpl(
-    std::size_t nq, std::size_t mm, const double* p1d, const double* fqd,
-    const double* sod, const double* qpd, const double* qcd,
-    const double* p2_factor, const double* fpeer_gt, const double* p2_extra,
-    const double* served_peer, const double* content_size,
-    const double* num_requests, const double* price, const double* inv_edge,
-    const double* inv_ond, const double* gated_share_price,
-    const double* peer, const double* share_n, const double* eta2,
-    double* __restrict based) {
-  const std::size_t m = M ? M : mm;
-  for (std::size_t i = 0; i < nq; ++i) {
-    const std::size_t row = i * m;
-    for (std::size_t l = 0; l < m; ++l) {
-      const double p1 = p1d[row + l];
-      const double fq = fqd[row + l];
-      const double p2 = fq * p2_factor[l];
-      const double p3 = fq * fpeer_gt[l] + fq * p2_extra[l];
-      // econ::TradingIncome with the lane tables substituted.
-      const double expected_data = p1 * sod[row + l] +
-                                   p2 * served_peer[l] +
-                                   p3 * content_size[l];
-      const double trading = num_requests[l] * price[l] * expected_data;
-      const double per_request =
-          p1 * sod[row + l] * inv_edge[l] +
-          p2 * served_peer[l] * inv_edge[l] +
-          p3 * (qpd[row + l] * inv_ond[l] +
-                content_size[l] * inv_edge[l]);
-      const double rest_delay = num_requests[l] * per_request;
-      // econ::SharingCost(sharing_price, p2, q, peer).
-      const double transferred = std::max(qcd[row + l] - peer[l], 0.0);
-      const double sharing_cost = p2 * gated_share_price[l] * transferred;
-      based[row + l] =
-          trading + share_n[l] - eta2[l] * rest_delay - sharing_cost;
-    }
-  }
-}
-
-MFGCP_BATCH_TARGET_CLONES
-void FoldControlIndependentTerms(
-    std::size_t nq, std::size_t m, const double* p1d, const double* fqd,
-    const double* sod, const double* qpd, const double* qcd,
-    const double* p2_factor, const double* fpeer_gt, const double* p2_extra,
-    const double* served_peer, const double* content_size,
-    const double* num_requests, const double* price, const double* inv_edge,
-    const double* inv_ond, const double* gated_share_price,
-    const double* peer, const double* share_n, const double* eta2,
-    double* __restrict based) {
-#define MFGCP_FOLD(M)                                                      \
-  FoldControlIndependentTermsImpl<M>(                                      \
-      nq, m, p1d, fqd, sod, qpd, qcd, p2_factor, fpeer_gt, p2_extra,       \
-      served_peer, content_size, num_requests, price, inv_edge, inv_ond,   \
-      gated_share_price, peer, share_n, eta2, based)
-  switch (m) {
-    case 2: MFGCP_FOLD(2); break;
-    case 4: MFGCP_FOLD(4); break;
-    case 8: MFGCP_FOLD(8); break;
-    default: MFGCP_FOLD(0); break;
-  }
-#undef MFGCP_FOLD
-}
-
-// One whole CFL substep — gradient, Theorem-1 control, drift, upwind
-// gradient, second derivative and the masked Euler update — as a single
-// pass over the value surface. The separate-kernel formulation walks the
-// (nq × lanes) arrays five times per substep and spills every intermediate
-// (dv, x*, drift, upwind velocity, d2v) to memory; at nq = 161 the working
-// set overflows L1 and the sweep is bound by those redundant passes, not
-// by arithmetic. Fused, each row is read once, every intermediate lives in
-// registers, and the only streamed arrays are v (read+write) and the three
-// per-node tables (avail, cs_nw, base).
-//
-// Bit-identity is preserved because each element's result depends only on
-// the PREVIOUS substep's value surface and on per-element expressions: the
-// three-row rotation (vm/vi/vp = old v[i−1], v[i], v[i+1]) guarantees the
-// stencils read pre-update values even though v[i] is overwritten in the
-// same pass, and every expression below is the scalar solver's, verbatim:
-//
-//   dv       = central/one-sided gradient      (GradientInto)
-//   x        = clamp(−(w4 + a·(k1 + k2·dv))/2w5)   (OptimalRate)
-//   drift    = cs_nw·x − cs_rd
-//   dvu      = upwind difference on −drift > 0  (UpwindGradientInto; the
-//              boundary rows' branches coincide, exactly as in the scalar
-//              kernel, and d²v at the boundary copies the adjacent
-//              interior row — d2_1 for row 0, d2_{n−2} for row n−1)
-//   v       += dt_sub·(drift·dvu + D·d²v + base − w4·x − w5·x² −
-//              k_delay·x·a)                      (masked by select)
-//
-// M is the compile-time lane count (0 = runtime `mm`): the batch width is
-// 8 by default (mfg_cp.h), and with M fixed the lane loops fully unroll —
-// one 64-byte vector per row under AVX-512 — and the rotation rows promote
-// to registers. The runtime-M fallback rotates pointers through the `rot`
-// scratch (4·m doubles: three rotation rows plus the carried d²v row).
-// always_inline: the body must be inlined into every ISA clone of the
-// dispatcher below so the lane loops vectorize at that clone's width; an
-// out-of-line instantiation would be compiled once at baseline SSE2.
-template <std::size_t M>
-__attribute__((always_inline)) inline void FusedSubstepImpl(
-    std::size_t nq, std::size_t mm, const double* avd, const double* csnw,
-    const double* based, const double* inv_dx, const double* inv_2dx,
-    const double* inv_dx2, const double* w4, const double* w5,
-    const double* inv_2w5, const double* opt_k1, const double* opt_k2,
-    const double* cs_rd, const double* k_delay, const double* diffusion,
-    const double* dt_sub, const double* update, double* __restrict vd,
-    double* rot) {
-  const std::size_t m = M ? M : mm;
-  constexpr std::size_t kStatic = M ? M : 1;
-  // Rotation storage: fixed-size locals for compile-time M (unrolled into
-  // registers), pointer-cycled scratch rows otherwise.
-  double vm_s[kStatic], vi_s[kStatic], vp_s[kStatic], d2_s[kStatic];
-  double* vm = M ? vm_s : rot;
-  double* vi = M ? vi_s : rot + m;
-  double* vp = M ? vp_s : rot + 2 * m;
-  double* d2_prev = M ? d2_s : rot + 3 * m;
-  for (std::size_t l = 0; l < m; ++l) {
-    vm[l] = vd[l];
-    vi[l] = vd[m + l];
-    vp[l] = vd[2 * m + l];
-  }
-
-  // Row 0: one-sided gradient; the upwind branches coincide on the same
-  // difference; d²v copies interior row 1 (computed from old rows 0..2).
-  for (std::size_t l = 0; l < m; ++l) {
-    const double dv = (vi[l] - vm[l]) * inv_dx[l];
-    const double numerator =
-        w4[l] + avd[l] * (opt_k1[l] + opt_k2[l] * dv);
-    const double x = ClampUnitInline(-numerator * inv_2w5[l]);
-    const double drift = csnw[l] * x - cs_rd[l];
-    const double dvu = (vi[l] - vm[l]) * inv_dx[l];
-    const double d2_1 = (vp[l] - 2.0 * vi[l] + vm[l]) * inv_dx2[l];
-    const double placement = w4[l] * x + w5[l] * x * x;
-    const double utility = based[l] - placement - k_delay[l] * x * avd[l];
-    const double hamiltonian = drift * dvu + diffusion[l] * d2_1 + utility;
-    const double updated = vm[l] + dt_sub[l] * hamiltonian;
-    vd[l] = numerics::LaneSelect(update[l], updated, vm[l]);
-    d2_prev[l] = d2_1;
-  }
-
-  for (std::size_t i = 1; i + 1 < nq; ++i) {
-    const std::size_t row = i * m;
-    for (std::size_t l = 0; l < m; ++l) {
-      const double dv = (vp[l] - vm[l]) * inv_2dx[l];
-      const double numerator =
-          w4[l] + avd[row + l] * (opt_k1[l] + opt_k2[l] * dv);
-      const double x = ClampUnitInline(-numerator * inv_2w5[l]);
-      const double drift = csnw[row + l] * x - cs_rd[l];
-      // Upwind on the backward-time transport velocity −drift (the scalar
-      // solver's ws.upwind_velocity), selected before the shared inv_dx
-      // multiply exactly as in UpwindGradientBatchInto.
-      const double num =
-          -drift > 0.0 ? vi[l] - vm[l] : vp[l] - vi[l];
-      const double dvu = num * inv_dx[l];
-      const double d2 = (vp[l] - 2.0 * vi[l] + vm[l]) * inv_dx2[l];
-      const double placement = w4[l] * x + w5[l] * x * x;
-      const double utility =
-          based[row + l] - placement - k_delay[l] * x * avd[row + l];
-      const double hamiltonian = drift * dvu + diffusion[l] * d2 + utility;
-      const double updated = vi[l] + dt_sub[l] * hamiltonian;
-      vd[row + l] = numerics::LaneSelect(update[l], updated, vi[l]);
-      d2_prev[l] = d2;
-    }
-    if (i + 2 < nq) {
-      if constexpr (M == 0) {
-        double* recycled = vm;
-        vm = vi;
-        vi = vp;
-        vp = recycled;
-        for (std::size_t l = 0; l < m; ++l) {
-          vp[l] = vd[(i + 2) * m + l];
-        }
-      } else {
-        for (std::size_t l = 0; l < m; ++l) {
-          vm[l] = vi[l];
-          vi[l] = vp[l];
-          vp[l] = vd[(i + 2) * m + l];
-        }
-      }
-    }
-  }
-
-  // Row n−1: one-sided gradient (coinciding upwind branches) and the
-  // carried interior d²v row, on old values vi = v[n−2], vp = v[n−1].
-  {
-    const std::size_t row = (nq - 1) * m;
-    for (std::size_t l = 0; l < m; ++l) {
-      const double dv = (vp[l] - vi[l]) * inv_dx[l];
-      const double numerator =
-          w4[l] + avd[row + l] * (opt_k1[l] + opt_k2[l] * dv);
-      const double x = ClampUnitInline(-numerator * inv_2w5[l]);
-      const double drift = csnw[row + l] * x - cs_rd[l];
-      const double dvu = (vp[l] - vi[l]) * inv_dx[l];
-      const double placement = w4[l] * x + w5[l] * x * x;
-      const double utility =
-          based[row + l] - placement - k_delay[l] * x * avd[row + l];
-      const double hamiltonian =
-          drift * dvu + diffusion[l] * d2_prev[l] + utility;
-      const double updated = vp[l] + dt_sub[l] * hamiltonian;
-      vd[row + l] = numerics::LaneSelect(update[l], updated, vp[l]);
-    }
-  }
-}
-
-// Runtime dispatch to the lane-width specializations. The ISA clones hang
-// off this dispatcher; the always-inlined template bodies inherit each
-// clone's target, so the M = 8 row loop compiles to one 64-byte vector
-// iteration in the avx512f clone.
-MFGCP_BATCH_TARGET_CLONES
-void FusedHjbSubstep(
-    std::size_t nq, std::size_t m, const double* avd, const double* csnw,
-    const double* based, const double* inv_dx, const double* inv_2dx,
-    const double* inv_dx2, const double* w4, const double* w5,
-    const double* inv_2w5, const double* opt_k1, const double* opt_k2,
-    const double* cs_rd, const double* k_delay, const double* diffusion,
-    const double* dt_sub, const double* update, double* __restrict vd,
-    double* rot) {
-  switch (m) {
-    case 2:
-      FusedSubstepImpl<2>(nq, m, avd, csnw, based, inv_dx, inv_2dx, inv_dx2,
-                          w4, w5, inv_2w5, opt_k1, opt_k2, cs_rd, k_delay,
-                          diffusion, dt_sub, update, vd, rot);
-      break;
-    case 4:
-      FusedSubstepImpl<4>(nq, m, avd, csnw, based, inv_dx, inv_2dx, inv_dx2,
-                          w4, w5, inv_2w5, opt_k1, opt_k2, cs_rd, k_delay,
-                          diffusion, dt_sub, update, vd, rot);
-      break;
-    case 8:
-      FusedSubstepImpl<8>(nq, m, avd, csnw, based, inv_dx, inv_2dx, inv_dx2,
-                          w4, w5, inv_2w5, opt_k1, opt_k2, cs_rd, k_delay,
-                          diffusion, dt_sub, update, vd, rot);
-      break;
-    default:
-      FusedSubstepImpl<0>(nq, m, avd, csnw, based, inv_dx, inv_2dx, inv_dx2,
-                          w4, w5, inv_2w5, opt_k1, opt_k2, cs_rd, k_delay,
-                          diffusion, dt_sub, update, vd, rot);
-      break;
-  }
-}
-
-// ClampUnitInline per lane.
+// common::ClampUnit (min(max(x, 0), 1)) per lane: std::max(x, 0) is
+// `x < 0 ? 0 : x` and std::min(low, 1) is `1 < low ? 1 : low`, so NaN and
+// signed-zero operands take the same branches.
 template <std::size_t W>
 __attribute__((always_inline)) inline numerics::LaneVector<W> ClampUnitLanes(
     numerics::LaneVector<W> x) {
@@ -316,6 +51,249 @@ __attribute__((always_inline)) inline numerics::LaneVector<W> ClampUnitLanes(
   const numerics::LaneVector<W> one = zero + 1.0;
   const numerics::LaneVector<W> low = x < zero ? zero : x;  // std::max.
   return one < low ? one : low;                             // std::min.
+}
+
+// Rows of HjbBatchSolver::Workspace::lane, the per-lane scratch table.
+// The sharing toggle is pre-folded into three factors so the node loop
+// carries no branch: p2 = fq·p2_factor, p3 = fq·fpeer_gt + fq·p2_extra,
+// and the sharing cost multiplies gated_share_price. Each gated factor is
+// 0.0 on the disabled side, and every gated multiplicand is finite and
+// non-negative, so the products reproduce both branches' bits.
+enum LaneRow : std::size_t {
+  kP2Factor,         // sharing ? f(αQ − peer_n) : 0.
+  kFpeerGt,          // f(peer_n − αQ).
+  kP2Extra,          // sharing ? 0 : f(αQ − peer_n).
+  kGatedSharePrice,  // sharing ? sharing_price : 0.
+  kShareN,           // sharing ? sharing benefit : 0.
+  kServedPeer,       // max(Q − peer_n, 0).
+  kNumRequests,
+  kPrice,
+  kPeer,
+  // The per-substep value-update mask and the divergence latch, kept as
+  // doubles (0.0 / nonzero), the form SelectLanes and the latch take.
+  kUpdate,
+  kBad,
+  kLaneRows,
+};
+
+// The per-node lane kernels below are the profile of the whole backward
+// sweep. Each runs over lane packs (numerics/lane_vector.h): the lanes are
+// split into 8/4/2/1-lane chunks (ForEachLaneChunk), and a chunk's per-lane
+// constants and carried rows live in LaneVector registers while the node
+// loop streams the [node][lane] tables. Packs vectorize at every lane width
+// in every ISA clone; written as `for (lane)` loops instead, the narrow
+// widths were fully unrolled before vectorization and the selects in the
+// unrolled body (the clamp, the upwind pick) compiled to scalar branches.
+// They are free functions taking plain pointers: a member std::vector read
+// in a loop that also stores doubles forces a reload of the vector's data
+// pointer every row, since the store might alias the vector header.
+// MFGCP_BATCH_TARGET_CLONES adds AVX2/AVX-512 clones behind a runtime
+// dispatch; -ffp-contract=off (forced project-wide) keeps every clone on
+// the same two-rounding multiply-add bits, whatever the lane width.
+
+// Every control-independent utility term for every (node, lane) — trading
+// income, sharing benefit, η₂·request-service delay, sharing cost —
+// folded into the single per-node constant `based`, once per time node,
+// for lanes [l0, l0 + W). The sharing branch is pre-folded into
+// p2_factor/p2_extra/gated_share_price (see LaneRow); p3 = fq·fgt +
+// fq·extra reproduces both branches of econ::CaseModel's sharing toggle
+// bit-for-bit because the gated term is exactly +0.0 on the disabled side.
+template <std::size_t W>
+__attribute__((always_inline)) inline void FoldControlIndependentTermsImpl(
+    std::size_t nq, std::size_t m, std::size_t l0, const double* p1d,
+    const double* fqd, const double* sod, const double* qpd,
+    const double* qcd, const double* lane, const double* content_size,
+    const double* inv_edge, const double* inv_ond, const double* eta2,
+    double* __restrict based) {
+  using numerics::LoadLanes;
+  using Pack = numerics::LaneVector<W>;
+  auto row_of = [&](LaneRow row) __attribute__((always_inline)) {
+    return LoadLanes<W>(lane + row * m + l0);
+  };
+  const Pack p2_factor = row_of(kP2Factor);
+  const Pack fpeer_gt = row_of(kFpeerGt);
+  const Pack p2_extra = row_of(kP2Extra);
+  const Pack gated_share_price = row_of(kGatedSharePrice);
+  const Pack share_n = row_of(kShareN);
+  const Pack served_peer = row_of(kServedPeer);
+  const Pack num_requests = row_of(kNumRequests);
+  const Pack price = row_of(kPrice);
+  const Pack peer = row_of(kPeer);
+  const Pack cs = LoadLanes<W>(content_size + l0);
+  const Pack i_edge = LoadLanes<W>(inv_edge + l0);
+  const Pack i_ond = LoadLanes<W>(inv_ond + l0);
+  const Pack eta = LoadLanes<W>(eta2 + l0);
+  const Pack zero{};
+  for (std::size_t i = 0; i < nq; ++i) {
+    const std::size_t at = i * m + l0;
+    const Pack p1 = LoadLanes<W>(p1d + at);
+    const Pack fq = LoadLanes<W>(fqd + at);
+    const Pack so = LoadLanes<W>(sod + at);
+    const Pack p2 = fq * p2_factor;
+    const Pack p3 = fq * fpeer_gt + fq * p2_extra;
+    // econ::TradingIncome with the lane tables substituted.
+    const Pack expected_data = p1 * so + p2 * served_peer + p3 * cs;
+    const Pack trading = num_requests * price * expected_data;
+    const Pack per_request =
+        p1 * so * i_edge + p2 * served_peer * i_edge +
+        p3 * (LoadLanes<W>(qpd + at) * i_ond + cs * i_edge);
+    const Pack rest_delay = num_requests * per_request;
+    // econ::SharingCost(sharing_price, p2, q, peer); std::max(t, 0).
+    const Pack t = LoadLanes<W>(qcd + at) - peer;
+    const Pack transferred = t < zero ? zero : t;
+    const Pack sharing_cost = p2 * gated_share_price * transferred;
+    numerics::StoreLanes<W>(
+        based + at, trading + share_n - eta * rest_delay - sharing_cost);
+  }
+}
+
+MFGCP_BATCH_TARGET_CLONES
+void FoldControlIndependentTerms(std::size_t nq, std::size_t m,
+                                 const double* p1d, const double* fqd,
+                                 const double* sod, const double* qpd,
+                                 const double* qcd, const double* lane,
+                                 const double* content_size,
+                                 const double* inv_edge, const double* inv_ond,
+                                 const double* eta2, double* __restrict based) {
+  numerics::ForEachLaneChunk(
+      m, [&]<std::size_t W>(std::size_t l0) __attribute__((always_inline)) {
+        FoldControlIndependentTermsImpl<W>(nq, m, l0, p1d, fqd, sod, qpd, qcd,
+                                           lane, content_size, inv_edge,
+                                           inv_ond, eta2, based);
+      });
+}
+
+// One whole CFL substep for lanes [l0, l0 + W) — gradient, Theorem-1
+// control, drift, upwind gradient, second derivative and the masked Euler
+// update — as a single pass over the value surface. The separate-kernel
+// formulation walks the (nq × lanes) arrays five times per substep and
+// spills every intermediate (dv, x*, drift, upwind velocity, d2v) to
+// memory; at nq = 161 the working set overflows L1 and the sweep is bound
+// by those redundant passes, not by arithmetic. Fused, each row is read
+// once, every intermediate lives in registers, and the only streamed
+// arrays are v (read+write) and the three per-node tables (avail, cs_nw,
+// base).
+//
+// Each element's result depends only on the PREVIOUS substep's value
+// surface and on per-element expressions: the three-row rotation
+// (vm/vi/vp = old v[i−1], v[i], v[i+1], in registers) guarantees the
+// stencils read pre-update values even though v[i] is overwritten in the
+// same pass, so the fused pass equals the separate-kernel one bit for bit:
+//
+//   dv       = central/one-sided gradient      (numerics::GradientInto)
+//   x        = clamp(−(w4 + a·(k1 + k2·dv))/2w5)   (Theorem 1)
+//   drift    = cs_nw·x − cs_rd
+//   dvu      = upwind difference on −drift > 0  (numerics::
+//              UpwindGradientInto; the boundary rows' branches coincide,
+//              and d²v at the boundary copies the adjacent interior row —
+//              d2_1 for row 0, d2_{n−2} for row n−1, as
+//              numerics::SecondDerivativeInto does)
+//   v       += dt_sub·(drift·dvu + D·d²v + base − w4·x − w5·x² −
+//              k_delay·x·a)                      (masked by select)
+//
+// always_inline: the body must be inlined into every ISA clone of the
+// dispatcher below so the packs compile at that clone's width; an
+// out-of-line instantiation would be compiled once at baseline SSE2.
+template <std::size_t W>
+__attribute__((always_inline)) inline void FusedSubstepImpl(
+    std::size_t nq, std::size_t m, std::size_t l0, const double* avd,
+    const double* csnw, const double* based, const double* inv_dx,
+    const double* inv_2dx, const double* inv_dx2, const double* w4,
+    const double* w5, const double* inv_2w5, const double* opt_k1,
+    const double* opt_k2, const double* cs_rd, const double* k_delay,
+    const double* diffusion, const double* dt_sub, const double* update,
+    double* __restrict vd) {
+  using numerics::LoadLanes;
+  using Pack = numerics::LaneVector<W>;
+  const Pack i_dx = LoadLanes<W>(inv_dx + l0);
+  const Pack i_2dx = LoadLanes<W>(inv_2dx + l0);
+  const Pack i_dx2 = LoadLanes<W>(inv_dx2 + l0);
+  const Pack w4_l = LoadLanes<W>(w4 + l0);
+  const Pack w5_l = LoadLanes<W>(w5 + l0);
+  const Pack i_2w5 = LoadLanes<W>(inv_2w5 + l0);
+  const Pack k1 = LoadLanes<W>(opt_k1 + l0);
+  const Pack k2 = LoadLanes<W>(opt_k2 + l0);
+  const Pack rd = LoadLanes<W>(cs_rd + l0);
+  const Pack kdel = LoadLanes<W>(k_delay + l0);
+  const Pack diff = LoadLanes<W>(diffusion + l0);
+  const Pack dts = LoadLanes<W>(dt_sub + l0);
+  const Pack upd = LoadLanes<W>(update + l0);
+  const Pack zero{};
+  // Node `at`'s Euler update from its gradient dv, upwind difference dvu
+  // and second difference d2, all on old values; `old` is v[i].
+  auto step = [&](std::size_t at, Pack dv, Pack old, Pack d2,
+                  auto upwind) __attribute__((always_inline)) {
+    const Pack a = LoadLanes<W>(avd + at);
+    const Pack numerator = w4_l + a * (k1 + k2 * dv);
+    const Pack x = ClampUnitLanes<W>(-numerator * i_2w5);
+    const Pack drift = LoadLanes<W>(csnw + at) * x - rd;
+    const Pack dvu = upwind(drift);
+    const Pack placement = w4_l * x + w5_l * x * x;
+    const Pack utility = LoadLanes<W>(based + at) - placement - kdel * x * a;
+    const Pack hamiltonian = drift * dvu + diff * d2 + utility;
+    const Pack updated = old + dts * hamiltonian;
+    numerics::StoreLanes<W>(vd + at,
+                            numerics::SelectLanes<W>(upd, updated, old));
+  };
+
+  Pack vm = LoadLanes<W>(vd + l0);
+  Pack vi = LoadLanes<W>(vd + m + l0);
+  Pack vp = LoadLanes<W>(vd + 2 * m + l0);
+
+  // Row 0: one-sided gradient; the upwind branches coincide on the same
+  // difference; d²v copies interior row 1 (computed from old rows 0..2).
+  Pack d2_prev = (vp - 2.0 * vi + vm) * i_dx2;
+  {
+    const Pack one_sided = (vi - vm) * i_dx;
+    step(l0, one_sided, vm, d2_prev,
+         [&](Pack) __attribute__((always_inline)) { return one_sided; });
+  }
+
+  for (std::size_t i = 1; i + 1 < nq; ++i) {
+    const Pack d2 = (vp - 2.0 * vi + vm) * i_dx2;
+    // Upwind on the backward-time transport velocity −drift (in τ = T − t
+    // the equation transports V at −drift), selected before the shared
+    // inv_dx multiply exactly as numerics::UpwindGradientInto does.
+    step(i * m + l0, (vp - vm) * i_2dx, vi, d2,
+         [&](Pack drift) __attribute__((always_inline)) {
+           return (-drift > zero ? vi - vm : vp - vi) * i_dx;
+         });
+    d2_prev = d2;
+    if (i + 2 < nq) {
+      vm = vi;
+      vi = vp;
+      vp = LoadLanes<W>(vd + (i + 2) * m + l0);
+    }
+  }
+
+  // Row n−1: one-sided gradient (coinciding upwind branches) and the
+  // carried interior d²v row, on old values vi = v[n−2], vp = v[n−1].
+  {
+    const Pack one_sided = (vp - vi) * i_dx;
+    step((nq - 1) * m + l0, one_sided, vp, d2_prev,
+         [&](Pack) __attribute__((always_inline)) { return one_sided; });
+  }
+}
+
+// Runtime dispatch to lane packs. The ISA clones hang off this dispatcher;
+// the always-inlined pack bodies inherit each clone's target, so an 8-lane
+// pack is one 64-byte vector in the avx512f clone.
+MFGCP_BATCH_TARGET_CLONES
+void FusedHjbSubstep(std::size_t nq, std::size_t m, const double* avd,
+                     const double* csnw, const double* based,
+                     const double* inv_dx, const double* inv_2dx,
+                     const double* inv_dx2, const double* w4,
+                     const double* w5, const double* inv_2w5,
+                     const double* opt_k1, const double* opt_k2,
+                     const double* cs_rd, const double* k_delay,
+                     const double* diffusion, const double* dt_sub,
+                     const double* update, double* __restrict vd) {
+  numerics::ForEachLaneChunk(
+      m, [&]<std::size_t W>(std::size_t l0) __attribute__((always_inline)) {
+        FusedSubstepImpl<W>(nq, m, l0, avd, csnw, based, inv_dx, inv_2dx,
+                            inv_dx2, w4, w5, inv_2w5, opt_k1, opt_k2, cs_rd,
+                            k_delay, diffusion, dt_sub, update, vd);
+      });
 }
 
 // The per-output-node tail for lanes [l0, l0 + W), as one pass over the
@@ -437,14 +415,12 @@ void HjbBatchSolver::Reset(std::size_t num_lanes) {
   sharing_price_.resize(num_lanes);
   threshold_.resize(num_lanes);
   sharpness_.resize(num_lanes);
-  dx_.resize(num_lanes);
   dt_.resize(num_lanes);
   dt_sub_.resize(num_lanes);
   diffusion_.resize(num_lanes);
   substeps_.resize(num_lanes);
   sharing_.resize(num_lanes);
   inv_2w5_.resize(num_lanes);
-  cs_over_cloud_.resize(num_lanes);
   k_delay_.resize(num_lanes);
   inv_edge_.resize(num_lanes);
   inv_ond_.resize(num_lanes);
@@ -468,7 +444,6 @@ common::Status HjbBatchSolver::BindLane(std::size_t lane,
     nt_ = nt;
     q_coords_.Assign(nq, num_lanes_, 0.0);
     avail_.Assign(nq, num_lanes_, 0.0);
-    neg_w1_avail_.Assign(nq, num_lanes_, 0.0);
     p1_.Assign(nq, num_lanes_, 0.0);
     fq_gt_.Assign(nq, num_lanes_, 0.0);
     served_own_.Assign(nq, num_lanes_, 0.0);
@@ -492,12 +467,11 @@ common::Status HjbBatchSolver::BindLane(std::size_t lane,
     q_coords_.at(i, lane) = q;
     const double avail = params.ControlAvailability(q);
     avail_.at(i, lane) = avail;
-    neg_w1_avail_.at(i, lane) = -params.dynamics.w1 * avail;
     p1_.at(i, lane) = Logistic(sharpness, threshold - q);
     fq_gt_.at(i, lane) = Logistic(sharpness, q - threshold);
     served_own_.at(i, lane) = std::max(content_size - q, 0.0);
     q_pos_.at(i, lane) = std::max(q, 0.0);
-    cs_nw_.at(i, lane) = content_size * neg_w1_avail_.at(i, lane);
+    cs_nw_.at(i, lane) = content_size * (-params.dynamics.w1 * avail);
   }
 
   // The per-time-node drift offset (one std::pow each), tabulated once per
@@ -524,20 +498,18 @@ common::Status HjbBatchSolver::BindLane(std::size_t lane,
   threshold_[lane] = threshold;
   sharpness_[lane] = sharpness;
   sharing_[lane] = params.sharing_enabled ? 1 : 0;
-  // The scalar solver's bind-time reciprocals (identical expressions).
+  // Bind-time reciprocals of the per-element divisors.
   inv_2w5_[lane] = 1.0 / (2.0 * params.utility.placement.w5);
-  cs_over_cloud_[lane] = content_size / staleness.cloud_rate;
-  k_delay_[lane] = staleness.eta2 * cs_over_cloud_[lane];
+  k_delay_[lane] = staleness.eta2 * (content_size / staleness.cloud_rate);
   inv_edge_[lane] = 1.0 / params.edge_rate;
   inv_ond_[lane] = 1.0 / staleness.cloud_ondemand_rate;
-  // The scalar FD kernels' per-call reciprocal hoists, per lane.
+  // The FD kernels' per-call reciprocal hoists, per lane.
   inv_dx_[lane] = 1.0 / q_grid.dx();
   inv_2dx_[lane] = 1.0 / (2.0 * q_grid.dx());
   inv_dx2_[lane] = 1.0 / (q_grid.dx() * q_grid.dx());
 
-  // Same sub-stepping arithmetic as the scalar SolveInto, moved to bind
-  // time (all inputs are bind-time constants).
-  dx_[lane] = q_grid.dx();
+  // CFL sub-stepping: conservative drift bound over the horizon (profiles
+  // included); the diffusion coefficient is ½ ϱ_q².
   dt_[lane] = params.TimeStep();
   const double max_speed = params.MaxAbsDriftSpeed();
   const double diffusion =
@@ -561,7 +533,7 @@ void HjbBatchSolver::SolveInto(std::span<LaneIo> lanes, Workspace& ws) const {
     LaneIo& lane = lanes[l];
     if (!lane.active) continue;
     lane.status = common::Status::Ok();
-    // Per-lane validation, verbatim from the scalar SolveInto.
+    // Per-lane validation, as in the one-lane HjbSolver1D::SolveInto.
     if (lane.mean_field->size() != nt + 1) {
       lane.status = common::Status::InvalidArgument(
           "mean_field must have num_time_steps + 1 entries, got " +
@@ -620,17 +592,27 @@ void HjbBatchSolver::SweepInto(std::span<const MeanFieldQuantities> mean_field,
   const std::size_t nt = nt_;
   const std::size_t row_size = nq * m;
 
-  std::vector<double>& update = ws.update;
-  update.assign(m, 0.0);
-  ws.bad.assign(m, 0.0);
+  ws.lane.Assign(kLaneRows, m, 0.0);
   ws.status.resize(m);
+  double* p2_factor = ws.lane[kP2Factor].data();
+  double* fpeer_gt = ws.lane[kFpeerGt].data();
+  double* p2_extra = ws.lane[kP2Extra].data();
+  double* gated_share_price = ws.lane[kGatedSharePrice].data();
+  double* share_n = ws.lane[kShareN].data();
+  double* served_peer = ws.lane[kServedPeer].data();
+  double* num_requests = ws.lane[kNumRequests].data();
+  double* price = ws.lane[kPrice].data();
+  double* peer = ws.lane[kPeer].data();
+  double* update = ws.lane[kUpdate].data();
+  double* bad = ws.lane[kBad].data();
 
   std::size_t max_substeps = 0;
   for (std::size_t l = 0; l < m; ++l) {
     if (!alive[l]) continue;
     MFG_OBS_COUNT("core.hjb.sweeps", 1);
     ++timed_lanes;
-    // Per-lane validation, verbatim from the scalar SolveInto.
+    // Preconditions of the econ kernels the fold transcribes
+    // (ServiceDelay / StalenessCost) that params.Validate() leaves open.
     const char* invalid = nullptr;
     if (cloud_rate_[l] <= 0.0 || ondemand_rate_[l] <= 0.0) {
       invalid = "cloud rates must be positive";
@@ -651,16 +633,6 @@ void HjbBatchSolver::SweepInto(std::span<const MeanFieldQuantities> mean_field,
 
   ws.v.Assign(nq, m, 0.0);
   ws.base.Assign(nq, m, 0.0);
-  ws.rot.assign(4 * m, 0.0);
-  ws.p2_factor.assign(m, 0.0);
-  ws.fpeer_gt.assign(m, 0.0);
-  ws.p2_extra.assign(m, 0.0);
-  ws.gated_share_price.assign(m, 0.0);
-  ws.share_n.assign(m, 0.0);
-  ws.served_peer.assign(m, 0.0);
-  ws.num_requests.assign(m, 0.0);
-  ws.price.assign(m, 0.0);
-  ws.peer.assign(m, 0.0);
 
   // Hoisted data pointers for the hot helpers: handing the per-lane tables
   // over as plain pointers (instead of member-vector reads inside the
@@ -692,8 +664,8 @@ void HjbBatchSolver::SweepInto(std::span<const MeanFieldQuantities> mean_field,
   // Terminal condition V(T, ·) = 0 (ws.v is all zeros) and the
   // corresponding terminal policy, emitted like every other node.
   EmitNode(nq, m, vd, avd, w4, i2w5, k1, k2, i_dx, i_2dx, out.gamma,
-           out.value + nt * row_size, out.policy + nt * row_size,
-           ws.bad.data(), out.policy_change, out.value_change);
+           out.value + nt * row_size, out.policy + nt * row_size, bad,
+           out.policy_change, out.value_change);
 
   for (std::size_t n = nt; n-- > 0;) {
     // Per-lane per-node folds; the logistic pair here is the only
@@ -702,29 +674,26 @@ void HjbBatchSolver::SweepInto(std::span<const MeanFieldQuantities> mean_field,
       if (!alive[l]) continue;
       const MeanFieldQuantities& mf = mean_field[n * m + l];
       const MfgParams& params = params_[l];
-      ws.peer[l] = mf.mean_peer_remaining;
-      ws.price[l] = mf.price;
-      ws.num_requests[l] = params.RequestsAt(n);
+      peer[l] = mf.mean_peer_remaining;
+      price[l] = mf.price;
+      num_requests[l] = params.RequestsAt(n);
       const bool sharing = sharing_[l] != 0;
-      ws.share_n[l] = sharing ? mf.sharing_benefit : 0.0;
-      ws.served_peer[l] = std::max(content_size_[l] - ws.peer[l], 0.0);
+      share_n[l] = sharing ? mf.sharing_benefit : 0.0;
+      served_peer[l] = std::max(content_size_[l] - peer[l], 0.0);
       double fpeer_le = 0.0;
-      LogisticPair(sharpness_[l], ws.peer[l] - threshold_[l], ws.fpeer_gt[l],
+      LogisticPair(sharpness_[l], peer[l] - threshold_[l], fpeer_gt[l],
                    fpeer_le);
-      ws.p2_factor[l] = sharing ? fpeer_le : 0.0;
-      ws.p2_extra[l] = sharing ? 0.0 : fpeer_le;
-      ws.gated_share_price[l] = sharing ? sharing_price_[l] : 0.0;
+      p2_factor[l] = sharing ? fpeer_le : 0.0;
+      p2_extra[l] = sharing ? 0.0 : fpeer_le;
+      gated_share_price[l] = sharing ? sharing_price_[l] : 0.0;
     }
 
     // Control-independent fold, collapsed into the single per-node table
-    // ws.base — the scalar loop with the separable case factors
-    // substituted. Dead lanes compute garbage that is never read.
-    FoldControlIndependentTerms(
-        nq, m, p1d, fqd, sod, qpd, qcd, ws.p2_factor.data(),
-        ws.fpeer_gt.data(), ws.p2_extra.data(), ws.served_peer.data(), cs,
-        ws.num_requests.data(), ws.price.data(), i_edge, i_ond,
-        ws.gated_share_price.data(), ws.peer.data(), ws.share_n.data(),
-        eta2, ws.base.data());
+    // ws.base, with the separable case factors substituted. Dead lanes
+    // compute garbage that is never read.
+    FoldControlIndependentTerms(nq, m, p1d, fqd, sod, qpd, qcd,
+                                ws.lane.data(), cs, i_edge, i_ond, eta2,
+                                ws.base.data());
 
     const double* cs_rd = cs_rd_[n].data();
     for (std::size_t sub = 0; sub < max_substeps; ++sub) {
@@ -733,21 +702,19 @@ void HjbBatchSolver::SweepInto(std::span<const MeanFieldQuantities> mean_field,
       }
       FusedHjbSubstep(nq, m, avd, csnw, ws.base.data(), inv_dx_.data(),
                       inv_2dx_.data(), inv_dx2_.data(), w4, w5, i2w5, k1, k2,
-                      cs_rd, kdel, diffusion, dt_sub, update.data(),
-                      ws.v.data(), ws.rot.data());
+                      cs_rd, kdel, diffusion, dt_sub, update, ws.v.data());
     }
     // Divergence check once per output time node instead of per substep: a
     // non-finite value can never become finite again (inf/NaN propagate
     // through the affine update and the select keeps a masked lane's bits),
     // so a lane that diverged at any substep of this node is still caught
-    // by EmitNode's latch, with the same time-node error the scalar solver
-    // reports.
-    std::fill(ws.bad.begin(), ws.bad.end(), 0.0);
+    // by EmitNode's latch and reported at the node where it diverged.
+    std::fill(bad, bad + m, 0.0);
     EmitNode(nq, m, vd, avd, w4, i2w5, k1, k2, i_dx, i_2dx, out.gamma,
-             out.value + n * row_size, out.policy + n * row_size,
-             ws.bad.data(), out.policy_change, out.value_change);
+             out.value + n * row_size, out.policy + n * row_size, bad,
+             out.policy_change, out.value_change);
     for (std::size_t l = 0; l < m; ++l) {
-      if (alive[l] == 0 || ws.bad[l] == 0.0) continue;
+      if (alive[l] == 0 || bad[l] == 0.0) continue;
       MFG_FLIGHT_EVENT(kDivergence, obs::kFlightDivergenceHjb,
                        params_[l].content_id, static_cast<std::uint32_t>(n),
                        0.0, 0.0);

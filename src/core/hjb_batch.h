@@ -6,29 +6,42 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/hjb_solver.h"
 #include "core/mean_field_estimator.h"
 #include "core/mfg_params.h"
 #include "numerics/batch_field.h"
 #include "numerics/grid.h"
+#include "numerics/time_field.h"
 
-// Content-batched counterpart of HjbSolver1D: K independent contents (the
-// lanes) run the backward sweep in lockstep over a structure-of-arrays
-// [node][lane] state, so the per-node inner loops are unit-stride across
-// lanes and vectorize.
+// Backward Hamilton–Jacobi–Bellman solver for the generic player (Eq. 20),
+// content-batched: K independent contents (the lanes) run the backward
+// sweep in lockstep over a structure-of-arrays [node][lane] state, so the
+// per-node inner loops are unit-stride across lanes and vectorize. The
+// scalar HjbSolver1D is the one-lane (K = 1) view of this solver.
 //
-// Bit-identity contract: lane l executes the exact scalar expression tree
-// of HjbSolver1D::SolveInto on lane-l data — same operations, same order,
-// no cross-lane arithmetic — so an active lane's HjbSolution is bitwise
-// equal to the scalar solver's (guarded by batch_equivalence_test and the
-// epoch goldens). Two scalar-side identities make the batch layout cheap:
+//   ∂_t V + max_x [ Q_k(−w1 x − w2 Π + w3 ξ^L) ∂_q V + ½ ϱ_q² ∂²_qq V
+//                   + U(t, x, q, λ) ] = 0,     V(T, ·) = 0,
+//
+// on the reduced 1-D cache-state domain (DESIGN.md §4), with the inner
+// maximization in closed form (Theorem 1):
+//
+//   x*(t, q) = [ −( w4 + η₂ Q_k / H_c + Q_k w1 ∂_q V ) / (2 w5) ]₀¹
+//
+// Discretization: explicit backward Euler with automatic sub-stepping to
+// satisfy the advection/diffusion CFL bound, upwind first derivatives
+// (biased by the drift sign) and central second derivatives.
+//
+// Lane independence: lane l runs one fixed expression tree on lane-l data
+// — no cross-lane arithmetic — so a lane's result does not depend on the
+// batch width or on its neighbours (guarded by batch_equivalence_test,
+// solver_equivalence_test's goldens and the epoch goldens). Two identities
+// make the batch layout cheap:
 //
 //  * The case probabilities are separable, p1 = f(αQ − q_i),
 //    p2/p3 = f(q_i − αQ)·f(±(peer_n − αQ)). The q-only factors are
 //    time-invariant and tabulated per (node, lane) at BindLane; the
 //    peer-only factors are two logistics per (time node, lane). The fold
-//    loop that dominated the scalar profile then carries no exp() at all,
-//    and reusing an identical subexpression cannot change its bits.
+//    loop then carries no exp() at all, and reusing an identical
+//    subexpression cannot change its bits.
 //  * Per-lane CFL substep counts may differ (content size enters dx and
 //    the drift bound); lanes whose substeps are exhausted keep computing
 //    harmlessly but their value update is masked out by a per-lane select,
@@ -38,15 +51,26 @@
 // [time][node][lane] value and policy fields, optionally folding Alg. 2's
 // relaxed update and residual maxima into each node's tail — the batched
 // learner keeps its whole iterate in that layout. SolveInto's per-lane
-// LaneIo entry point is an adapter over the same core.
+// LaneIo entry point is a gather → SweepInto → scatter adapter.
 //
-// A lane that diverges (non-finite value surface, exactly the scalar
-// check) is recorded in its status and drops out of the batch; the
-// remaining lanes are unaffected. A failed lane's output is unspecified.
-// The caller (BatchBestResponseLearner) routes such lanes onto the scalar
-// recovery ladder.
+// A lane that diverges (non-finite value surface) is recorded in its
+// status and drops out of the batch; the remaining lanes are unaffected.
+// A failed lane's output is unspecified. BatchBestResponseLearner reports
+// such lanes to the epoch path's recovery ladder (mfg_cp.cc).
 
 namespace mfg::core {
+
+// V and x* tabulated on the (time, q) product grid. Index [n][i] is time
+// node t_n = n·dt (n = 0..num_time_steps) and q node i; rows are spans
+// over flat row-major storage.
+struct HjbSolution {
+  numerics::Grid1D q_grid;
+  double dt = 0.0;
+  numerics::TimeField2D value;   // V(t_n, q_i).
+  numerics::TimeField2D policy;  // x*(t_n, q_i).
+
+  std::size_t num_time_nodes() const { return value.size(); }
+};
 
 class HjbBatchSolver {
  public:
@@ -62,32 +86,12 @@ class HjbBatchSolver {
     // Per-(node, lane) fold of every control-independent utility term
     // (trading income, sharing benefit, η₂·request-service delay, sharing
     // cost), recomputed once per time node — the substep loop streams this
-    // one table (see HjbSolver1D::Workspace::base).
+    // one table.
     numerics::BatchField base;
-    // Per-lane per-time-node folds (length lanes). The sharing toggle is
-    // pre-folded into three factors so the node loop carries no branch:
-    // p2 = fq·p2_factor, p3 = fq·fpeer_gt + fq·p2_extra, and the sharing
-    // cost multiplies gated_share_price. Each gated factor is 0.0 on the
-    // disabled side, and every gated multiplicand is finite and
-    // non-negative, so the products reproduce the scalar branches' bits.
-    std::vector<double> p2_factor;    // sharing ? f(αQ − peer_n) : 0.
-    std::vector<double> fpeer_gt;     // f(peer_n − αQ).
-    std::vector<double> p2_extra;     // sharing ? 0 : f(αQ − peer_n).
-    std::vector<double> gated_share_price;  // sharing ? sharing_price : 0.
-    std::vector<double> share_n;
-    std::vector<double> served_peer;
-    std::vector<double> num_requests;
-    std::vector<double> price;
-    std::vector<double> peer;
-    // Per-substep value-update mask and per-lane divergence accumulator,
-    // kept as doubles (0.0 / nonzero): double-wide select masks vectorize
-    // where a byte-mask blend against double data does not.
-    std::vector<double> update;
-    std::vector<double> bad;
-    // Rotation scratch for the runtime-lane-count fused substep (three old
-    // value rows plus the carried d²v row, 4·lanes doubles); the
-    // compile-time lane specializations keep these in registers instead.
-    std::vector<double> rot;
+    // Per-lane scratch as one [field][lane] table (one allocation): the
+    // per-time-node folds, the substep mask and the divergence latch (rows
+    // listed in the .cc).
+    numerics::BatchField lane;
     // SweepInto's per-lane error for every lane it drops.
     std::vector<common::Status> status;
     // LaneIo adapter only: the gathered [time][lane] mean field, the lanes
@@ -99,8 +103,8 @@ class HjbBatchSolver {
   };
 
   // Per-lane solve IO. Inactive lanes are skipped entirely (their solution
-  // pointer may be null); an active lane's status reports the same error
-  // the scalar solver would have returned.
+  // pointer may be null); an active lane's status reports the error its
+  // one-lane solve returns.
   struct LaneIo {
     const std::vector<MeanFieldQuantities>* mean_field = nullptr;
     HjbSolution* solution = nullptr;
@@ -131,8 +135,8 @@ class HjbBatchSolver {
   // SolveInto. Keeps table capacity across calls.
   void Reset(std::size_t num_lanes);
 
-  // Validates `params` and tabulates lane `lane`, replicating
-  // HjbSolver1D::Rebind for that lane. All bound lanes must share the grid
+  // Validates `params` and tabulates lane `lane` (the per-lane Rebind).
+  // All bound lanes must share the grid
   // shape (num_q_nodes / num_time_steps) — the epoch path guarantees this
   // since every content derives from the same base_params.
   common::Status BindLane(std::size_t lane, const MfgParams& params);
@@ -171,7 +175,6 @@ class HjbBatchSolver {
   // Per-(node, lane) tables, [node][lane] layout.
   numerics::BatchField q_coords_;
   numerics::BatchField avail_;
-  numerics::BatchField neg_w1_avail_;
   numerics::BatchField p1_;          // f(αQ − q_i): the case-1 probability.
   numerics::BatchField fq_gt_;       // f(q_i − αQ): shared factor of p2/p3.
   numerics::BatchField served_own_;  // max(Q − q_i, 0).
@@ -194,18 +197,15 @@ class HjbBatchSolver {
   std::vector<double> sharing_price_;
   std::vector<double> threshold_;   // αQ.
   std::vector<double> sharpness_;   // Logistic steepness.
-  std::vector<double> dx_;
   std::vector<double> dt_;
   std::vector<double> dt_sub_;
   std::vector<double> diffusion_;
   std::vector<std::size_t> substeps_;
   std::vector<std::uint8_t> sharing_;
-  // Per-lane reciprocals of the per-element divisors, the same expressions
-  // HjbSolver1D::InitTables and the scalar FD kernels hoist (the substep
-  // loops are division-throughput-bound otherwise; identical expressions
-  // keep bit-identity).
+  // Per-lane reciprocals of the per-element divisors, hoisted to bind time
+  // (the substep loops are division-throughput-bound otherwise; the FD
+  // kernels in numerics/finite_difference.h hoist the same expressions).
   std::vector<double> inv_2w5_;        // 1 / (2 w5).
-  std::vector<double> cs_over_cloud_;  // Q_k / H_c.
   std::vector<double> k_delay_;        // η₂ Q_k / H_c (staleness x-gain).
   std::vector<double> inv_edge_;       // 1 / r_edge.
   std::vector<double> inv_ond_;        // 1 / H_od.

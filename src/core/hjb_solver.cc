@@ -1,71 +1,35 @@
 #include "core/hjb_solver.h"
 
-#include <algorithm>
-#include <cmath>
-#include <span>
+#include <cstdint>
+#include <string>
 
 #include "common/math_util.h"
-#include "econ/costs.h"
 #include "econ/utility.h"
-#include "numerics/finite_difference.h"
-#include "obs/flight_recorder.h"
-#include "obs/obs.h"
 
 namespace mfg::core {
 
-HjbSolver1D::HjbSolver1D(const MfgParams& params,
-                         const numerics::Grid1D& q_grid,
-                         const econ::CaseModel& case_model)
-    : params_(params), q_grid_(q_grid), case_model_(case_model) {
-  InitTables();
-}
-
-void HjbSolver1D::InitTables() {
-  const std::size_t nq = q_grid_.size();
-  q_coords_.resize(nq);
-  avail_.resize(nq);
-  neg_w1_avail_.resize(nq);
-  cs_nw_.resize(nq);
-  for (std::size_t i = 0; i < nq; ++i) {
-    q_coords_[i] = q_grid_.x(i);
-    avail_[i] = params_.ControlAvailability(q_coords_[i]);
-    neg_w1_avail_[i] = -params_.dynamics.w1 * avail_[i];
-    cs_nw_[i] = params_.content_size * neg_w1_avail_[i];
-  }
-  opt_k1_ = params_.utility.staleness.eta2 * params_.content_size /
-            params_.utility.staleness.cloud_rate;
-  opt_k2_ = params_.content_size * params_.dynamics.w1;
-  inv_2w5_ = 1.0 / (2.0 * params_.utility.placement.w5);
-  cs_over_cloud_ =
-      params_.content_size / params_.utility.staleness.cloud_rate;
-  k_delay_ = params_.utility.staleness.eta2 * cs_over_cloud_;
-  inv_edge_ = 1.0 / params_.edge_rate;
-  inv_ond_ = 1.0 / params_.utility.staleness.cloud_ondemand_rate;
-}
-
 common::StatusOr<HjbSolver1D> HjbSolver1D::Create(const MfgParams& params) {
-  MFG_RETURN_IF_ERROR(params.Validate());
-  MFG_ASSIGN_OR_RETURN(numerics::Grid1D q_grid, params.MakeQGrid());
-  MFG_ASSIGN_OR_RETURN(econ::CaseModel case_model, params.MakeCaseModel());
-  return HjbSolver1D(params, q_grid, case_model);
+  HjbSolver1D solver;
+  MFG_RETURN_IF_ERROR(solver.Rebind(params));
+  return solver;
 }
 
 common::Status HjbSolver1D::Rebind(const MfgParams& params) {
-  MFG_RETURN_IF_ERROR(params.Validate());
-  MFG_ASSIGN_OR_RETURN(numerics::Grid1D q_grid, params.MakeQGrid());
-  MFG_ASSIGN_OR_RETURN(econ::CaseModel case_model, params.MakeCaseModel());
+  batch_.Reset(1);
+  MFG_RETURN_IF_ERROR(batch_.BindLane(0, params));
+  MFG_ASSIGN_OR_RETURN(q_grid_, params.MakeQGrid());
   params_ = params;
-  q_grid_ = q_grid;
-  case_model_ = case_model;
-  InitTables();
   return common::Status::Ok();
 }
 
 double HjbSolver1D::OptimalRate(double dq_value, double availability) const {
   const auto& placement = params_.utility.placement;
-  const double numerator =
-      placement.w4 + availability * (opt_k1_ + opt_k2_ * dq_value);
-  return common::ClampUnit(-numerator * inv_2w5_);
+  const auto& staleness = params_.utility.staleness;
+  const double k1 =
+      staleness.eta2 * params_.content_size / staleness.cloud_rate;
+  const double k2 = params_.content_size * params_.dynamics.w1;
+  const double numerator = placement.w4 + availability * (k1 + k2 * dq_value);
+  return common::ClampUnit(-numerator * (1.0 / (2.0 * placement.w5)));
 }
 
 common::StatusOr<double> HjbSolver1D::RunningUtility(
@@ -76,6 +40,7 @@ common::StatusOr<double> HjbSolver1D::RunningUtility(
 common::StatusOr<double> HjbSolver1D::RunningUtilityAtNode(
     double x, double q, const MeanFieldQuantities& mf,
     std::size_t node) const {
+  MFG_ASSIGN_OR_RETURN(econ::CaseModel case_model, params_.MakeCaseModel());
   econ::UtilityInputs in;
   in.content_size = params_.content_size;
   in.caching_rate = x;
@@ -86,8 +51,8 @@ common::StatusOr<double> HjbSolver1D::RunningUtilityAtNode(
   in.edge_rate = params_.edge_rate;
   in.sharing_benefit = mf.sharing_benefit;
   in.download_scale = params_.ControlAvailability(q);
-  in.cases = case_model_.Evaluate(q, mf.mean_peer_remaining,
-                                  params_.content_size);
+  in.cases =
+      case_model.Evaluate(q, mf.mean_peer_remaining, params_.content_size);
   in.sharing_enabled = params_.sharing_enabled;
   MFG_ASSIGN_OR_RETURN(econ::UtilityBreakdown breakdown,
                        econ::EvaluateUtility(params_.utility, in));
@@ -105,9 +70,6 @@ common::StatusOr<HjbSolution> HjbSolver1D::Solve(
 common::Status HjbSolver1D::SolveInto(
     const std::vector<MeanFieldQuantities>& mean_field, Workspace& ws,
     HjbSolution& solution) const {
-  MFG_OBS_SPAN("Hjb.SolveInto");
-  MFG_OBS_SCOPED_TIMER("core.hjb.sweep_seconds");
-  MFG_OBS_COUNT("core.hjb.sweeps", 1);
   const std::size_t nt = params_.grid.num_time_steps;
   const std::size_t nq = q_grid_.size();
   if (mean_field.size() != nt + 1) {
@@ -115,154 +77,15 @@ common::Status HjbSolver1D::SolveInto(
         "mean_field must have num_time_steps + 1 entries, got " +
         std::to_string(mean_field.size()));
   }
-  // Preconditions of the econ kernels (ServiceDelay / StalenessCost),
-  // validated once here so the per-node loop can run without StatusOr.
-  const auto& staleness_params = params_.utility.staleness;
-  if (staleness_params.cloud_rate <= 0.0 ||
-      staleness_params.cloud_ondemand_rate <= 0.0) {
-    return common::Status::InvalidArgument("cloud rates must be positive");
-  }
-  if (params_.edge_rate <= 0.0) {
-    return common::Status::InvalidArgument("edge rate must be positive");
-  }
-  if (params_.content_size <= 0.0) {
-    return common::Status::InvalidArgument("content size must be positive");
-  }
-  if (staleness_params.eta2 < 0.0) {
-    return common::Status::InvalidArgument("eta2 must be non-negative");
-  }
-
   solution.q_grid = q_grid_;
   solution.dt = params_.TimeStep();
-  solution.value.Assign(nt + 1, nq, 0.0);
-  solution.policy.Assign(nt + 1, nq, 0.0);
-
-  // Sub-stepping: conservative drift bound over the horizon (profiles
-  // included); the diffusion coefficient is ½ ϱ_q².
-  const double max_speed = params_.MaxAbsDriftSpeed();
-  const double diffusion =
-      0.5 * params_.dynamics.rho_q * params_.dynamics.rho_q;
-  const double stable_dt = numerics::StableTimeStep(
-      q_grid_.dx(), max_speed, diffusion, params_.grid.cfl_safety);
-  const std::size_t substeps = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::ceil(solution.dt / stable_dt)));
-  const double dt_sub = solution.dt / static_cast<double>(substeps);
-  const double dx = q_grid_.dx();
-
-  ws.v.assign(nq, 0.0);
-  ws.dv.assign(nq, 0.0);
-  ws.dv_upwind.assign(nq, 0.0);
-  ws.d2v.assign(nq, 0.0);
-  ws.x_star.assign(nq, 0.0);
-  ws.drift.assign(nq, 0.0);
-  ws.upwind_velocity.assign(nq, 0.0);
-  ws.base.assign(nq, 0.0);
-
-  const double content_size = params_.content_size;
-  const double eta2 = staleness_params.eta2;
-  const double w4 = params_.utility.placement.w4;
-  const double w5 = params_.utility.placement.w5;
-  const double sharing_price = params_.utility.sharing_price;
-  const bool sharing = params_.sharing_enabled;
-
-  // Terminal condition V(T, ·) = 0 and the corresponding terminal policy.
-  {
-    numerics::GradientInto(dx, ws.v, ws.dv);
-    const auto policy_row = solution.policy[nt];
-    for (std::size_t i = 0; i < nq; ++i) {
-      policy_row[i] = OptimalRate(ws.dv[i], avail_[i]);
-    }
-  }
-
-  for (std::size_t n = nt; n-- > 0;) {
-    // Mean-field quantities are held at the *start-of-interval* node n
-    // (consistent with the FPK forward pass using the policy at node n).
-    const MeanFieldQuantities& mf = mean_field[n];
-    const double peer = mf.mean_peer_remaining;
-    const double num_requests = params_.RequestsAt(n);
-    const double retention = params_.dynamics.w2 * params_.PopularityAt(n);
-    const double discard =
-        params_.dynamics.w3 *
-        std::pow(params_.dynamics.xi, params_.TimelinessAt(n));
-    const double share_n = sharing ? mf.sharing_benefit : 0.0;
-    const double served_peer = std::max(content_size - peer, 0.0);
-    // Drift = cs_nw_[i]·x − cs_rd with the node constants pre-multiplied
-    // by the content size (one table read + one constant instead of
-    // three). The batched solver folds the identical expressions.
-    const double cs_rd = content_size * (retention - discard);
-
-    // Fold everything that is independent of the control x: case
-    // probabilities, trading income, the request-service part of the
-    // staleness, and the sharing cost are fixed within the output
-    // interval, so they collapse into the single per-node constant
-    // ws.base[i]; only the x-dependent placement and proactive-download
-    // terms stay in the substep loop.
-    for (std::size_t i = 0; i < nq; ++i) {
-      const double q = q_coords_[i];
-      econ::CaseProbabilities cases =
-          case_model_.Evaluate(q, peer, content_size);
-      if (!sharing) {
-        cases.p3 += cases.p2;
-        cases.p2 = 0.0;
-      }
-      const double trading = econ::TradingIncome(num_requests, mf.price, cases,
-                                                 content_size, q, peer);
-      const double served_own = std::max(content_size - q, 0.0);
-      const double per_request =
-          cases.p1 * served_own * inv_edge_ +
-          cases.p2 * served_peer * inv_edge_ +
-          cases.p3 * (std::max(q, 0.0) * inv_ond_ +
-                      content_size * inv_edge_);
-      const double rest_delay = num_requests * per_request;
-      const double sharing_cost =
-          sharing ? econ::SharingCost(sharing_price, cases.p2, q, peer) : 0.0;
-      ws.base[i] = trading + share_n - eta2 * rest_delay - sharing_cost;
-    }
-
-    for (std::size_t sub = 0; sub < substeps; ++sub) {
-      numerics::GradientInto(dx, ws.v, ws.dv);
-      // Optimal control from the current gradient (Theorem 1).
-      for (std::size_t i = 0; i < nq; ++i) {
-        const double x = OptimalRate(ws.dv[i], avail_[i]);
-        ws.x_star[i] = x;
-        const double drift = cs_nw_[i] * x - cs_rd;
-        ws.drift[i] = drift;
-        // Backward time: in the tau = T - t variable the equation reads
-        // dV/dtau + (-drift) dV/dq = ..., so the transport velocity that
-        // decides the upwind side is the *negated* drift.
-        ws.upwind_velocity[i] = -drift;
-      }
-      numerics::UpwindGradientInto(dx, ws.v, ws.upwind_velocity,
-                                   ws.dv_upwind);
-      numerics::SecondDerivativeInto(dx, ws.v, ws.d2v);
-      for (std::size_t i = 0; i < nq; ++i) {
-        const double x = ws.x_star[i];
-        const double placement = w4 * x + w5 * x * x;
-        const double utility =
-            ws.base[i] - placement - k_delay_ * x * avail_[i];
-        const double hamiltonian =
-            ws.drift[i] * ws.dv_upwind[i] + diffusion * ws.d2v[i] + utility;
-        ws.v[i] += dt_sub * hamiltonian;  // Backward: V(t) = V(t+dt) + dt·H.
-      }
-      if (!common::AllFinite(std::span<const double>(ws.v))) {
-        MFG_FLIGHT_EVENT(kDivergence, obs::kFlightDivergenceHjb,
-                         params_.content_id, static_cast<std::uint32_t>(n),
-                         0.0, 0.0);
-        return common::Status::NumericalError(
-            "HJB value diverged at time node " + std::to_string(n));
-      }
-    }
-    std::copy(ws.v.begin(), ws.v.end(), solution.value[n].begin());
-    numerics::GradientInto(dx, ws.v, ws.dv);
-    const auto policy_row = solution.policy[n];
-    for (std::size_t i = 0; i < nq; ++i) {
-      policy_row[i] = OptimalRate(ws.dv[i], avail_[i]);
-    }
-  }
-  MFG_FLIGHT_EVENT(kHjbSweep, 0, params_.content_id, 0,
-                   static_cast<double>(substeps),
-                   obs::FlightMaxAbs(std::span<const double>(ws.v)));
-  return common::Status::Ok();
+  solution.value.Reshape(nt + 1, nq);
+  solution.policy.Reshape(nt + 1, nq);
+  std::uint8_t alive = 1;
+  batch_.SweepInto(mean_field,
+                   {solution.value.data(), solution.policy.data()},
+                   std::span<std::uint8_t>(&alive, 1), ws);
+  return alive != 0 ? common::Status::Ok() : ws.status[0];
 }
 
 }  // namespace mfg::core

@@ -4,78 +4,34 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/hjb_batch.h"
 #include "core/mean_field_estimator.h"
 #include "core/mfg_params.h"
 #include "numerics/grid.h"
-#include "numerics/time_field.h"
 
-// Backward Hamilton–Jacobi–Bellman solver for the generic player (Eq. 20):
-//
-//   ∂_t V + max_x [ Q_k(−w1 x − w2 Π + w3 ξ^L) ∂_q V + ½ ϱ_q² ∂²_qq V
-//                   + U(t, x, q, λ) ] = 0,     V(T, ·) = 0,
-//
-// on the reduced 1-D cache-state domain (the channel coordinate is frozen
-// at its OU long-term mean; its drift/diffusion terms then vanish from the
-// generic player's equation — see DESIGN.md §4). The inner maximization is
-// closed-form (Theorem 1):
-//
-//   x*(t, q) = [ −( w4 + η₂ Q_k / H_c + Q_k w1 ∂_q V ) / (2 w5) ]₀¹
-//
-// Discretization: explicit backward Euler with automatic sub-stepping to
-// satisfy the advection/diffusion CFL bound, upwind first derivatives
-// (biased by the drift sign) and central second derivatives.
-//
-// The solver validates inputs once per Solve() and then runs raw-double
-// kernels on flat storage: per-node control availability and the Theorem-1
-// constants are tabulated at construction, the mean-field-dependent utility
-// terms (case probabilities, trading income, request-service delay, sharing
-// cost) are folded per output time node — they do not change across CFL
-// substeps — and only the x-dependent placement and proactive-download
-// terms are evaluated inside the substep loop. SolveInto reuses a caller
-// Workspace so the steady state of the best-response iteration performs no
-// heap allocation.
+// Backward HJB solver for one content (Eq. 20; the equation, Theorem 1's
+// closed-form control and the discretization are documented in
+// hjb_batch.h). A one-lane view of HjbBatchSolver: at one lane the batch's
+// [time][node][lane] fields are exactly HjbSolution's [time][node] fields
+// and its [time][lane] mean field is the per-node vector, so SolveInto
+// sweeps straight into the caller's solution with no copies. SolveInto
+// reuses a caller Workspace, so the steady state of a repeated solve
+// performs no heap allocation.
 
 namespace mfg::core {
 
-// V and x* tabulated on the (time, q) product grid. Index [n][i] is time
-// node t_n = n·dt (n = 0..num_time_steps) and q node i; rows are spans
-// over flat row-major storage.
-struct HjbSolution {
-  numerics::Grid1D q_grid;
-  double dt = 0.0;
-  numerics::TimeField2D value;   // V(t_n, q_i).
-  numerics::TimeField2D policy;  // x*(t_n, q_i).
-
-  std::size_t num_time_nodes() const { return value.size(); }
-};
-
 class HjbSolver1D {
  public:
-  // Scratch buffers sized on first use (all length nq); reuse across
-  // Solve calls keeps the backward sweep allocation-free.
-  struct Workspace {
-    std::vector<double> v;
-    std::vector<double> dv;
-    std::vector<double> dv_upwind;
-    std::vector<double> d2v;
-    std::vector<double> x_star;
-    std::vector<double> drift;
-    std::vector<double> upwind_velocity;
-    // Per-time-node mean-field fold (constant across CFL substeps): every
-    // control-independent utility term — trading income, sharing benefit,
-    // the request-service part of the staleness cost, sharing cost —
-    // collapsed into one per-node constant, so the substep loop streams a
-    // single table instead of three plus lane constants.
-    std::vector<double> base;
-  };
+  // The batch sweep's scratch at one lane; reuse across SolveInto calls
+  // keeps the backward sweep allocation-free.
+  using Workspace = HjbBatchSolver::Workspace;
 
   static common::StatusOr<HjbSolver1D> Create(const MfgParams& params);
 
   // Re-parameterizes the solver in place: revalidates `params` and
-  // recomputes every construction-time table, reusing their storage.
-  // Equivalent to replacing *this with *Create(params) but allocation-free
-  // when the q-grid size is unchanged — the epoch worker pool rebinds one
-  // long-lived solver per content instead of constructing fresh ones.
+  // recomputes every bind-time table, reusing their storage. Equivalent to
+  // replacing *this with *Create(params) but allocation-free when the grid
+  // shape is unchanged.
   common::Status Rebind(const MfgParams& params);
 
   // Solves backward from V(T) = 0 given the mean-field quantities at each
@@ -83,9 +39,9 @@ class HjbSolver1D {
   common::StatusOr<HjbSolution> Solve(
       const std::vector<MeanFieldQuantities>& mean_field) const;
 
-  // In-place variant writing into `solution` (resized/refilled; capacity is
-  // reused at steady state) using `workspace` scratch. Zero allocations
-  // once both have warmed up.
+  // In-place variant writing into `solution` (reshaped; capacity is reused
+  // at steady state) using `workspace` scratch. Zero allocations once both
+  // have warmed up.
   common::Status SolveInto(const std::vector<MeanFieldQuantities>& mean_field,
                            Workspace& workspace, HjbSolution& solution) const;
 
@@ -104,33 +60,11 @@ class HjbSolver1D {
       std::size_t node) const;
 
  private:
-  HjbSolver1D(const MfgParams& params, const numerics::Grid1D& q_grid,
-              const econ::CaseModel& case_model);
-
-  // (Re)computes the per-node tables and Theorem-1 constants from the
-  // current params_/q_grid_; shared by the constructor and Rebind.
-  void InitTables();
+  HjbSolver1D() = default;
 
   MfgParams params_;
   numerics::Grid1D q_grid_;
-  econ::CaseModel case_model_;
-
-  // Node tables precomputed at construction (hot-loop invariants).
-  std::vector<double> q_coords_;       // q_i.
-  std::vector<double> avail_;          // a(q_i).
-  std::vector<double> neg_w1_avail_;   // (−w1)·a(q_i), the drift control gain.
-  std::vector<double> cs_nw_;          // Q_k·(−w1)·a(q_i): drift x-gain.
-  double opt_k1_ = 0.0;                // (η₂ Q_k) / H_c.
-  double opt_k2_ = 0.0;                // Q_k w1.
-  // Reciprocals and products of the per-element constants, hoisted to bind
-  // time: the substep loops are division-throughput- and load-bound
-  // otherwise. The batched solver computes the same expressions per lane,
-  // keeping bit-identity.
-  double inv_2w5_ = 0.0;               // 1 / (2 w5).
-  double cs_over_cloud_ = 0.0;         // Q_k / H_c.
-  double k_delay_ = 0.0;               // η₂ Q_k / H_c (staleness x-gain).
-  double inv_edge_ = 0.0;              // 1 / r_edge.
-  double inv_ond_ = 0.0;               // 1 / H_od.
+  HjbBatchSolver batch_;  // Bound at one lane.
 };
 
 }  // namespace mfg::core

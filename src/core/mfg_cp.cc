@@ -67,10 +67,10 @@ void RelaxLearning(const EpochRecoveryOptions& recovery, std::size_t attempt,
   learning.max_iterations += recovery.extra_iterations * attempt;
 }
 
-// One solve attempt for `result`'s content on worker state `wc`.
-// Attempt 0 is the nominal solve; attempts >= 1 apply the relaxation
-// schedule. The fault scope makes the attempt addressable by an armed
-// fault plan.
+// Relaxed retry `attempt` (>= 1) of `result`'s content: the relaxation
+// schedule applied to freshly built params, re-bound at one lane on the
+// worker's batch learner. The fault scope makes the attempt addressable by
+// an armed fault plan, and the solve polls its fault sites under it.
 common::Status AttemptSlotSolve(const EpochSolveJob& job,
                                 EpochRuntime::WorkerContext& wc,
                                 EpochContentResult& result,
@@ -82,23 +82,23 @@ common::Status AttemptSlotSolve(const EpochSolveJob& job,
       k, job.buffer->popularity[k], job.obs->mean_timeliness[k],
       static_cast<double>(job.obs->request_counts[k]));
   if (!params.ok()) return params.status();
-  if (attempt > 0) {
-    RelaxLearning(job.framework->options().recovery, attempt,
-                  params->learning);
-  }
+  RelaxLearning(job.framework->options().recovery, attempt,
+                params->learning);
   result.params = std::move(*params);
   MFG_FLIGHT_EVENT(
       kAttemptBegin, 0, k,
       static_cast<std::uint32_t>(result.params.learning.max_iterations),
       result.params.learning.relaxation, result.params.learning.tolerance);
-  if (!wc.learner.has_value()) {
-    auto learner = BestResponseLearner::Create(result.params);
-    if (!learner.ok()) return learner.status();
-    wc.learner.emplace(std::move(*learner));
-  } else {
-    MFG_RETURN_IF_ERROR(wc.learner->Rebind(result.params));
-  }
-  return wc.learner->SolveInto(wc.workspace, result.equilibrium);
+  BatchBestResponseLearner& learner = wc.batch_learner;
+  learner.Reset(1);
+  MFG_RETURN_IF_ERROR(learner.BindLane(0, result.params));
+  BatchBestResponseLearner::LaneJob lane;
+  lane.ambient_fault_scope = true;
+  lane.active = true;
+  lane.out = &result.equilibrium;
+  learner.SolveInto(std::span<BatchBestResponseLearner::LaneJob>(&lane, 1),
+                    wc.batch_workspace);
+  return lane.status;
 }
 
 // Refreshes the carry-forward slot for content `k`. Called only for
@@ -174,12 +174,10 @@ common::Status BuildFallbackResult(const EpochSolveJob& job,
 }
 
 // Runs the recovery ladder for slot `slot` given the outcome of its
-// first (attempt-0) solve. Shared by the scalar per-slot path (which
-// produced `first_status` via AttemptSlotSolve) and the batched block
-// path (via BatchBestResponseLearner lane statuses): a degraded lane
-// falls onto the identical scalar ladder — relaxed retries on `wc`'s
-// scalar learner, carry-forward, static fallback — so recovery behavior
-// is byte-for-byte the same at every batch width.
+// first (attempt-0) solve, the slot's lane status from the block solve:
+// relaxed retries at one lane on `wc`'s batch learner, carry-forward,
+// static fallback. Every rung depends only on the slot's own inputs, so
+// recovery behavior is byte-for-byte the same at every batch width.
 void FinishSlotAfterFirstAttempt(const EpochSolveJob& job,
                                  EpochRuntime::WorkerContext& wc,
                                  std::size_t slot,
@@ -308,43 +306,14 @@ void FinishSlotAfterFirstAttempt(const EpochSolveJob& job,
                       static_cast<double>(static_cast<int>(status.code())));
 }
 
-// Solves one content slot on worker `worker`'s long-lived learner and
-// workspace, running the recovery ladder on failure. Writes only this
-// slot's result/status/outcome (plus the slot content's own carry entry,
-// which no other slot touches this epoch), so any slot→worker schedule
-// yields bit-identical results.
-void SolveEpochSlot(void* ctx, std::size_t worker, std::size_t slot) {
-  const EpochSolveJob& job = *static_cast<EpochSolveJob*>(ctx);
-  // Rate-limit the learners' non-convergence WARNINGs to one line per
-  // (epoch, content) — a ladder of relaxed retries would otherwise emit
-  // near-identical lines for every attempt.
-  NonConvergenceEpochScope nonconvergence_scope(job.buffer->epoch_index);
-  EpochContentResult& result = job.buffer->results[slot];
-  EpochRuntime::WorkerContext& wc = job.runtime->worker(worker);
-  MFG_OBS_SPAN_ID("PlanEpoch.SolveContent",
-                  static_cast<std::int64_t>(result.content));
-
-  result.attempts = 1;
-  FinishSlotAfterFirstAttempt(job, wc, slot,
-                              AttemptSlotSolve(job, wc, result, 0));
-}
-
-// The batch_width == 1 block body: the scalar per-slot solve, one slot at
-// a time.
-void SolveEpochSlots(void* ctx, std::size_t worker, std::size_t begin,
-                     std::size_t end) {
-  for (std::size_t slot = begin; slot < end; ++slot) {
-    SolveEpochSlot(ctx, worker, slot);
-  }
-}
-
 // Solves slots [begin, end) as one SoA batch on worker `worker`'s
-// long-lived batch learner (batch_width > 1). Attempt 0 of every slot in
-// the block runs in lockstep through BatchBestResponseLearner — each lane
-// executes the exact scalar expression tree, so a clean first attempt is
-// bitwise equal to SolveEpochSlot's. Lanes whose params build, bind, or
-// solve failed (or came back unconverged) then run the unchanged scalar
-// recovery ladder per slot.
+// long-lived batch learner. Attempt 0 of every slot in the block runs in
+// lockstep through BatchBestResponseLearner; lanes are independent, so a
+// slot's result does not depend on the block it lands in. Lanes whose
+// params build, bind, or solve failed (or came back unconverged) then run
+// the recovery ladder per slot. Writes only the block's slots (plus each
+// slot content's own carry entry, which no other slot touches this epoch),
+// so any block→worker schedule yields bit-identical results.
 void SolveEpochBlock(void* ctx, std::size_t worker, std::size_t begin,
                      std::size_t end) {
   const EpochSolveJob& job = *static_cast<EpochSolveJob*>(ctx);
@@ -376,7 +345,7 @@ void SolveEpochBlock(void* ctx, std::size_t worker, std::size_t begin,
     lane.status = common::Status::Ok();
     result.attempts = 1;
     // Attempt-0 params build + bind under this lane's fault coordinates
-    // (the scalar AttemptSlotSolve preamble).
+    // (AttemptSlotSolve's preamble, without the relaxation).
     MFG_FAULT_SCOPE(job.buffer->epoch_index, k, 0);
     auto params = job.framework->ContentParams(
         k, job.buffer->popularity[k], job.obs->mean_timeliness[k],
@@ -556,27 +525,19 @@ common::Status MfgCpFramework::PlanEpochInto(const EpochObservation& obs,
   const std::size_t epoch = buffer.epoch_index;
 
   // Solve the independent per-content equilibria on the persistent pool
-  // (Alg. 1 line 2). Each worker writes only its own slots. batch_width
-  // > 1 routes through the SoA block path (bit-identical; see
-  // SolveEpochBlock above), batch_width == 1 runs the scalar per-slot
-  // solve in blocks of one slot.
+  // (Alg. 1 line 2) as SoA blocks of up to batch_width slots (see
+  // SolveEpochBlock above). Each worker writes only its own slots.
   EpochSolveJob job{this, &obs, &buffer, &state_->runtime};
-  if (options_.batch_width > 1) {
-    // Shrink blocks on small epochs so there are at least as many blocks
-    // as workers whenever num_active >= workers — the whole pool warms and
-    // shares the work, as the scalar round-robin path always did. Results
-    // are unaffected: every lane is bit-identical to the scalar solve at
-    // any block width.
-    const std::size_t workers = state_->runtime.num_workers();
-    const std::size_t per_worker =
-        std::max<std::size_t>(1, buffer.num_active / workers);
-    state_->runtime.RunEpochBlocks(
-        buffer.num_active, std::min(options_.batch_width, per_worker),
-        &SolveEpochBlock, &job);
-  } else {
-    state_->runtime.RunEpochBlocks(buffer.num_active, 1, &SolveEpochSlots,
-                                   &job);
-  }
+  // Shrink blocks on small epochs so there are at least as many blocks as
+  // workers whenever num_active >= workers — the whole pool warms and
+  // shares the work. Results are unaffected: lanes are independent, so a
+  // slot's result is the same at any block width.
+  const std::size_t workers = state_->runtime.num_workers();
+  const std::size_t per_worker =
+      std::max<std::size_t>(1, buffer.num_active / workers);
+  state_->runtime.RunEpochBlocks(buffer.num_active,
+                                 std::min(options_.batch_width, per_worker),
+                                 &SolveEpochBlock, &job);
   ++buffer.epoch_index;
 
   // Degradation tally + aggregated failure report. The per-slot statuses

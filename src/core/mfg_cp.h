@@ -93,9 +93,9 @@ struct MfgCpOptions {
   std::size_t parallelism = 1;
   // Contents solved together as one SoA batch (the lanes of the batched
   // HJB/FPK/best-response solvers; see ARCHITECTURE.md "Batched solver
-  // layer"). Workers claim contiguous blocks of this many contents; each
-  // lane runs the exact scalar expression tree, so results stay
-  // bit-identical for every value. 1 = the scalar per-slot path.
+  // layer"). Workers claim contiguous blocks of this many contents; lanes
+  // share no arithmetic, so results stay bit-identical for every value.
+  // 1 runs the same block path one content at a time.
   std::size_t batch_width = 8;
   // Per-content failure handling (see EpochRecoveryOptions above).
   EpochRecoveryOptions recovery;

@@ -15,7 +15,7 @@
 //
 // have a unit-stride innermost loop the compiler auto-vectorizes across
 // lanes. Lanes never exchange data inside a kernel, which is what keeps
-// every lane bit-identical to the scalar solver it replaces.
+// every lane's result independent of the batch width.
 //
 // Like TimeField2D, Assign() reuses capacity so a warmed workspace stays
 // allocation-free across epochs (the allocs_per_epoch=0 contract).

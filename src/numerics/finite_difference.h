@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "numerics/batch_field.h"
 #include "numerics/grid.h"
 
 // Finite-difference operators on uniform 1-D grids. These back both PDE
@@ -38,44 +37,6 @@ void UpwindGradientInto(double dx, std::span<const double> f,
 // boundary treatment.
 void SecondDerivativeInto(double dx, std::span<const double> f,
                           std::span<double> out);
-
-// ---------------------------------------------------------------------------
-// Content-batched (structure-of-arrays) kernel variants.
-//
-// Each `*BatchInto` applies the matching scalar operator to every lane of a
-// BatchField at once: lane l sees the lane-l samples of `f` and receives
-// exactly the scalar result bit-for-bit — the lane loop is a per-lane
-// transcription of the scalar expression tree (same operations, same order,
-// no cross-lane arithmetic), so IEEE semantics match. The innermost loops
-// are unit-stride across lanes and auto-vectorize; building with
-// -DMFGCP_SIMD=ON swaps in an explicit std::experimental::simd path
-// (paired with -ffp-contract=off so fused multiply-adds cannot break the
-// bit-identity contract).
-//
-// Instead of the spacing itself the kernels take *precomputed reciprocals*,
-// mirroring the scalar kernels' once-per-call hoist (division has far lower
-// throughput than multiply, and these run once per element). For the
-// bit-identity contract the caller must fill them with the identical
-// expressions the scalar kernels use:
-//   inv_dx[l]  = 1.0 / dx[l]
-//   inv_2dx[l] = 1.0 / (2.0 * dx[l])
-//   inv_dx2[l] = 1.0 / (dx[l] * dx[l])
-//
-// Requirements mirror the scalar kernels: all fields share nodes()/lanes(),
-// every reciprocal span has size >= lanes(), out must not alias f,
-// nodes() >= 2.
-// ---------------------------------------------------------------------------
-
-void GradientBatchInto(std::span<const double> inv_dx,
-                       std::span<const double> inv_2dx, const BatchField& f,
-                       BatchField& out);
-
-void UpwindGradientBatchInto(std::span<const double> inv_dx,
-                             const BatchField& f, const BatchField& velocity,
-                             BatchField& out);
-
-void SecondDerivativeBatchInto(std::span<const double> inv_dx2,
-                               const BatchField& f, BatchField& out);
 
 // First derivative by central differences in the interior, one-sided at the
 // boundaries.

@@ -1,15 +1,16 @@
 #ifndef MFGCP_NUMERICS_SIMD_SUPPORT_H_
 #define MFGCP_NUMERICS_SIMD_SUPPORT_H_
 
-// Opt-in explicit SIMD layer for the batched kernels.
+// SIMD support for the batched kernels.
 //
-// The default build relies on auto-vectorization of the unit-stride lane
-// loops. Configuring with -DMFGCP_SIMD=ON defines MFGCP_SIMD_ENABLED=1 and
-// routes the batch kernel inner loops through std::experimental::simd. The
-// CMake toggle also forces -ffp-contract=off project-wide: the batched/
-// scalar bit-identity contract (solver_equivalence_test,
-// batch_equivalence_test) forbids fused multiply-add contraction, which any
-// -march flag enabling FMA would otherwise introduce.
+// The batched kernels rely on auto-vectorization of unit-stride lane loops
+// and lane packs (numerics/lane_vector.h). Configuring with -DMFGCP_SIMD=ON
+// defines MFGCP_SIMD_ENABLED=1, which turns the runtime ISA dispatch below
+// off (every kernel then runs its baseline SSE2 build). The project also
+// forces -ffp-contract=off: the bit-identity contracts
+// (solver_equivalence_test, batch_equivalence_test) forbid fused
+// multiply-add contraction, which any FMA-capable target would otherwise
+// introduce.
 
 #ifndef MFGCP_SIMD_ENABLED
 #define MFGCP_SIMD_ENABLED 0
@@ -27,12 +28,10 @@
 // lane l sees the same operation sequence at any width), and the top-level
 // CMakeLists forces -ffp-contract=off project-wide so the AVX-512 clone —
 // whose ISA embeds fused multiply-add — cannot contract a*b+c into one
-// rounding where the scalar solvers round twice.
+// rounding where the baseline clone rounds twice.
 //
-// The macro is empty under MFGCP_SIMD: the explicit std::experimental::simd
-// bodies fix native_simd's width at TU compile time, and cloning a function
-// that uses them would mix vector ABIs. It is also empty off x86-64/GCC
-// (target_clones + ifunc is a GCC/glibc mechanism).
+// The macro is empty under MFGCP_SIMD and off x86-64/GCC (target_clones +
+// ifunc is a GCC/glibc mechanism).
 #if !MFGCP_SIMD_ENABLED && defined(__x86_64__) && defined(__GNUC__) && \
     !defined(__clang__)
 #define MFGCP_BATCH_TARGET_CLONES \
@@ -61,15 +60,5 @@ inline double LaneSelect(double mask, double a, double b) {
 }
 
 }  // namespace mfg::numerics
-
-#if MFGCP_SIMD_ENABLED
-#include <experimental/simd>
-
-namespace mfg::numerics {
-namespace stdx = std::experimental;
-using SimdDouble = stdx::native_simd<double>;
-inline constexpr std::size_t kSimdWidth = SimdDouble::size();
-}  // namespace mfg::numerics
-#endif  // MFGCP_SIMD_ENABLED
 
 #endif  // MFGCP_NUMERICS_SIMD_SUPPORT_H_

@@ -1,9 +1,11 @@
-// Bit-identity tests for the content-batched solver layer against the
-// scalar solvers it replaces (ARCHITECTURE.md "Batched solver layer").
+// Bit-identity tests for the content-batched solver layer against its
+// one-lane views (ARCHITECTURE.md "Batched solver layer"): the scalar
+// HjbSolver1D, FpkSolver1D and BestResponseLearner run the same solvers at
+// one lane, and solver_equivalence_test pins those views to golden values.
 //
-// The contract under test: lane l of a batched solve executes the exact
-// scalar expression tree on lane-l data, so every active lane's result is
-// bitwise equal to the scalar solver's — at every batch width, for
+// The contract under test: lanes share no arithmetic, so every active
+// lane's result is bitwise equal to its one-lane solve — at every batch
+// width, for
 // heterogeneous lanes (different content sizes mean different grid
 // spacings and CFL substep counts per lane), for both FPK stepping
 // schemes, and through the whole epoch pipeline (PlanEpochInto with
@@ -109,10 +111,9 @@ TEST_P(BatchSolverTest, HjbBatchMatchesScalarBitwise) {
 }
 
 // The batched HJB checks divergence once per output node, in the same pass
-// that computes the node's gradient and policy, where the scalar solver
-// checks every substep; a diverging lane must still fail with the scalar
-// solver's exact error (same time node) and leave its neighbours bitwise
-// untouched. The middle lane's mean-field price turns NaN at node 7.
+// that computes the node's gradient and policy; a diverging lane must fail
+// with the one-lane solve's exact error (same time node) and leave its
+// neighbours bitwise untouched. The middle lane's mean-field price turns NaN at node 7.
 TEST_P(BatchSolverTest, HjbBatchDivergentLaneMatchesScalarError) {
   const std::size_t lanes = GetParam();
   const std::size_t nan_lane = lanes / 2;
@@ -217,10 +218,9 @@ TEST_P(BatchSolverTest, FpkBatchImplicitMatchesScalarBitwise) {
   CheckFpkBatch(GetParam(), /*implicit=*/true);
 }
 
-// The batched FPK checks divergence once per output node where the scalar
-// solver checks every substep; a diverging lane must still fail with the
-// scalar solver's exact error (same time node) and leave its neighbours
-// bitwise untouched. Lane 1 starts from a NaN density (fails at node 0);
+// The batched FPK checks divergence once per output node; a diverging lane
+// must fail with the one-lane solve's exact error (same time node) and
+// leave its neighbours bitwise untouched. Lane 1 starts from a NaN density (fails at node 0);
 // lane 2's policy turns NaN at node 7 (fails mid-sweep).
 TEST_P(BatchSolverTest, FpkBatchDivergentLaneMatchesScalarError) {
   const std::size_t lanes = GetParam();
@@ -469,8 +469,8 @@ TEST(BatchSolverTest, InvalidLaneFailsBindWithoutAffectingOthers) {
 }
 
 // ---------------------------------------------------------------------------
-// Whole-pipeline identity: PlanEpochInto with the block-claiming batch
-// scheduler vs the scalar per-slot path.
+// Whole-pipeline identity: PlanEpochInto at batch width 1 (one content per
+// block) vs wider blocks.
 // ---------------------------------------------------------------------------
 
 // Runs `epochs` epochs with varying observations and returns a deep copy

@@ -22,9 +22,13 @@ using ::mfg::core::testing::MakeObservation;
 // Note the recovery ladder is enabled by default: these tests also pin
 // down that its bookkeeping (outcomes, last-good copies) stays off the
 // heap on the no-fault path.
-void ExpectWarmedEpochAllocationFree(std::size_t parallelism) {
+void ExpectWarmedEpochAllocationFree(
+    std::size_t parallelism,
+    std::size_t batch_width = MfgCpOptions().batch_width) {
   constexpr std::size_t kContents = 8;
-  auto framework = MakeFramework(kContents, parallelism);
+  MfgCpOptions options = ::mfg::core::testing::FastOptions(parallelism);
+  options.batch_width = batch_width;
+  auto framework = MakeFramework(kContents, parallelism, &options);
   const EpochObservation obs = MakeObservation(kContents);
   EpochPlanBuffer buffer;
   // Epoch 1 is the round-robin warmup (sizes every worker's learner and
@@ -50,6 +54,12 @@ TEST(EpochAllocTest, WarmedSerialEpochIsAllocationFree) {
 
 TEST(EpochAllocTest, WarmedParallelEpochIsAllocationFree) {
   ExpectWarmedEpochAllocationFree(4);
+}
+
+// Width 1 runs the same block path one lane at a time.
+TEST(EpochAllocTest, WarmedWidthOneEpochIsAllocationFree) {
+  ExpectWarmedEpochAllocationFree(1, 1);
+  ExpectWarmedEpochAllocationFree(4, 1);
 }
 
 // 13 contents at batch width 8 split into a block of 8 and a ragged block

@@ -333,8 +333,9 @@ TEST(EpochDegradationTest, GoldenDeterminismAcrossBatchWidths) {
   // the plan buffers must be bit-identical whether contents are solved one
   // per slot (batch_width 1), in remainder-producing blocks of 3, or in
   // the default blocks of 8 — and, for each width, at parallelism 1/2/8.
-  // Degraded lanes fall out of the batch onto the scalar recovery ladder,
-  // so this also pins the batch -> ladder handoff.
+  // Degraded lanes fall out of the batch onto the recovery ladder, whose
+  // relaxed retries re-bind them at one lane, so this also pins the
+  // batch -> ladder handoff.
   faults::FaultPlan::SeedOptions seed;
   seed.seed = 11;
   seed.num_epochs = 2;

@@ -122,8 +122,8 @@ TEST(FlightDumpDeterminismTest, EventSetsIdenticalAcrossBatchWidths) {
   constexpr std::size_t kEpochs = 2;
   constexpr std::size_t kContents = 5;
   const faults::FaultPlan plan = SeededSolverFaults(11, kEpochs, kContents);
-  // Width 1 is the scalar per-slot path; the SoA widths must journal the
-  // exact same per-content story, down to the payload bits.
+  // Width 1 solves one content per block; the wider blocks must journal
+  // the exact same per-content story, down to the payload bits.
   const auto scalar = RunAndCollect(2, 1, kEpochs, kContents, plan);
   std::size_t total = 0;
   for (const auto& content_events : scalar) total += content_events.size();

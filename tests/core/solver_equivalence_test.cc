@@ -17,6 +17,17 @@
 //   F  standalone explicit FPK under a synthetic ramp policy
 //   G  standalone implicit FPK under the same policy
 //   H  mean-field estimator on a synthetic density/policy pair
+//
+// Scenarios I–N were dumped the same way from the scalar HjbSolver1D,
+// FpkSolver1D and BestResponseLearner sweeps immediately before those
+// became one-lane views of the batch solvers; they pin the cases the
+// batch-vs-scalar comparisons used to cover:
+//   I  full equilibrium, 60 MB content (finer dx, other CFL substeps)
+//   J  full equilibrium, 140 MB content
+//   K  full equilibrium that exhausts max_iterations unconverged
+//   L  SolveFrom an explicit start (shifted density, rate 0.2), 140 MB
+//   M  standalone HJB at 60 MB and 140 MB, synthetic mean field
+//   N  standalone explicit and implicit FPK at 60 MB and 140 MB
 
 #include <gtest/gtest.h>
 
@@ -29,6 +40,7 @@
 #include "core/fpk_solver.h"
 #include "core/hjb_solver.h"
 #include "core/mean_field_estimator.h"
+#include "numerics/density.h"
 
 namespace mfg::core {
 namespace {
@@ -109,6 +121,84 @@ constexpr double kHDeltaQ = 69.95531476090008;
 constexpr double kHSharerFrac = 2.9322135007859164e-07;
 constexpr double kHSharing = 69.955294265029551;
 
+// scenario I
+constexpr double kIPolicyT0[] = {0.0001220703125, 0.93006570718767301, 0.9998779296875, 0.9998779296875, 0.9998779296875, 0.9998779296875, 0.9998779296875, 0.9998779296875, 0.9998779296875};
+constexpr double kIValueT0[] = {1888.3181403930776, 1779.6611683894887, 1646.8643700459743, 1447.6262317805672, 1213.7379487171193, 918.63537352521303, 629.86048437315446, 334.15010565421363, 81.222044650448595};
+constexpr double kIValueMid[] = {877.15561753331258, 791.13757295688276, 689.27765034508343, 587.76975420606925, 512.98159908252057, 435.48328800735129, 363.32184012845283, 284.33941227879387, 211.03125271674227};
+constexpr double kIDensityFinal[] = {0.053213914786928426, 0.030979810956900465, 0.016511898518015343, 0.0096649789883674238, 0.0016929645864953138, 3.2829611930328736e-05, 6.8914603554241273e-08, 2.7733749358544352e-12, 7.9221624227342282e-18};
+constexpr double kIFinalMean = 6.8393653565069084;
+constexpr double kIPriceT0 = 6.1394639053236517;
+constexpr double kIPriceTN = 5.436787307130138;
+constexpr double kIRateT0 = 0.9998779285468834;
+constexpr double kIRateTN = 0.0001220703125;
+constexpr double kISharingTN = 0.13914407304368487;
+constexpr std::size_t kIIterations = 12;
+constexpr double kILastChange = 0.00064048858840304312;
+// scenario J
+constexpr double kJPolicyT0[] = {3.0517578125e-05, 0.999969482421875, 0.999969482421875, 0.999969482421875, 0.999969482421875, 0.999969482421875, 0.999969482421875, 0.999969482421875, 0.999969482421875};
+constexpr double kJValueT0[] = {2839.4964357587728, 2694.3143738887202, 2479.7257194715962, 2091.1278650263644, 1607.1389209450674, 972.59131339797341, 345.92415072804289, -280.14015091160297, -819.8733786569785};
+constexpr double kJValueMid[] = {1085.6051200815866, 978.28994094708162, 832.93313485314013, 696.97990775941958, 604.49101961469751, 503.67236175992548, 410.42420586363903, 309.38419940676937, 216.11472797503521};
+constexpr double kJDensityFinal[] = {0.0042317146307232654, 0.0071531228862097901, 0.0041981902212999299, 0.0058451609069554312, 0.0005194281053502879, 4.9873026804678384e-06, 2.3665365204324279e-09, 2.7087493117301702e-15, 1.2448261682480241e-23};
+constexpr double kJFinalMean = 15.124145703431754;
+constexpr double kJPriceT0 = 5.6587491124218525;
+constexpr double kJPriceTN = 4.0024829140686347;
+constexpr double kJRateT0 = 0.99996948236603911;
+constexpr double kJRateTN = 3.0517578125000007e-05;
+constexpr double kJSharingTN = 0.76900758181771411;
+constexpr std::size_t kJIterations = 14;
+constexpr double kJLastChange = 0.00059082570534718659;
+// scenario K
+constexpr double kKPolicyT0[] = {0.015625, 0.984375, 0.984375, 0.984375, 0.984375, 0.984375, 0.984375, 0.984375, 0.984375};
+constexpr double kKValueT0[] = {2595.0527873765059, 2465.6385132583064, 2290.2310080714151, 1996.0645371606527, 1634.1338040807007, 1163.673063679078, 695.15402951345641, 223.59931257455074, -177.85518757221399};
+constexpr double kKValueMid[] = {1117.9286525242578, 1014.1526746881692, 881.20350725544392, 755.39640646183523, 671.45543635884962, 578.5621997321764, 491.71833255406108, 397.34549789617182, 310.17849701518378};
+constexpr double kKDensityFinal[] = {0.020732791732923733, 0.0083855579312395682, 0.0083953003099803292, 0.0062409326740617563, 0.00045207638668442443, 2.945402544237927e-06, 1.1340325306630417e-09, 1.7028611572138407e-15, 2.2266052143193815e-23};
+constexpr double kKFinalMean = 9.784953474631191;
+constexpr double kKPriceT0 = 5.8991065088727517;
+constexpr double kKPriceTN = 4.6956990694926244;
+constexpr double kKRateT0 = 0.98437499986926447;
+constexpr double kKRateTN = 0.015625;
+constexpr double kKSharingTN = 0.45009333697635701;
+constexpr std::size_t kKIterations = 5;
+constexpr double kKLastChange = 0.088444943008876287;
+// scenario L
+constexpr double kLPolicyT0[] = {1.9073486328125001e-07, 0.99999923706054683, 0.99999923706054683, 0.99999923706054683, 0.99999923706054683, 0.99999923706054683, 0.99999923706054683, 0.99999923706054683, 0.99999923706054683};
+constexpr double kLValueT0[] = {2064.5391755612973, 1941.1100914418862, 1759.1954757449794, 1482.6855452947059, 1296.6804329992735, 1125.0246029627965, 963.09308225022403, 787.06086839903048, 624.5145548483622};
+constexpr double kLValueMid[] = {959.56004891212865, 864.86134467804573, 819.21847373526884, 814.17986777361421, 788.61609617367355, 757.6993746155182, 728.88521894897008, 697.64725781309608, 668.81057724773393};
+constexpr double kLDensityFinal[] = {0.049681500517211985, 2.3540591459004217e-08, 3.4265246067608087e-05, 0.0085056189746864335, 0.00026640352245657016, 2.0365373641092587e-06, 7.5703148262090973e-09, 4.2306371623349793e-12, 2.0593696288361143e-16};
+constexpr double kLFinalMean = 9.2411371720445104;
+constexpr double kLPriceT0 = 4.5412508875781477;
+constexpr double kLPriceTN = 3.8848227434408904;
+constexpr double kLRateT0 = 0.99166872475601409;
+constexpr double kLRateTN = 1.907348632812499e-07;
+constexpr double kLSharingTN = 0.47286119995257958;
+constexpr std::size_t kLIterations = 20;
+constexpr double kLLastChange = 0.00086943198640332398;
+// scenario M60
+constexpr double kM60PolicyT0[] = {0, 0.78208618646197015, 1, 1, 1, 1, 1, 1, 1};
+constexpr double kM60ValueT0[] = {900.63217348836554, 813.08518558779963, 688.33804686605208, 508.2815952870809, 268.67068029223725, -26.985033510418635, -373.30108809300771, -764.4654116299057, -1192.3207316920652};
+constexpr double kM60PolicyMid[] = {0, 0.63546740623888509, 1, 1, 1, 1, 1, 1, 1};
+constexpr double kM60ValueMid[] = {300.93253230112737, 235.91921206337608, 126.53046595098203, -33.006166939095039, -240.56362727047929, -477.97374699850025, -718.53565475263201, -944.49323062541907, -1157.8370245177296};
+// scenario M140
+constexpr double kM140PolicyT0[] = {0, 1, 1, 1, 1, 1, 1, 1, 1};
+constexpr double kM140ValueT0[] = {2102.4128449475725, 1975.8678959071397, 1766.7652759898706, 1399.8594146455284, 901.00805595856684, 284.51009529580728, -441.50006067377296, -1266.4855498774443, -2173.1029800720953};
+constexpr double kM140PolicyMid[] = {0, 0.84614332184237362, 1, 1, 1, 1, 1, 1, 1};
+constexpr double kM140ValueMid[] = {704.55433190240069, 613.78184461644082, 434.16989465983062, 106.47926524125531, -321.2221288404462, -797.65590669108065, -1239.5162760616681, -1637.5389606377523, -2029.9049674257042};
+// scenario NExp60
+constexpr double kNExp60DensityFinal[] = {0.00042062484667555402, 0.049424423180237063, 0.076574692836843747, 0.0057557383585931671, 1.3929681729885017e-05, 2.7372270767228727e-10, 2.4691099997646436e-17, 1.1502554449357664e-26, 1.6482502676528646e-38};
+constexpr double kNExp60FinalMean = 12.380229877350057;
+constexpr double kNExp60MidMean = 25.714406873413196;
+// scenario NExp140
+constexpr double kNExp140DensityFinal[] = {2.0889739871675637e-05, 0.020725958076476047, 0.033909738188919347, 0.0018819342885476812, 1.3124649786000269e-06, 6.5720928170917599e-13, 5.2673312298956663e-23, 3.5987206466589323e-37, 7.7832923976728919e-56};
+constexpr double kNExp140FinalMean = 28.880272198504041;
+constexpr double kNExp140MidMean = 60.000301801324078;
+// scenario NImp60
+constexpr double kNImp60DensityFinal[] = {0.0013393904787318202, 0.050572383254184977, 0.069386420626159989, 0.010419745247744182, 0.00019633647643300765, 2.9619159237406998e-07, 1.1874080348193284e-11, 2.6331611009090391e-18, 1.3607175456674998e-28};
+constexpr double kNImp60FinalMean = 12.472738293664868;
+constexpr double kNImp60MidMean = 25.766645919779691;
+// scenario NImp140
+constexpr double kNImp140DensityFinal[] = {9.4406694253200939e-05, 0.021733830621441224, 0.030483060098305821, 0.0039658664168364666, 5.5595978174237267e-05, 4.3038302448991342e-08, 3.778897808336693e-13, 2.3056631064087985e-21, 4.9420537465355493e-36};
+constexpr double kNImp140FinalMean = 29.087077328079157;
+constexpr double kNImp140MidMean = 60.122191361141084;
 // Relative 1e-12 comparison: densities reach ~1e-49 in the tails and
 // values reach ~2.5e3, so a fixed absolute tolerance fits neither end.
 void ExpectGolden(double actual, double expected, const char* what,
@@ -139,11 +229,9 @@ struct EquilibriumGolden {
   double last_change;
 };
 
-void CheckEquilibrium(const MfgParams& params,
+void CheckEquilibrium(const MfgParams& params, const Equilibrium& eq,
                       const std::size_t (&probe)[9],
                       const EquilibriumGolden& golden) {
-  auto learner = BestResponseLearner::Create(params).value();
-  Equilibrium eq = learner.Solve().value();
   const std::size_t nt = params.grid.num_time_steps;
   ExpectRow(eq.hjb.policy[0], golden.policy_t0, probe, "policy t0");
   ExpectRow(eq.hjb.value[0], golden.value_t0, probe, "value t0");
@@ -164,6 +252,13 @@ void CheckEquilibrium(const MfgParams& params,
   ASSERT_FALSE(eq.policy_change_history.empty());
   ExpectGolden(eq.policy_change_history.back(), golden.last_change,
                "last change", 0);
+}
+
+void CheckEquilibrium(const MfgParams& params,
+                      const std::size_t (&probe)[9],
+                      const EquilibriumGolden& golden) {
+  auto learner = BestResponseLearner::Create(params).value();
+  CheckEquilibrium(params, learner.Solve().value(), probe, golden);
 }
 
 TEST(SolverEquivalenceTest, PaperDefaultsEquilibrium) {
@@ -241,11 +336,13 @@ TEST(SolverEquivalenceTest, StandaloneHjbSyntheticMeanField) {
 }
 
 void CheckStandaloneFpk(bool implicit, const double (&density_final)[9],
-                        double final_mean, double mid_mean) {
+                        double final_mean, double mid_mean,
+                        double content_size = 100.0) {
   MfgParams params = DefaultPaperParams();
   params.grid.num_q_nodes = 161;
   params.grid.num_time_steps = 100;
   params.grid.implicit_fpk = implicit;
+  params.content_size = content_size;
   auto solver = FpkSolver1D::Create(params).value();
   auto initial = solver.MakeInitialDensity().value();
   const std::size_t nt = params.grid.num_time_steps;
@@ -272,6 +369,88 @@ TEST(SolverEquivalenceTest, StandaloneFpkExplicitRampPolicy) {
 
 TEST(SolverEquivalenceTest, StandaloneFpkImplicitRampPolicy) {
   CheckStandaloneFpk(true, kGDensityFinal, kGFinalMean, kGMidMean);
+}
+
+TEST(SolverEquivalenceTest, SmallContentEquilibrium) {
+  MfgParams params = DefaultPaperParams();
+  params.content_size = 60.0;
+  CheckEquilibrium(params, kProbe101,
+                   {kIPolicyT0, kIValueT0, kIValueMid, kIDensityFinal,
+                    kIFinalMean, kIPriceT0, kIPriceTN, kIRateT0, kIRateTN,
+                    kISharingTN, kIIterations, kILastChange});
+}
+
+TEST(SolverEquivalenceTest, LargeContentEquilibrium) {
+  MfgParams params = DefaultPaperParams();
+  params.content_size = 140.0;
+  CheckEquilibrium(params, kProbe101,
+                   {kJPolicyT0, kJValueT0, kJValueMid, kJDensityFinal,
+                    kJFinalMean, kJPriceT0, kJPriceTN, kJRateT0, kJRateTN,
+                    kJSharingTN, kJIterations, kJLastChange});
+}
+
+TEST(SolverEquivalenceTest, ExhaustedIterationsEquilibrium) {
+  MfgParams params = DefaultPaperParams();
+  params.learning.max_iterations = 5;
+  const Equilibrium eq =
+      BestResponseLearner::Create(params).value().Solve().value();
+  EXPECT_FALSE(eq.converged);
+  EXPECT_EQ(eq.policy_change_history.size(), kKIterations);
+  EXPECT_EQ(eq.value_change_history.size(), kKIterations);
+  CheckEquilibrium(params, eq, kProbe101,
+                   {kKPolicyT0, kKValueT0, kKValueMid, kKDensityFinal,
+                    kKFinalMean, kKPriceT0, kKPriceTN, kKRateT0, kKRateTN,
+                    kKSharingTN, kKIterations, kKLastChange});
+}
+
+TEST(SolverEquivalenceTest, ExplicitStartEquilibrium) {
+  MfgParams params = DefaultPaperParams();
+  params.content_size = 140.0;
+  const auto initial =
+      numerics::Density1D::TruncatedGaussian(params.MakeQGrid().value(),
+                                             0.3 * params.content_size,
+                                             0.1 * params.content_size)
+          .value();
+  auto learner = BestResponseLearner::Create(params).value();
+  CheckEquilibrium(params, learner.SolveFrom(initial, 0.2).value(), kProbe101,
+                   {kLPolicyT0, kLValueT0, kLValueMid, kLDensityFinal,
+                    kLFinalMean, kLPriceT0, kLPriceTN, kLRateT0, kLRateTN,
+                    kLSharingTN, kLIterations, kLLastChange});
+}
+
+void CheckStandaloneHjb(double content_size, const double (&policy_t0)[9],
+                        const double (&value_t0)[9],
+                        const double (&policy_mid)[9],
+                        const double (&value_mid)[9]) {
+  MfgParams params = DefaultPaperParams();
+  params.grid.num_q_nodes = 161;
+  params.grid.num_time_steps = 100;
+  params.content_size = content_size;
+  auto solver = HjbSolver1D::Create(params).value();
+  auto solution =
+      solver.Solve(SyntheticMeanField(params.grid.num_time_steps)).value();
+  ExpectRow(solution.policy[0], policy_t0, kProbe161, "policy t0");
+  ExpectRow(solution.value[0], value_t0, kProbe161, "value t0");
+  ExpectRow(solution.policy[50], policy_mid, kProbe161, "policy mid");
+  ExpectRow(solution.value[50], value_mid, kProbe161, "value mid");
+}
+
+TEST(SolverEquivalenceTest, StandaloneHjbContentSizes) {
+  CheckStandaloneHjb(60.0, kM60PolicyT0, kM60ValueT0, kM60PolicyMid,
+                     kM60ValueMid);
+  CheckStandaloneHjb(140.0, kM140PolicyT0, kM140ValueT0, kM140PolicyMid,
+                     kM140ValueMid);
+}
+
+TEST(SolverEquivalenceTest, StandaloneFpkContentSizes) {
+  CheckStandaloneFpk(false, kNExp60DensityFinal, kNExp60FinalMean,
+                     kNExp60MidMean, 60.0);
+  CheckStandaloneFpk(false, kNExp140DensityFinal, kNExp140FinalMean,
+                     kNExp140MidMean, 140.0);
+  CheckStandaloneFpk(true, kNImp60DensityFinal, kNImp60FinalMean,
+                     kNImp60MidMean, 60.0);
+  CheckStandaloneFpk(true, kNImp140DensityFinal, kNImp140FinalMean,
+                     kNImp140MidMean, 140.0);
 }
 
 TEST(SolverEquivalenceTest, MeanFieldEstimatorSyntheticDensity) {

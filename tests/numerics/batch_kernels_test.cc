@@ -1,11 +1,9 @@
-// Bit-identity tests for the content-batched (SoA) kernels against their
-// scalar counterparts: every lane of a *BatchInto call must reproduce the
-// scalar kernel on that lane's data bit-for-bit (not just to tolerance).
-// This is the contract the batched solvers build on — see batch_field.h.
+// Bit-identity tests for the content-batched (SoA) tridiagonal solver
+// against the scalar one: every lane of a batch solve must reproduce the
+// scalar solve on that lane's system bit-for-bit (not just to tolerance).
 //
-// Lanes are deliberately heterogeneous (different dx, different sample
-// curves, mixed upwind velocity signs) so a lane mix-up or cross-lane
-// arithmetic cannot cancel out.
+// Lanes are deliberately heterogeneous (lane-dependent bands and right-hand
+// sides) so a lane mix-up or cross-lane arithmetic cannot cancel out.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +14,6 @@
 #include <vector>
 
 #include "numerics/batch_field.h"
-#include "numerics/finite_difference.h"
 #include "numerics/tridiagonal.h"
 
 namespace mfg::numerics {
@@ -40,57 +37,6 @@ double Sample(std::size_t node, std::size_t lane) {
   return std::sin(0.31 * x + 0.7 * l) + 0.01 * (l + 1.0) * x * x;
 }
 
-// Velocity with sign changes at lane-dependent positions, exercising both
-// upwind branches in every lane.
-double Velocity(std::size_t node, std::size_t lane) {
-  const double x = static_cast<double>(node);
-  const double l = static_cast<double>(lane);
-  return std::cos(0.17 * x + 1.3 * l) - 0.1 * l;
-}
-
-std::vector<double> LaneSpacings(std::size_t lanes) {
-  std::vector<double> dx(lanes);
-  for (std::size_t l = 0; l < lanes; ++l) {
-    dx[l] = 0.25 + 0.125 * static_cast<double>(l);  // All distinct.
-  }
-  return dx;
-}
-
-// The batch kernels take precomputed divisor reciprocals; these helpers
-// build them with the exact expressions the kernel contract specifies
-// (the same ones the scalar kernels hoist internally).
-std::vector<double> InvDx(const std::vector<double>& dx) {
-  std::vector<double> inv(dx.size());
-  for (std::size_t l = 0; l < dx.size(); ++l) inv[l] = 1.0 / dx[l];
-  return inv;
-}
-
-std::vector<double> Inv2Dx(const std::vector<double>& dx) {
-  std::vector<double> inv(dx.size());
-  for (std::size_t l = 0; l < dx.size(); ++l) inv[l] = 1.0 / (2.0 * dx[l]);
-  return inv;
-}
-
-std::vector<double> InvDx2(const std::vector<double>& dx) {
-  std::vector<double> inv(dx.size());
-  for (std::size_t l = 0; l < dx.size(); ++l) {
-    inv[l] = 1.0 / (dx[l] * dx[l]);
-  }
-  return inv;
-}
-
-BatchField Scatter(std::size_t nodes, std::size_t lanes,
-                   double (*fn)(std::size_t, std::size_t)) {
-  BatchField field;
-  field.Assign(nodes, lanes);
-  for (std::size_t i = 0; i < nodes; ++i) {
-    for (std::size_t l = 0; l < lanes; ++l) {
-      field.at(i, l) = fn(i, l);
-    }
-  }
-  return field;
-}
-
 std::vector<double> GatherLane(const BatchField& field, std::size_t lane) {
   std::vector<double> out(field.nodes());
   for (std::size_t i = 0; i < field.nodes(); ++i) {
@@ -100,71 +46,6 @@ std::vector<double> GatherLane(const BatchField& field, std::size_t lane) {
 }
 
 class BatchKernelsTest : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(BatchKernelsTest, GradientMatchesScalarPerLane) {
-  const std::size_t lanes = GetParam();
-  const std::size_t nodes = 57;
-  const std::vector<double> dx = LaneSpacings(lanes);
-  const BatchField f = Scatter(nodes, lanes, &Sample);
-  BatchField out;
-  out.Assign(nodes, lanes);
-  GradientBatchInto(InvDx(dx), Inv2Dx(dx), f, out);
-
-  for (std::size_t l = 0; l < lanes; ++l) {
-    const std::vector<double> lane_f = GatherLane(f, l);
-    std::vector<double> expected(nodes);
-    GradientInto(dx[l], lane_f, expected);
-    for (std::size_t i = 0; i < nodes; ++i) {
-      ExpectBitEqual(out.at(i, l), expected[i], i, l);
-    }
-  }
-}
-
-TEST_P(BatchKernelsTest, UpwindGradientMatchesScalarPerLane) {
-  const std::size_t lanes = GetParam();
-  const std::size_t nodes = 57;
-  const std::vector<double> dx = LaneSpacings(lanes);
-  const BatchField f = Scatter(nodes, lanes, &Sample);
-  const BatchField velocity = Scatter(nodes, lanes, &Velocity);
-  BatchField out;
-  out.Assign(nodes, lanes);
-  UpwindGradientBatchInto(InvDx(dx), f, velocity, out);
-
-  for (std::size_t l = 0; l < lanes; ++l) {
-    // The scenario must exercise both upwind branches in this lane.
-    const std::vector<double> lane_v = GatherLane(velocity, l);
-    bool positive = false;
-    bool non_positive = false;
-    for (double v : lane_v) (v > 0.0 ? positive : non_positive) = true;
-    EXPECT_TRUE(positive && non_positive) << "lane " << l;
-
-    const std::vector<double> lane_f = GatherLane(f, l);
-    std::vector<double> expected(nodes);
-    UpwindGradientInto(dx[l], lane_f, lane_v, expected);
-    for (std::size_t i = 0; i < nodes; ++i) {
-      ExpectBitEqual(out.at(i, l), expected[i], i, l);
-    }
-  }
-}
-
-TEST_P(BatchKernelsTest, SecondDerivativeMatchesScalarPerLane) {
-  const std::size_t lanes = GetParam();
-  const std::size_t nodes = 57;
-  const std::vector<double> dx = LaneSpacings(lanes);
-  const BatchField f = Scatter(nodes, lanes, &Sample);
-  BatchField out;
-  out.Assign(nodes, lanes);
-  SecondDerivativeBatchInto(InvDx2(dx), f, out);
-
-  for (std::size_t l = 0; l < lanes; ++l) {
-    const std::vector<double> lane_f = GatherLane(f, l);
-    std::vector<double> expected(nodes);
-    SecondDerivativeInto(dx[l], lane_f, expected);
-    for (std::size_t i = 0; i < nodes; ++i) {
-      ExpectBitEqual(out.at(i, l), expected[i], i, l);
-    }
-  }
-}
 
 // Diagonally dominant lane systems with lane-dependent bands.
 BatchTridiagonalSystem MakeBatchSystem(std::size_t nodes, std::size_t lanes) {
