@@ -12,9 +12,9 @@
 // of the flat solver kernels, and it holds with observability compiled in
 // (the MFG_OBS_* record paths never allocate once their function-local
 // registry handles exist, which the warm-up call guarantees). Export
-// machine-readable results with
-//   bench_micro_solvers --benchmark_out=BENCH_solvers.json \
-//                       --benchmark_out_format=json
+// machine-readable results with the one command line
+//   bench_micro_solvers --benchmark_out=BENCH_solvers.json
+//       --benchmark_out_format=json
 // (see EXPERIMENTS.md).
 
 #include <benchmark/benchmark.h>

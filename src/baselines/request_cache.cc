@@ -99,93 +99,87 @@ bool LruCache::IsCached(std::uint32_t content) const {
   return cached_[content] != 0;
 }
 
-// ---------------------------------------------------------------- LfuCache
+// ------------------------------------------------------- CountOrderedCache
 
-common::Status LfuCache::Reset(std::size_t num_contents, std::size_t capacity,
-                               std::span<const double> prior) {
+common::Status CountOrderedCache::Reset(std::size_t num_contents,
+                                        std::size_t capacity,
+                                        std::span<const double> prior) {
   if (auto status = ValidateShape(num_contents, capacity, prior); !status.ok()) {
     return status;
   }
   capacity_ = capacity;
-  frequency_.assign(num_contents, 0);
-  cached_.assign(num_contents, 0);
-  residents_.clear();
-  residents_.reserve(capacity);
+  size_ = 0;
+  heap_.resize(std::min(capacity, num_contents));
+  slot_.assign(num_contents, kNoSlot);
+  count_.assign(num_contents, 0);
   return common::Status::Ok();
 }
 
-bool LfuCache::OnRequest(std::uint32_t content) {
-  ++frequency_[content];
-  if (cached_[content]) return true;
-  if (residents_.size() == capacity_) {
-    std::size_t victim_slot = 0;
-    for (std::size_t s = 1; s < residents_.size(); ++s) {
-      const std::uint32_t a = residents_[s];
-      const std::uint32_t b = residents_[victim_slot];
-      if (frequency_[a] < frequency_[b] ||
-          (frequency_[a] == frequency_[b] && a < b)) {
-        victim_slot = s;
-      }
-    }
-    cached_[residents_[victim_slot]] = 0;
-    residents_[victim_slot] = content;
-  } else {
-    residents_.push_back(content);
-  }
-  cached_[content] = 1;
-  return false;
+bool CountOrderedCache::CountRequest(std::uint32_t content) {
+  const std::uint64_t count = ++count_[content];
+  const std::uint32_t slot = slot_[content];
+  if (slot == kNoSlot) return false;
+  // The key only grows, so the resident can only move down.
+  SiftDown(slot, Entry{count, content});
+  return true;
 }
 
-bool LfuCache::IsCached(std::uint32_t content) const {
-  return cached_[content] != 0;
+void CountOrderedCache::Push(std::uint32_t content) {
+  SiftUp(size_++, Entry{count_[content], content});
+}
+
+void CountOrderedCache::ReplaceTop(std::uint32_t content) {
+  slot_[heap_[0].id] = kNoSlot;
+  SiftDown(0, Entry{count_[content], content});
+}
+
+void CountOrderedCache::SiftDown(std::size_t hole, Entry entry) {
+  for (;;) {
+    std::size_t child = 2 * hole + 1;
+    if (child >= size_) break;
+    if (child + 1 < size_ && Before(heap_[child + 1], heap_[child])) ++child;
+    if (!Before(heap_[child], entry)) break;
+    Place(hole, heap_[child]);
+    hole = child;
+  }
+  Place(hole, entry);
+}
+
+void CountOrderedCache::SiftUp(std::size_t hole, Entry entry) {
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / 2;
+    if (!Before(entry, heap_[parent])) break;
+    Place(hole, heap_[parent]);
+    hole = parent;
+  }
+  Place(hole, entry);
+}
+
+// ---------------------------------------------------------------- LfuCache
+
+bool LfuCache::OnRequest(std::uint32_t content) {
+  if (CountRequest(content)) return true;
+  if (full()) {
+    ReplaceTop(content);
+  } else {
+    Push(content);
+  }
+  return false;
 }
 
 // --------------------------------------------- PopularityGreedyCache
 
-common::Status PopularityGreedyCache::Reset(std::size_t num_contents,
-                                            std::size_t capacity,
-                                            std::span<const double> prior) {
-  if (auto status = ValidateShape(num_contents, capacity, prior); !status.ok()) {
-    return status;
-  }
-  capacity_ = capacity;
-  count_.assign(num_contents, 0);
-  cached_.assign(num_contents, 0);
-  residents_.clear();
-  residents_.reserve(capacity);
-  return common::Status::Ok();
-}
-
 bool PopularityGreedyCache::OnRequest(std::uint32_t content) {
-  ++count_[content];
-  if (cached_[content]) return true;
-  if (residents_.size() < capacity_) {
-    residents_.push_back(content);
-    cached_[content] = 1;
-    return false;
-  }
-  std::size_t victim_slot = 0;
-  for (std::size_t s = 1; s < residents_.size(); ++s) {
-    const std::uint32_t a = residents_[s];
-    const std::uint32_t b = residents_[victim_slot];
-    if (count_[a] < count_[b] || (count_[a] == count_[b] && a < b)) {
-      victim_slot = s;
-    }
-  }
-  // Admit only when strictly more requested than the coldest resident —
-  // a tie keeps the incumbent, so a stream of singletons cannot churn a
-  // warm cache.
-  const std::uint32_t victim = residents_[victim_slot];
-  if (count_[content] > count_[victim]) {
-    cached_[victim] = 0;
-    residents_[victim_slot] = content;
-    cached_[content] = 1;
+  if (CountRequest(content)) return true;
+  if (!full()) {
+    Push(content);
+  } else if (count(content) > min_count()) {
+    // Admit only when strictly more requested than the coldest resident —
+    // a tie keeps the incumbent, so a stream of singletons cannot churn a
+    // warm cache.
+    ReplaceTop(content);
   }
   return false;
-}
-
-bool PopularityGreedyCache::IsCached(std::uint32_t content) const {
-  return cached_[content] != 0;
 }
 
 // ----------------------------------------------------------- StaticSetCache

@@ -81,46 +81,80 @@ class LruCache final : public RequestCachePolicy {
   std::vector<std::uint8_t> cached_;
 };
 
-// Least Frequently Used: full admission; eviction removes the resident
-// content with the fewest lifetime requests (ties toward the smaller id).
-// Frequencies persist across evictions (perfect-LFU, not in-cache-LFU),
-// which is the stronger and simpler-to-reason-about variant.
-class LfuCache final : public RequestCachePolicy {
+// Shared base of the count-ordered caches (LFU and PG below). The
+// resident set is a binary min-heap of resident ids keyed by (lifetime
+// request count, id), plus a content -> heap-slot index. (count, id) is a
+// strict total order over residents, so the heap top is exactly the
+// eviction victim both caches define — the fewest requests, ties toward
+// the smaller id — and each request costs O(log C) instead of a scan over
+// all C residents. Counts cover every content, resident or not, and
+// persist across evictions.
+class CountOrderedCache : public RequestCachePolicy {
  public:
   common::Status Reset(std::size_t num_contents, std::size_t capacity,
                        std::span<const double> prior) override;
-  bool OnRequest(std::uint32_t content) override;
-  bool IsCached(std::uint32_t content) const override;
-  std::string_view name() const override { return "LFU"; }
+  bool IsCached(std::uint32_t content) const override {
+    return slot_[content] != kNoSlot;
+  }
+
+ protected:
+  // Counts one request for `content` and returns true when it is
+  // resident (a hit), sifting it down to its new key.
+  bool CountRequest(std::uint32_t content);
+  bool full() const { return size_ == capacity_; }
+  std::uint64_t count(std::uint32_t content) const { return count_[content]; }
+  // Count of the top resident, the next victim; requires full().
+  std::uint64_t min_count() const { return heap_[0].count; }
+  // Admits a non-resident `content` while the cache is not full.
+  void Push(std::uint32_t content);
+  // Evicts the top resident and admits a non-resident `content`.
+  void ReplaceTop(std::uint32_t content);
 
  private:
+  struct Entry {
+    std::uint64_t count;
+    std::uint32_t id;
+  };
+  static bool Before(const Entry& a, const Entry& b) {
+    return a.count < b.count || (a.count == b.count && a.id < b.id);
+  }
+  void SiftDown(std::size_t hole, Entry entry);
+  void SiftUp(std::size_t hole, Entry entry);
+  void Place(std::size_t slot, const Entry& entry) {
+    heap_[slot] = entry;
+    slot_[entry.id] = static_cast<std::uint32_t>(slot);
+  }
+
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
   std::size_t capacity_ = 0;
-  std::vector<std::uint64_t> frequency_;
-  std::vector<std::uint8_t> cached_;
-  // Resident ids, unordered; eviction scans this (capacity is small
-  // relative to the stream, so the scan amortizes to noise).
-  std::vector<std::uint32_t> residents_;
+  std::size_t size_ = 0;
+  // Heap order over slots [0, size_); sized min(capacity, catalog).
+  std::vector<Entry> heap_;
+  std::vector<std::uint32_t> slot_;   // kNoSlot when not resident.
+  std::vector<std::uint64_t> count_;
+};
+
+// Least Frequently Used: full admission; eviction removes the resident
+// content with the fewest lifetime requests (ties toward the smaller id),
+// the heap top. Frequencies persist across evictions (perfect-LFU, not
+// in-cache-LFU), which is the stronger and simpler-to-reason-about
+// variant.
+class LfuCache final : public CountOrderedCache {
+ public:
+  bool OnRequest(std::uint32_t content) override;
+  std::string_view name() const override { return "LFU"; }
 };
 
 // Popularity-greedy: admit-on-compare against the running empirical
-// popularity. A miss is admitted only when the requested content's
-// observed request count (after this request) exceeds the count of the
-// least-requested resident, which it then evicts. Unlike LRU/LFU it can
-// *decline* to cache a cold content — the online greedy heuristic the
-// MFG-CP plan is benchmarked against.
-class PopularityGreedyCache final : public RequestCachePolicy {
+// popularity (the prior is ignored). A miss is admitted only when the
+// requested content's observed request count (after this request) exceeds
+// the count of the least-requested resident — the heap top — which it
+// then evicts. Unlike LRU/LFU it can *decline* to cache a cold content —
+// the online greedy heuristic the MFG-CP plan is benchmarked against.
+class PopularityGreedyCache final : public CountOrderedCache {
  public:
-  common::Status Reset(std::size_t num_contents, std::size_t capacity,
-                       std::span<const double> prior) override;
   bool OnRequest(std::uint32_t content) override;
-  bool IsCached(std::uint32_t content) const override;
   std::string_view name() const override { return "PG"; }
-
- private:
-  std::size_t capacity_ = 0;
-  std::vector<std::uint64_t> count_;
-  std::vector<std::uint8_t> cached_;
-  std::vector<std::uint32_t> residents_;
 };
 
 // A fixed placement that never changes at request time: the base of the

@@ -399,7 +399,9 @@ TEST_P(BatchSolverTest, BestResponseBatchFailedLaneLeavesNeighboursBitwise) {
 INSTANTIATE_TEST_SUITE_P(Widths, BatchSolverTest,
                          ::testing::Values(1, 2, 4, 8),
                          [](const auto& info) {
-                           return "K" + std::to_string(info.param);
+                           std::string name = "K";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 // Rebinding the same lanes to new params (the next epoch) must behave

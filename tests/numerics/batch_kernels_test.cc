@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "numerics/batch_field.h"
@@ -101,7 +102,9 @@ TEST_P(BatchKernelsTest, TridiagonalMatchesScalarPerLane) {
 INSTANTIATE_TEST_SUITE_P(Widths, BatchKernelsTest,
                          ::testing::Values(1, 2, 4, 8),
                          [](const auto& info) {
-                           return "K" + std::to_string(info.param);
+                           std::string name = "K";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 TEST(BatchTridiagonalTest, SingularLaneDoesNotPerturbHealthyLanes) {

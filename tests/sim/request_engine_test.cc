@@ -100,11 +100,114 @@ class ReferenceLfu {
     return false;
   }
 
+  const std::set<std::uint32_t>& residents() const { return resident_; }
+
  private:
   std::size_t capacity_;
   std::map<std::uint32_t, std::uint64_t> frequency_;
   std::set<std::uint32_t> resident_;
 };
+
+// Popularity-greedy oracle: count every request; a miss is admitted while
+// the cache fills, and afterwards only when its count (after this
+// request) strictly beats the coldest resident's — fewest requests, ties
+// toward the smaller id — which it then evicts.
+class ReferencePopularityGreedy {
+ public:
+  ReferencePopularityGreedy(std::size_t capacity) : capacity_(capacity) {}
+
+  bool OnRequest(std::uint32_t content) {
+    ++count_[content];
+    if (resident_.count(content) != 0) return true;
+    if (resident_.size() < capacity_) {
+      resident_.insert(content);
+      return false;
+    }
+    std::uint32_t victim = *resident_.begin();
+    for (std::uint32_t r : resident_) {
+      if (count_[r] < count_[victim] ||
+          (count_[r] == count_[victim] && r < victim)) {
+        victim = r;
+      }
+    }
+    if (count_[content] > count_[victim]) {
+      resident_.erase(victim);
+      resident_.insert(content);
+    }
+    return false;
+  }
+
+  const std::set<std::uint32_t>& residents() const { return resident_; }
+
+ private:
+  std::size_t capacity_;
+  std::map<std::uint32_t, std::uint64_t> count_;
+  std::set<std::uint32_t> resident_;
+};
+
+// Content ids 0..num_contents-1 in order, `rounds` times over: every
+// content's count ties with every other's at each round's end, so every
+// eviction is decided by the id tie-break.
+std::vector<std::uint32_t> RoundRobinStream(std::size_t num_contents,
+                                            std::size_t rounds) {
+  std::vector<std::uint32_t> stream;
+  for (std::size_t r = 0; r < rounds; ++r) {
+    for (std::uint32_t k = 0; k < num_contents; ++k) stream.push_back(k);
+  }
+  return stream;
+}
+
+// Resets `cache` to the catalog shape and replays `stream` through it and
+// a fresh oracle side by side, checking the hit bit and the whole
+// resident set after every request: IsCached over every content holds as
+// many residents as the oracle's set, and each of the oracle's.
+template <typename Reference>
+void ExpectSameDecisions(baselines::RequestCachePolicy& cache,
+                         std::size_t num_contents, std::size_t capacity,
+                         const std::vector<std::uint32_t>& stream,
+                         const char* label) {
+  ASSERT_TRUE(cache.Reset(num_contents, capacity, {}).ok());
+  Reference reference(capacity);
+  for (std::size_t r = 0; r < stream.size(); ++r) {
+    const std::uint32_t k = stream[r];
+    ASSERT_EQ(cache.OnRequest(k), reference.OnRequest(k))
+        << cache.name() << " " << label << " capacity " << capacity
+        << ": hit bit of request " << r << " (content " << k << ")";
+    std::size_t cached = 0;
+    for (std::uint32_t c = 0; c < num_contents; ++c) {
+      cached += cache.IsCached(c) ? 1 : 0;
+    }
+    ASSERT_EQ(cached, reference.residents().size())
+        << cache.name() << " " << label << " capacity " << capacity
+        << ": resident count after request " << r;
+    for (std::uint32_t c : reference.residents()) {
+      ASSERT_TRUE(cache.IsCached(c))
+          << cache.name() << " " << label << " capacity " << capacity
+          << ": content " << c << " not resident after request " << r;
+    }
+  }
+}
+
+// One cache object per capacity, Reset across two catalog shapes: the
+// request_sweep shape (4096-content Zipf), a tie-heavy round robin over
+// 160 contents, then the Zipf shape again.
+template <typename Cache, typename Reference>
+void ExpectMatchesReferenceDecisionByDecision() {
+  constexpr std::size_t kZipfContents = 4096;
+  constexpr std::size_t kRoundRobinContents = 160;
+  const RequestStream zipf = SeededStream(kZipfContents, 3000, 17);
+  const std::vector<std::uint32_t> round_robin =
+      RoundRobinStream(kRoundRobinContents, 12);
+  for (std::size_t capacity : {1u, 2u, 7u, 16u, 32u, 128u}) {
+    Cache cache;
+    ExpectSameDecisions<Reference>(cache, kZipfContents, capacity,
+                                   zipf.content, "zipf");
+    ExpectSameDecisions<Reference>(cache, kRoundRobinContents, capacity,
+                                   round_robin, "round-robin");
+    ExpectSameDecisions<Reference>(cache, kZipfContents, capacity,
+                                   zipf.content, "zipf after reset");
+  }
+}
 
 TEST(RequestEngineTest, GoldenLruReplayByHand) {
   // Capacity-1 LRU over contents 0/1: hit exactly when the previous
@@ -171,6 +274,16 @@ TEST(RequestEngineTest, LfuMatchesReferenceImplementation) {
     }
     EXPECT_EQ(stats.hits, reference_hits) << "capacity " << capacity;
   }
+}
+
+TEST(RequestEngineTest, LfuMatchesReferenceDecisionByDecision) {
+  ExpectMatchesReferenceDecisionByDecision<baselines::LfuCache,
+                                           ReferenceLfu>();
+}
+
+TEST(RequestEngineTest, PopularityGreedyMatchesReferenceDecisionByDecision) {
+  ExpectMatchesReferenceDecisionByDecision<baselines::PopularityGreedyCache,
+                                           ReferencePopularityGreedy>();
 }
 
 TEST(RequestEngineTest, LruHitRatioIsMonotoneInCapacity) {
