@@ -7,10 +7,13 @@
 #include <memory>
 #include <string>
 
+#include <benchmark/benchmark.h>
+
 #include "baselines/mfg_no_sharing.h"
 #include "baselines/most_popular.h"
 #include "baselines/random_replacement.h"
 #include "baselines/udcs.h"
+#include "common/build_info.h"
 #include "common/config.h"
 #include "common/logging.h"
 #include "common/table.h"
@@ -289,6 +292,20 @@ inline common::Config ParseArgs(int argc, const char* const* argv) {
                          << " (usage: key=value, e.g. seed=7 num_edps=300)";
   InitObservability(*config);
   return std::move(config).value();
+}
+
+// main() of the google-benchmark binaries: BENCHMARK_MAIN() plus this
+// build's CMAKE_BUILD_TYPE as `mfgcp_build_type` in the JSON context.
+// scripts/compare_bench.py reads that key; the context's own
+// `library_build_type` is the build type of the Google Benchmark library.
+inline int GoogleBenchmarkMain(int argc, char** argv) {
+  benchmark::AddCustomContext("mfgcp_build_type",
+                              common::GetBuildInfo().build_type);
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
 }
 
 }  // namespace mfg::bench

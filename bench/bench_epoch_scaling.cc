@@ -27,6 +27,7 @@
 #include <chrono>
 #include <cstdio>
 
+#include "bench_common.h"
 #include "common/logging.h"
 #include "core/mfg_cp.h"
 #include "obs/alloc_probe.h"
@@ -299,4 +300,6 @@ BENCHMARK(BM_PlanEpoch64Convenience)
 }  // namespace
 }  // namespace mfg
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return mfg::bench::GoogleBenchmarkMain(argc, argv);
+}

@@ -19,6 +19,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench_common.h"
 #include "baselines/random_replacement.h"
 #include "common/logging.h"
 #include "core/best_response.h"
@@ -307,4 +308,6 @@ BENCHMARK(BM_SimulatorRun)->Arg(50)->Arg(100)->Arg(200)
 }  // namespace
 }  // namespace mfg
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return mfg::bench::GoogleBenchmarkMain(argc, argv);
+}

@@ -18,6 +18,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench_common.h"
 #include "baselines/request_cache.h"
 #include "common/logging.h"
 #include "obs/alloc_probe.h"
@@ -179,4 +180,6 @@ BENCHMARK(BM_ReplayMfgReplan)
 }  // namespace
 }  // namespace mfg
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  return mfg::bench::GoogleBenchmarkMain(argc, argv);
+}

@@ -47,10 +47,6 @@
 #include "serve/serve_loop.h"
 #include "sim/request_stream.h"
 
-#ifndef MFGCP_BUILD_TYPE
-#define MFGCP_BUILD_TYPE "unknown"
-#endif
-
 namespace mfg {
 namespace {
 
@@ -180,7 +176,7 @@ int Run(int argc, char** argv) {
   if (!bench_json.empty()) {
     // Google-Benchmark JSON by hand: the run is one wall-clock serve
     // pass, not an iteration loop, but compare_bench.py only needs
-    // context.library_build_type, the run name, real_time, and counters.
+    // context.mfgcp_build_type, the run name, real_time, and counters.
     std::ofstream out(bench_json);
     MFG_CHECK(out.good()) << "cannot write " << bench_json;
     out << std::setprecision(17);
@@ -189,7 +185,7 @@ int Run(int argc, char** argv) {
     // -in baseline records which build produced it.
     const common::BuildInfo& build = common::GetBuildInfo();
     out << "{\n"
-        << "  \"context\": {\"library_build_type\": \"" << MFGCP_BUILD_TYPE
+        << "  \"context\": {\"mfgcp_build_type\": \"" << build.build_type
         << "\", \"git_describe\": \"" << build.git_describe
         << "\", \"compiler\": \"" << build.compiler
         << "\", \"mfgcp_obs\": " << (build.obs_enabled ? "true" : "false")

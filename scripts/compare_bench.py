@@ -56,13 +56,15 @@ def context(path):
 
 
 def describe_provenance(label, ctx):
-    """One line of build provenance (the fields bench_serve stamps into
-    context, mirroring the admin exporter's mfgcp_build_info gauge)."""
+    """One line of build provenance (the fields the benches stamp into
+    context, mirroring the admin exporter's mfgcp_build_info gauge).
+    mfgcp_build_type is this repo's CMAKE_BUILD_TYPE; Google Benchmark's
+    own library_build_type says nothing about it."""
     flags = ", ".join(
         f"{key.removeprefix('mfgcp_')}={'on' if ctx[key] else 'off'}"
         for key in ("mfgcp_obs", "mfgcp_faults", "mfgcp_simd")
         if key in ctx)
-    parts = [ctx.get("library_build_type", "unknown")]
+    parts = [ctx.get("mfgcp_build_type", "build type not recorded")]
     if ctx.get("git_describe"):
         parts.append(ctx["git_describe"])
     if ctx.get("compiler"):
@@ -105,8 +107,8 @@ def main():
                         ("candidate", args.candidate)):
         ctx = context(path)
         describe_provenance(label, ctx)
-        bt = ctx.get("library_build_type", "unknown")
-        if bt.lower() not in ("release", "relwithdebinfo"):
+        bt = ctx.get("mfgcp_build_type")
+        if bt is not None and bt.lower() not in ("release", "relwithdebinfo"):
             print(f"warning: {path} was recorded from a '{bt}' build; "
                   "times are not comparable to optimized baselines")
 

@@ -31,15 +31,15 @@ enum ResidualRow : std::size_t {
 };
 
 // Per-lane fault polls. A block solve has no single ambient content, so
-// by default each poll opens a lane-local scope at attempt 0; a job that
-// asks for the ambient scope (a ladder retry, a one-lane view) polls under
-// its caller's. Firing is purely functional in the coordinates, so this
+// by default each poll opens a lane-local scope at the job's coordinates;
+// a job that asks for the ambient scope (a one-lane view) polls under its
+// caller's. Firing is purely functional in the coordinates, so this
 // preserves the determinism contract at any parallelism / batch width.
 common::Status LaneFaultCheck(const BatchBestResponseLearner::LaneJob& job,
                               faults::FaultSite site) {
 #if MFGCP_FAULTS_ENABLED
   if (job.ambient_fault_scope) return faults::Check(site);
-  faults::ScopedFaultScope scope(job.epoch, job.content, 0);
+  faults::ScopedFaultScope scope(job.epoch, job.content, job.attempt);
   return faults::Check(site);
 #else
   (void)job;
@@ -52,7 +52,7 @@ bool LaneFaultFires(const BatchBestResponseLearner::LaneJob& job,
                     faults::FaultSite site) {
 #if MFGCP_FAULTS_ENABLED
   if (job.ambient_fault_scope) return faults::Fires(site);
-  faults::ScopedFaultScope scope(job.epoch, job.content, 0);
+  faults::ScopedFaultScope scope(job.epoch, job.content, job.attempt);
   return faults::Fires(site);
 #else
   (void)job;

@@ -41,8 +41,8 @@
 // Failure routing: a lane that fails (divergence, injected fault, ...)
 // records its error in its LaneJob::status and stops participating; the
 // remaining lanes are unaffected. The epoch path then runs failed lanes
-// through the recovery ladder (mfg_cp.cc), whose relaxed retries re-bind
-// the content on this learner at one lane.
+// through the recovery ladder (mfg_cp.cc), whose relaxed retries are lanes
+// of the block's next solve on this learner.
 //
 // Batch residency: the iterate lives in the workspace's [time][node][lane]
 // fields for the whole solve (see Workspace), so nothing is gathered or
@@ -55,11 +55,11 @@
 // and nothing reads.
 //
 // Fault injection: each lane polls kSolve / kFpkStep / kHjbStep /
-// kNonConvergence under a lane-local scope with its (epoch, content)
-// coordinates at attempt 0, or under the caller's ambient scope when the
-// job asks for it (ladder retries and the one-lane views). Firing
-// decisions are purely functional in the coordinates, so the determinism
-// contract holds at any parallelism and batch width.
+// kNonConvergence under a lane-local scope with its job's (epoch, content,
+// attempt) coordinates, or under the caller's ambient scope when the job
+// asks for it (the one-lane views). Firing decisions are purely functional
+// in the coordinates, so the determinism contract holds at any parallelism
+// and batch width.
 
 namespace mfg::core {
 
@@ -106,15 +106,15 @@ class BatchBestResponseLearner {
     std::vector<std::uint8_t> flags;
   };
 
-  // One content's solve request/result. `epoch`/`content` key the
-  // fault-injection plan; `out` receives the equilibrium (its storage is
-  // reused when it already has the lane's shape).
+  // One content's solve request/result. `epoch`/`content`/`attempt` key
+  // the fault-injection plan; `out` receives the equilibrium (its storage
+  // is reused when it already has the lane's shape).
   struct LaneJob {
     std::size_t epoch = 0;
     std::size_t content = 0;
-    // Poll faults under the caller's ambient scope instead of a lane-local
-    // (epoch, content, attempt 0) one: the ladder's relaxed retries, whose
-    // scope carries the attempt, and the one-lane BestResponseLearner.
+    std::size_t attempt = 0;  // Recovery-ladder attempt (0 = first solve).
+    // Poll faults under the caller's ambient scope instead of the
+    // lane-local one: the one-lane BestResponseLearner.
     bool ambient_fault_scope = false;
     // The solve's start. Null runs from the params' initial density after
     // a kSolve poll (BestResponseLearner::SolveInto); otherwise from this

@@ -21,10 +21,10 @@
 // epochs with zero steady-state heap allocations.
 //
 // Determinism contract: a slot's result depends only on that slot's
-// inputs — the learner's lanes are fully re-parameterized per block via
-// BindLane(), lanes share no arithmetic, every workspace buffer is
-// overwritten before it is read, and each slot writes only its own output
-// storage. Results are therefore bit-identical
+// inputs — the learner's lanes are fully re-parameterized per attempt
+// round via BindLane(), lanes share no arithmetic, every workspace buffer
+// is overwritten before it is read, and each slot writes only its own
+// output storage. Results are therefore bit-identical
 // across worker counts and across schedules (guarded by
 // solver_equivalence_test / obs_equivalence_test and the mfg_cp golden
 // tests).
@@ -53,12 +53,15 @@ class EpochRuntime {
                            std::size_t end);
 
   // Long-lived solver state owned by one worker. The learner is re-bound
-  // per block (and at one lane per relaxed retry), its buffers reused
-  // across epochs; the telemetry fields are rewritten every epoch.
+  // per attempt round of a block (the block's pending slots as lanes), its
+  // buffers reused across epochs; the telemetry fields are rewritten every
+  // epoch.
   struct WorkerContext {
     BatchBestResponseLearner batch_learner;
     BatchBestResponseLearner::Workspace batch_workspace;
     std::vector<BatchBestResponseLearner::LaneJob> batch_jobs;
+    // Slots of the current block still on the recovery ladder.
+    std::vector<std::size_t> pending_slots;
     // Slots this worker solved in the last epoch.
     std::size_t contents_solved = 0;
     // Global operator new calls this worker made in the last epoch (0

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "core/equilibrium_metrics.h"
@@ -18,23 +20,20 @@
 
 namespace mfg::core {
 
-std::string_view SlotOutcomeName(SlotOutcome outcome) {
-  switch (outcome) {
-    case SlotOutcome::kSolved:
-      return "solved";
-    case SlotOutcome::kRetried:
-      return "retried";
-    case SlotOutcome::kCarriedForward:
-      return "carried_forward";
-    case SlotOutcome::kFallback:
-      return "fallback";
-    case SlotOutcome::kFailed:
-      return "failed";
-  }
-  return "unknown";
-}
-
 namespace {
+
+// The relaxation schedule of retry a (a ∈ [1, kLadderMaxRetries]): the
+// best-response update damped by kRetryRelaxationDecay^a, the acceptance
+// tolerance widened by kRetryToleranceGrowth^a (an equilibrium that narrowly
+// misses the strict tolerance still ships), and kRetryExtraIterations · a
+// more fixed-point iterations.
+constexpr double kRetryRelaxationDecay = 0.5;
+constexpr double kRetryToleranceGrowth = 10.0;
+constexpr std::size_t kRetryExtraIterations = 40;
+// Static fallback (no usable history): contents in the top fraction of the
+// epoch's popularity ranking cache at rate 1, the rest at rate 0 — the
+// baselines::most_popular decision rule, tabulated as a constant policy.
+constexpr double kFallbackTopFraction = 0.3;
 
 // Context handed to the worker pool for one epoch; slots index
 // buffer->results / buffer->statuses, whose `content` fields the planning
@@ -54,66 +53,29 @@ bool IsRecoverable(common::StatusCode code) {
          code == common::StatusCode::kInternal;
 }
 
-// The deterministic relaxation schedule of retry `attempt` (attempt >= 1):
-// damp the best-response update, widen the acceptance tolerance, and grant
-// extra fixed-point iterations — all geometric/linear in the attempt index
-// so the schedule is reproducible from the options alone.
-void RelaxLearning(const EpochRecoveryOptions& recovery, std::size_t attempt,
-                   LearningParams& learning) {
+// Applies the schedule of attempt `attempt` (0 leaves `learning` as is).
+// The repeated multiply, not std::pow, is part of the retried params' bits.
+void RelaxLearning(std::size_t attempt, LearningParams& learning) {
   for (std::size_t a = 0; a < attempt; ++a) {
-    learning.relaxation *= recovery.relaxation_decay;
-    learning.tolerance *= recovery.tolerance_growth;
+    learning.relaxation *= kRetryRelaxationDecay;
+    learning.tolerance *= kRetryToleranceGrowth;
   }
-  learning.max_iterations += recovery.extra_iterations * attempt;
-}
-
-// Relaxed retry `attempt` (>= 1) of `result`'s content: the relaxation
-// schedule applied to freshly built params, re-bound at one lane on the
-// worker's batch learner. The fault scope makes the attempt addressable by
-// an armed fault plan, and the solve polls its fault sites under it.
-common::Status AttemptSlotSolve(const EpochSolveJob& job,
-                                EpochRuntime::WorkerContext& wc,
-                                EpochContentResult& result,
-                                std::size_t attempt) {
-  const content::ContentId k = result.content;
-  MFG_FAULT_SCOPE(job.buffer->epoch_index, k, attempt);
-  MFG_FLIGHT_SCOPE(job.buffer->epoch_index, attempt);
-  auto params = job.framework->ContentParams(
-      k, job.buffer->popularity[k], job.obs->mean_timeliness[k],
-      static_cast<double>(job.obs->request_counts[k]));
-  if (!params.ok()) return params.status();
-  RelaxLearning(job.framework->options().recovery, attempt,
-                params->learning);
-  result.params = std::move(*params);
-  MFG_FLIGHT_EVENT(
-      kAttemptBegin, 0, k,
-      static_cast<std::uint32_t>(result.params.learning.max_iterations),
-      result.params.learning.relaxation, result.params.learning.tolerance);
-  BatchBestResponseLearner& learner = wc.batch_learner;
-  learner.Reset(1);
-  MFG_RETURN_IF_ERROR(learner.BindLane(0, result.params));
-  BatchBestResponseLearner::LaneJob lane;
-  lane.ambient_fault_scope = true;
-  lane.active = true;
-  lane.out = &result.equilibrium;
-  learner.SolveInto(std::span<BatchBestResponseLearner::LaneJob>(&lane, 1),
-                    wc.batch_workspace);
-  return lane.status;
+  learning.max_iterations += kRetryExtraIterations * attempt;
 }
 
 // Refreshes the carry-forward slot for content `k`. Called only for
 // converged solves; allocation-free once the slot has held an equilibrium
 // of the same shape.
-void SaveLastGood(const EpochSolveJob& job, content::ContentId k,
+void SaveLastGood(EpochPlanBuffer& buffer, content::ContentId k,
                   const EpochContentResult& result) {
-  EpochPlanBuffer::LastGood& carry = job.buffer->last_good[k];
+  EpochPlanBuffer::LastGood& carry = buffer.last_good[k];
   carry.params = result.params;
   carry.equilibrium = result.equilibrium;
   carry.valid = true;
 }
 
 // Final ladder rung: a static most-popular-style plan built without the
-// solver — contents in the top fallback_top_fraction of the epoch's
+// solver — contents in the top kFallbackTopFraction of the epoch's
 // popularity ranking cache at rate 1, the rest at rate 0, and the mean
 // field is frozen at the initial density (no market information survives
 // a solve that never ran). Built outside any fault scope: the fallback
@@ -121,7 +83,6 @@ void SaveLastGood(const EpochSolveJob& job, content::ContentId k,
 common::Status BuildFallbackResult(const EpochSolveJob& job,
                                    EpochContentResult& result) {
   const MfgCpFramework& framework = *job.framework;
-  const EpochRecoveryOptions& recovery = framework.options().recovery;
   const content::ContentId k = result.content;
 
   // The per-content params may be what failed (bad observation), so build
@@ -147,7 +108,7 @@ common::Status BuildFallbackResult(const EpochSolveJob& job,
                           ? 0.0
                           : static_cast<double>(ahead) /
                                 static_cast<double>(popularity.size());
-  const double rate = rank < recovery.fallback_top_fraction ? 1.0 : 0.0;
+  const double rate = rank < kFallbackTopFraction ? 1.0 : 0.0;
 
   const std::size_t nt = params.grid.num_time_steps;
   const std::size_t nq = params.grid.num_q_nodes;
@@ -173,180 +134,49 @@ common::Status BuildFallbackResult(const EpochSolveJob& job,
   return common::Status::Ok();
 }
 
-// Runs the recovery ladder for slot `slot` given the outcome of its
-// first (attempt-0) solve, the slot's lane status from the block solve:
-// relaxed retries at one lane on `wc`'s batch learner, carry-forward,
-// static fallback. Every rung depends only on the slot's own inputs, so
-// recovery behavior is byte-for-byte the same at every batch width.
-void FinishSlotAfterFirstAttempt(const EpochSolveJob& job,
-                                 EpochRuntime::WorkerContext& wc,
-                                 std::size_t slot,
-                                 common::Status first_status) {
-  EpochContentResult& result = job.buffer->results[slot];
-  common::Status& status = job.buffer->statuses[slot];
-  SlotOutcome& outcome = job.buffer->outcomes[slot];
-  const content::ContentId k = result.content;
-  const EpochRecoveryOptions& recovery = job.framework->options().recovery;
-
-  status = std::move(first_status);
-  if (status.ok() &&
-      (result.equilibrium.converged || !recovery.enabled ||
-       !recovery.retry_on_nonconvergence)) {
-    outcome = SlotOutcome::kSolved;
-    if (recovery.enabled && result.equilibrium.converged) {
-      SaveLastGood(job, k, result);
-    }
-    return;
-  }
-  if (!recovery.enabled ||
-      (!status.ok() && !IsRecoverable(status.code()))) {
-    outcome = SlotOutcome::kFailed;
-    MFG_FLIGHT_EVENT_AT(kLadder,
-                        static_cast<std::uint8_t>(SlotOutcome::kFailed),
-                        job.buffer->epoch_index, k,
-                        static_cast<std::uint16_t>(result.attempts), 0,
-                        static_cast<double>(result.attempts),
-                        static_cast<double>(static_cast<int>(status.code())));
-    return;
-  }
-
-  // Rung 1: relaxed retries.
-  for (std::size_t attempt = 1; attempt <= recovery.max_retries; ++attempt) {
-    ++result.attempts;
-    status = AttemptSlotSolve(job, wc, result, attempt);
-    if (status.ok() && result.equilibrium.converged) {
-      outcome = SlotOutcome::kRetried;
-      SaveLastGood(job, k, result);
-      MFG_FLIGHT_EVENT_AT(
-          kLadder, static_cast<std::uint8_t>(SlotOutcome::kRetried),
-          job.buffer->epoch_index, k,
-          static_cast<std::uint16_t>(result.attempts), 0,
-          static_cast<double>(result.attempts), 0.0);
-      MFG_OBS_COUNT("core.epoch.retries", 1);
-      MFG_LOG(WARNING) << "content " << k << ": recovered on relaxed retry "
-                       << attempt << " (epoch "
-                       << job.buffer->epoch_index << ")";
-      return;
-    }
-    if (!status.ok() && !IsRecoverable(status.code())) {
-      outcome = SlotOutcome::kFailed;
-      MFG_FLIGHT_EVENT_AT(
-          kLadder, static_cast<std::uint8_t>(SlotOutcome::kFailed),
-          job.buffer->epoch_index, k,
-          static_cast<std::uint16_t>(result.attempts), 0,
-          static_cast<double>(result.attempts),
-          static_cast<double>(static_cast<int>(status.code())));
-      return;
-    }
-  }
-  if (status.ok()) {
-    // Every retry stayed clean but unconverged: ship the last attempt's
-    // equilibrium rather than discard a usable (if slow) fixed point —
-    // the pre-ladder contract never dropped a clean solve either.
-    outcome = SlotOutcome::kRetried;
-    MFG_FLIGHT_EVENT_AT(kLadder,
-                        static_cast<std::uint8_t>(SlotOutcome::kRetried),
-                        job.buffer->epoch_index, k,
-                        static_cast<std::uint16_t>(result.attempts), 0,
-                        static_cast<double>(result.attempts), 0.0);
-    MFG_OBS_COUNT("core.epoch.retries", 1);
-    MFG_LOG(WARNING) << "content " << k
-                     << ": still unconverged after relaxed retries; using "
-                        "the last iterate (epoch "
-                     << job.buffer->epoch_index << ")";
-    return;
-  }
-
-  // Rung 2: carry the content's last-good equilibrium forward.
-  const EpochPlanBuffer::LastGood& carry = job.buffer->last_good[k];
-  if (carry.valid) {
-    result.params = carry.params;
-    result.equilibrium = carry.equilibrium;
-    MFG_LOG(WARNING) << "content " << k << ": solve failed ("
-                     << status.ToString()
-                     << "); carrying forward last-good equilibrium (epoch "
-                     << job.buffer->epoch_index << ")";
-    status = common::Status::Ok();
-    outcome = SlotOutcome::kCarriedForward;
-    MFG_FLIGHT_EVENT_AT(
-        kLadder, static_cast<std::uint8_t>(SlotOutcome::kCarriedForward),
-        job.buffer->epoch_index, k,
-        static_cast<std::uint16_t>(result.attempts), 0,
-        static_cast<double>(result.attempts), 0.0);
-    MFG_OBS_COUNT("core.epoch.carry_forwards", 1);
-    return;
-  }
-
-  // Rung 3: static fallback.
-  const common::Status fallback = BuildFallbackResult(job, result);
-  if (fallback.ok()) {
-    MFG_LOG(WARNING) << "content " << k << ": solve failed ("
-                     << status.ToString()
-                     << ") with no usable history; installing static "
-                        "fallback policy (epoch "
-                     << job.buffer->epoch_index << ")";
-    status = common::Status::Ok();
-    outcome = SlotOutcome::kFallback;
-    MFG_FLIGHT_EVENT_AT(kLadder,
-                        static_cast<std::uint8_t>(SlotOutcome::kFallback),
-                        job.buffer->epoch_index, k,
-                        static_cast<std::uint16_t>(result.attempts), 0,
-                        static_cast<double>(result.attempts), 0.0);
-    MFG_OBS_COUNT("core.epoch.fallbacks", 1);
-    return;
-  }
-  // status keeps the original solve error; the fallback failure is the
-  // less actionable of the two.
-  outcome = SlotOutcome::kFailed;
-  MFG_FLIGHT_EVENT_AT(kLadder,
-                      static_cast<std::uint8_t>(SlotOutcome::kFailed),
-                      job.buffer->epoch_index, k,
-                      static_cast<std::uint16_t>(result.attempts), 0,
-                      static_cast<double>(result.attempts),
-                      static_cast<double>(static_cast<int>(status.code())));
+#if MFGCP_OBS_ENABLED
+// The registry counter a ladder outcome bumps, indexed by SlotOutcome
+// (none for kSolved, nor for kFailed: core.epoch.failures counts those per
+// epoch).
+obs::Counter* LadderCounter(SlotOutcome outcome) {
+  static obs::Counter* const counters[] = {
+      nullptr,
+      &obs::Registry::Global().GetCounter("core.epoch.retries"),
+      &obs::Registry::Global().GetCounter("core.epoch.carry_forwards"),
+      &obs::Registry::Global().GetCounter("core.epoch.fallbacks"),
+      nullptr,
+  };
+  return counters[static_cast<std::size_t>(outcome)];
 }
+#endif  // MFGCP_OBS_ENABLED
 
-// Solves slots [begin, end) as one SoA batch on worker `worker`'s
-// long-lived batch learner. Attempt 0 of every slot in the block runs in
-// lockstep through BatchBestResponseLearner; lanes are independent, so a
-// slot's result does not depend on the block it lands in. Lanes whose
-// params build, bind, or solve failed (or came back unconverged) then run
-// the recovery ladder per slot. Writes only the block's slots (plus each
-// slot content's own carry entry, which no other slot touches this epoch),
-// so any block→worker schedule yields bit-identical results.
-void SolveEpochBlock(void* ctx, std::size_t worker, std::size_t begin,
-                     std::size_t end) {
-  const EpochSolveJob& job = *static_cast<EpochSolveJob*>(ctx);
-  NonConvergenceEpochScope nonconvergence_scope(job.buffer->epoch_index);
-  EpochRuntime::WorkerContext& wc = job.runtime->worker(worker);
-  const std::size_t width = end - begin;
-  // Scheduling-scope breadcrumb (excluded from per-content drains: block
-  // shapes depend on the worker count).
-  MFG_FLIGHT_EVENT_AT(kBlockClaim, 0, job.buffer->epoch_index,
-                      job.buffer->results[begin].content, 0,
-                      static_cast<std::uint32_t>(width),
-                      static_cast<double>(worker), 0.0);
-  // Ambient coordinates for the lockstep attempt-0 solve below; the
-  // batched solvers record each lane's events under its own content id.
-  MFG_FLIGHT_SCOPE(job.buffer->epoch_index, 0);
+// Attempt `attempt` of every pending slot: slot pending[i] is lane i of one
+// block solve on worker `wc`'s batch learner. Each slot's params are built
+// (and, for a retry, relaxed) and bound under its own fault coordinates,
+// and its lane polls the solver's fault sites at the same (epoch, content,
+// attempt). A slot whose params fail to build or bind sits the solve out
+// with that status in its lane job. Lanes share no arithmetic, so a slot's
+// result does not depend on which other slots share its round.
+void SolveAttempt(const EpochSolveJob& job, EpochRuntime::WorkerContext& wc,
+                  std::span<const std::size_t> pending, std::size_t attempt) {
+  const std::size_t epoch = job.buffer->epoch_index;
+  // Ambient coordinates for the lockstep solve below; the batched solvers
+  // record each lane's events under its own content id.
+  MFG_FLIGHT_SCOPE(epoch, attempt);
   BatchBestResponseLearner& learner = wc.batch_learner;
-  learner.Reset(width);
-  wc.batch_jobs.resize(width);
-
-  for (std::size_t i = 0; i < width; ++i) {
-    const std::size_t slot = begin + i;
-    EpochContentResult& result = job.buffer->results[slot];
+  learner.Reset(pending.size());
+  wc.batch_jobs.resize(pending.size());
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    EpochContentResult& result = job.buffer->results[pending[i]];
     const content::ContentId k = result.content;
     BatchBestResponseLearner::LaneJob& lane = wc.batch_jobs[i];
-    lane.epoch = job.buffer->epoch_index;
+    lane.epoch = epoch;
     lane.content = k;
+    lane.attempt = attempt;
     lane.out = &result.equilibrium;
     lane.active = false;
-    lane.status = common::Status::Ok();
-    result.attempts = 1;
-    // Attempt-0 params build + bind under this lane's fault coordinates
-    // (AttemptSlotSolve's preamble, without the relaxation).
-    MFG_FAULT_SCOPE(job.buffer->epoch_index, k, 0);
+    result.attempts = attempt + 1;
+    MFG_FAULT_SCOPE(epoch, k, attempt);
     auto params = job.framework->ContentParams(
         k, job.buffer->popularity[k], job.obs->mean_timeliness[k],
         static_cast<double>(job.obs->request_counts[k]));
@@ -354,30 +184,110 @@ void SolveEpochBlock(void* ctx, std::size_t worker, std::size_t begin,
       lane.status = params.status();
       continue;
     }
+    RelaxLearning(attempt, params->learning);
     result.params = std::move(*params);
     MFG_FLIGHT_EVENT(
         kAttemptBegin, 0, k,
         static_cast<std::uint32_t>(result.params.learning.max_iterations),
         result.params.learning.relaxation, result.params.learning.tolerance);
-    const common::Status bind = learner.BindLane(i, result.params);
-    if (!bind.ok()) {
-      lane.status = bind;
-      continue;
-    }
-    lane.active = true;
+    lane.status = learner.BindLane(i, result.params);
+    lane.active = lane.status.ok();
   }
-
   learner.SolveInto(
       std::span<BatchBestResponseLearner::LaneJob>(wc.batch_jobs),
       wc.batch_workspace);
+}
 
-  for (std::size_t i = 0; i < width; ++i) {
-    const std::size_t slot = begin + i;
-    MFG_OBS_SPAN_ID(
-        "PlanEpoch.SolveContent",
-        static_cast<std::int64_t>(job.buffer->results[slot].content));
-    FinishSlotAfterFirstAttempt(job, wc, slot,
-                                std::move(wc.batch_jobs[i].status));
+// Settles slot `slot` after attempt `attempt` ended with `lane_status`.
+// Returns true while the ladder wants another relaxed attempt (the slot
+// stays pending). Otherwise records the slot's outcome: a clean converged
+// solve, a retry's (possibly unconverged) iterate, the content's last-good
+// equilibrium, the static fallback, or a failure. Every outcome but a
+// first-attempt solve leaves one kLadder flight event, counter and WARN.
+// Each rung reads only the slot's own inputs and carry entry, so the
+// outcome is the same at every batch width and parallelism.
+bool SettleSlot(const EpochSolveJob& job, std::size_t slot,
+                common::Status lane_status, std::size_t attempt) {
+  EpochPlanBuffer& buffer = *job.buffer;
+  EpochContentResult& result = buffer.results[slot];
+  common::Status& status = buffer.statuses[slot];
+  const content::ContentId k = result.content;
+  status = std::move(lane_status);
+  const bool converged = status.ok() && result.equilibrium.converged;
+  const bool recoverable = status.ok() || IsRecoverable(status.code());
+  if (!converged && recoverable && attempt < kLadderMaxRetries) return true;
+
+  MFG_OBS_SPAN_ID("PlanEpoch.SolveContent", static_cast<std::int64_t>(k));
+  SlotOutcome outcome = SlotOutcome::kFailed;
+  const char* action = "failed";
+  if (converged) {
+    SaveLastGood(buffer, k, result);
+    outcome = attempt == 0 ? SlotOutcome::kSolved : SlotOutcome::kRetried;
+    action = "recovered on a relaxed retry";
+  } else if (status.ok()) {
+    // Every retry stayed clean but unconverged: ship the last iterate
+    // rather than discard a usable (if slow) fixed point.
+    outcome = SlotOutcome::kRetried;
+    action = "still unconverged after relaxed retries; using the last iterate";
+  } else if (recoverable && buffer.last_good[k].valid) {
+    result.params = buffer.last_good[k].params;
+    result.equilibrium = buffer.last_good[k].equilibrium;
+    outcome = SlotOutcome::kCarriedForward;
+    action = "carrying forward the last-good equilibrium";
+  } else if (recoverable && BuildFallbackResult(job, result).ok()) {
+    outcome = SlotOutcome::kFallback;
+    action = "no usable history; installing the static fallback policy";
+  }
+  buffer.outcomes[slot] = outcome;
+  if (outcome == SlotOutcome::kSolved) return false;
+
+  MFG_LOG(WARNING) << "content " << k << " (epoch " << buffer.epoch_index
+                   << "): " << action << " after " << result.attempts
+                   << " attempt(s); last solve: " << status;
+  // A failed slot keeps its error (the original solve error, even when the
+  // fallback failed too); every other rung serves the slot.
+  if (outcome != SlotOutcome::kFailed) status = common::Status::Ok();
+  MFG_FLIGHT_EVENT_AT(kLadder, static_cast<std::uint8_t>(outcome),
+                      buffer.epoch_index, k,
+                      static_cast<std::uint16_t>(result.attempts), 0,
+                      static_cast<double>(result.attempts),
+                      static_cast<double>(static_cast<int>(status.code())));
+#if MFGCP_OBS_ENABLED
+  if (obs::Counter* counter = LadderCounter(outcome)) counter->Add(1);
+#endif
+  return false;
+}
+
+// Solves slots [begin, end) on worker `worker`'s long-lived batch learner:
+// one attempt loop in which every round solves the block's pending slots
+// as the lanes of one batch, and slots leave the loop as they settle.
+// Writes only the block's slots (plus each slot content's own carry entry,
+// which no other slot touches this epoch), so any block→worker schedule
+// yields bit-identical results.
+void SolveEpochBlock(void* ctx, std::size_t worker, std::size_t begin,
+                     std::size_t end) {
+  const EpochSolveJob& job = *static_cast<EpochSolveJob*>(ctx);
+  NonConvergenceEpochScope nonconvergence_scope(job.buffer->epoch_index);
+  EpochRuntime::WorkerContext& wc = job.runtime->worker(worker);
+  // Scheduling-scope breadcrumb (excluded from per-content drains: block
+  // shapes depend on the worker count).
+  MFG_FLIGHT_EVENT_AT(kBlockClaim, 0, job.buffer->epoch_index,
+                      job.buffer->results[begin].content, 0,
+                      static_cast<std::uint32_t>(end - begin),
+                      static_cast<double>(worker), 0.0);
+  std::vector<std::size_t>& pending = wc.pending_slots;
+  pending.resize(end - begin);
+  std::iota(pending.begin(), pending.end(), begin);
+  for (std::size_t attempt = 0; !pending.empty(); ++attempt) {
+    SolveAttempt(job, wc, pending, attempt);
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      if (SettleSlot(job, pending[i], std::move(wc.batch_jobs[i].status),
+                     attempt)) {
+        pending[kept++] = pending[i];
+      }
+    }
+    pending.resize(kept);
   }
 }
 
@@ -412,20 +322,6 @@ common::StatusOr<MfgCpFramework> MfgCpFramework::Create(
   if (popularity.num_contents() != catalog.size()) {
     return common::Status::InvalidArgument(
         "popularity model does not cover the catalog");
-  }
-  const EpochRecoveryOptions& recovery = options.recovery;
-  if (recovery.relaxation_decay <= 0.0 || recovery.relaxation_decay > 1.0) {
-    return common::Status::InvalidArgument(
-        "recovery.relaxation_decay must be in (0, 1]");
-  }
-  if (recovery.tolerance_growth < 1.0) {
-    return common::Status::InvalidArgument(
-        "recovery.tolerance_growth must be >= 1");
-  }
-  if (recovery.fallback_top_fraction < 0.0 ||
-      recovery.fallback_top_fraction > 1.0) {
-    return common::Status::InvalidArgument(
-        "recovery.fallback_top_fraction must be in [0, 1]");
   }
   if (options.batch_width == 0) {
     return common::Status::InvalidArgument("batch_width must be >= 1");
@@ -621,10 +517,15 @@ common::Status MfgCpFramework::PlanEpochInto(const EpochObservation& obs,
     }
     // Price-trajectory stats over every active slot's mean field (cheap:
     // no solves), so the gauge covers the whole epoch even when the
-    // probe window is small.
+    // probe window is small. A failed slot's equilibrium was never
+    // written this epoch, and a fallback's mean field is placeholders.
     std::size_t price_samples = 0;
     double price_sum = 0.0;
     for (std::size_t slot = 0; slot < buffer.num_active; ++slot) {
+      if (buffer.outcomes[slot] == SlotOutcome::kFailed ||
+          buffer.outcomes[slot] == SlotOutcome::kFallback) {
+        continue;
+      }
       const Equilibrium& eq = buffer.results[slot].equilibrium;
       for (const MeanFieldQuantities& mf : eq.mean_field) {
         if (price_samples == 0) {

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -34,38 +33,16 @@
 
 namespace mfg::core {
 
-// Knobs of the per-content recovery ladder PlanEpochInto runs when a
-// solve fails or does not converge (ARCHITECTURE.md §5 "Epoch failure
-// handling"). The ladder degrades per content instead of failing per
-// epoch: retry with relaxed learning controls, then reuse the content's
-// last-good equilibrium, then a static most-popular-style policy. Only
-// numerical failures (kNumericalError / kInternal) are recovered;
-// configuration errors (kInvalidArgument, ...) still fail the slot — and
-// the epoch — because retrying cannot fix a bad input.
-struct EpochRecoveryOptions {
-  // false restores the pre-ladder behavior: first failure wins, no
-  // retries, no carry-forward, no last-good bookkeeping.
-  bool enabled = true;
-  // Relaxed retries before falling back (attempt a ∈ [1, max_retries]).
-  std::size_t max_retries = 2;
-  // Per retry, learning.relaxation (γ) is scaled by relaxation_decay^a —
-  // heavier damping walks the fixed point more cautiously.
-  double relaxation_decay = 0.5;
-  // Per retry, learning.tolerance is scaled by tolerance_growth^a — an
-  // equilibrium that narrowly misses the strict tolerance still ships.
-  double tolerance_growth = 10.0;
-  // Per retry, learning.max_iterations grows by extra_iterations · a.
-  std::size_t extra_iterations = 40;
-  // Treat a clean but non-converged solve as a ladder trigger. The final
-  // retry's equilibrium ships even if still unconverged (matching the
-  // pre-ladder contract of never discarding a clean solve).
-  bool retry_on_nonconvergence = true;
-  // Static fallback (no usable history): contents in the top
-  // `fallback_top_fraction` of the epoch's popularity ranking cache at
-  // rate 1, the rest at rate 0 — the baselines::most_popular decision
-  // rule, tabulated as a constant policy surface.
-  double fallback_top_fraction = 0.3;
-};
+// The per-content recovery ladder PlanEpochInto runs when a solve fails or
+// does not converge (ARCHITECTURE.md §5 "Epoch failure handling"). The
+// ladder degrades per content instead of failing per epoch: up to
+// kLadderMaxRetries relaxed retries, then the content's last-good
+// equilibrium, then a static most-popular-style policy. Only numerical
+// failures (kNumericalError / kInternal) are recovered; configuration
+// errors (kInvalidArgument, ...) still fail the slot — and the epoch —
+// because retrying cannot fix a bad input. The relaxation schedule is fixed
+// (mfg_cp.cc), so a slot's ladder depends on its own inputs alone.
+inline constexpr std::size_t kLadderMaxRetries = 2;
 
 // Per-epoch equilibrium-quality probe (ε-Nash exploitability and
 // mean-field consistency residual; see equilibrium_metrics.h). The probe
@@ -97,8 +74,6 @@ struct MfgCpOptions {
   // share no arithmetic, so results stay bit-identical for every value.
   // 1 runs the same block path one content at a time.
   std::size_t batch_width = 8;
-  // Per-content failure handling (see EpochRecoveryOptions above).
-  EpochRecoveryOptions recovery;
   // Equilibrium-quality gauge stage (see EquilibriumProbeOptions above).
   EquilibriumProbeOptions eq_probe;
 };
@@ -128,9 +103,6 @@ enum class SlotOutcome : std::uint8_t {
   kFallback,          // Static most-popular-style policy.
   kFailed,            // Nothing worked; the slot status holds the error.
 };
-
-// "solved", "retried", "carried_forward", "fallback", "failed".
-std::string_view SlotOutcomeName(SlotOutcome outcome);
 
 // One solved content from PlanEpochInto. The params/equilibrium storage
 // is reused across epochs; `content` says which catalog entry this slot
@@ -193,13 +165,14 @@ class MfgCpFramework {
   // content-size change re-warms that worker's buffers once).
   //
   // Failure handling: a per-content numerical failure runs the recovery
-  // ladder (options().recovery) instead of failing the epoch — the slot is
-  // retried with relaxed learning controls, then filled from the content's
-  // last-good equilibrium or a static fallback, and `buffer.outcomes`
-  // records which rung served it. The call only returns an error when a
-  // slot exhausts the ladder (or hits a non-recoverable configuration
-  // error); the message then aggregates *every* failed content, and the
-  // per-slot `statuses` stay intact for finer-grained recovery.
+  // ladder (see kLadderMaxRetries) instead of failing the epoch — the slot
+  // is retried with relaxed learning controls, as a lane of its block's
+  // next solve, then filled from the content's last-good equilibrium or a
+  // static fallback, and `buffer.outcomes` records which rung served it.
+  // The call only returns an error when a slot exhausts the ladder (or
+  // hits a non-recoverable configuration error); the message then
+  // aggregates *every* failed content, and the per-slot `statuses` stay
+  // intact for finer-grained recovery.
   //
   // When `health` is non-null it is filled with this epoch's
   // EpochHealthReport (ladder tallies, best-response counter deltas, wall

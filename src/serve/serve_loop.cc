@@ -96,21 +96,19 @@ common::StatusOr<std::unique_ptr<ServeLoop>> ServeLoop::Create(
         "synthetic_plan_delay_ms must be >= 0");
   }
 
-  ServeOptions resolved = options;
-  resolved.plan.collect_health = true;  // Every plan round yields a report.
-  auto loop = std::unique_ptr<ServeLoop>(new ServeLoop(resolved));
+  auto loop = std::unique_ptr<ServeLoop>(new ServeLoop(options));
 
-  const std::size_t k = resolved.engine.num_contents;
-  auto popularity = content::PopularityModel::CreateZipf(k, resolved.zipf_iota);
+  const std::size_t k = options.engine.num_contents;
+  auto popularity = content::PopularityModel::CreateZipf(k, options.zipf_iota);
   if (!popularity.ok()) return popularity.status();
   loop->prior_ = popularity.value().prior();
 
   auto hook = sim::MfgPlanReplanHook::Create(
-      resolved.plan, k, resolved.engine.content_size_mb, resolved.zipf_iota);
+      options.plan, k, options.engine.content_size_mb, options.zipf_iota);
   if (!hook.ok()) return hook.status();
   loop->hook_ = std::move(hook).value();
 
-  const std::size_t capacity = resolved.engine.cache_capacity;
+  const std::size_t capacity = options.engine.cache_capacity;
   if (auto status = loop->cache_a_.Reset(k, capacity, loop->prior_);
       !status.ok()) {
     return status;
@@ -122,20 +120,16 @@ common::StatusOr<std::unique_ptr<ServeLoop>> ServeLoop::Create(
 
   // Pre-size every cross-thread buffer so the steady path only ever
   // assigns into warmed storage.
-  loop->ledger_.Reset(resolved.engine, resolved.engine.epoch_period);
+  loop->ledger_.Reset(options.engine, options.engine.epoch_period);
   loop->job_counts_.assign(k, 0);
-  loop->published_plan_.score.assign(k, 0.0);
-  loop->published_plan_.popularity.assign(k, 0.0);
-  loop->published_plan_.mean_rate.assign(k, 0.0);
-  loop->published_plan_.mean_price.assign(k, 0.0);
   loop->interpolator_.Reset(k);
 
 #if MFGCP_OBS_ENABLED
-  if (resolved.admin_port >= 0 && !obs::AdminExporter::Global().active()) {
+  if (options.admin_port >= 0 && !obs::AdminExporter::Global().active()) {
     obs::ExporterOptions admin;
-    admin.port = resolved.admin_port;
+    admin.port = options.admin_port;
     admin.epochz_capacity =
-        resolved.epochz_capacity == 0 ? 64 : resolved.epochz_capacity;
+        options.epochz_capacity == 0 ? 64 : options.epochz_capacity;
     if (auto status = obs::AdminExporter::Global().Start(admin);
         !status.ok()) {
       return status;
@@ -167,15 +161,11 @@ void ServeLoop::PlannerMain() {
               options_.synthetic_plan_delay_ms));
     }
     // The gauntlet's replan hook, verbatim: observation update,
-    // PlanEpochInto on the persistent pool, score, re-place `cache` (the
-    // back buffer — the serve thread never probes it mid-job).
+    // PlanEpochInto on the persistent pool, snapshot, re-place `cache`
+    // (the back buffer — the serve thread never probes it mid-job).
     common::Status status = hook_->OnEpochBoundary(epoch, job_counts_, *cache);
-    if (status.ok()) {
-      core::SnapshotPublishedPlan(hook_->plan_buffer(), published_plan_);
-      published_plan_.epoch = epoch;
-      if (options_.on_plan) {
-        options_.on_plan(hook_->plan_buffer(), hook_->last_health());
-      }
+    if (status.ok() && options_.on_plan) {
+      options_.on_plan(hook_->plan_buffer(), hook_->last_health());
     }
 
     lock.lock();
@@ -272,7 +262,7 @@ void ServeLoop::FinishJob(RunState& state) {
   }
 #endif
   if (last_health_.failed > 0) ++state.stats.failed_epochs;
-  last_health_.mean_price = published_plan_.mean_price_overall;
+  last_health_.mean_price = hook_->published().mean_price_overall;
 
   bool deferred = job_miss_counted_;  // Async overruns were counted live.
   if (options_.plan_deadline_ms <= 0.0 && DeadlineFaultFires(job_epoch_)) {
@@ -293,7 +283,7 @@ void ServeLoop::FinishJob(RunState& state) {
 
 void ServeLoop::Publish(RunState& state) {
   std::swap(front_, back_);
-  interpolator_.Advance(published_plan_);
+  interpolator_.Advance(hook_->published());
   obs::EpochRecord& row = state.stats.rows.emplace_back(last_health_);
   row.epoch = job_epoch_;
   row.seq = state.stats.publications;

@@ -72,8 +72,7 @@ struct ServeOptions {
   // (sim-time between replans; must be > 0 — a serving runtime exists to
   // re-plan). num_contents must match the stream.
   sim::RequestEngineOptions engine;
-  // Planner knobs (the gauntlet's replan hook, reused verbatim;
-  // collect_health is forced on so every plan round yields a report).
+  // Planner knobs (the gauntlet's replan hook, reused verbatim).
   sim::MfgPlanReplanHook::Options plan;
   // Tick schedule and sim-time/wall-clock ratio.
   ServeClockOptions clock;
@@ -215,9 +214,9 @@ class ServeLoop {
   baselines::StaticSetCache* front_ = &cache_a_;
   baselines::StaticSetCache* back_ = &cache_b_;
 
-  // Plan artifacts handed planner → serve (written only while a job is
-  // in flight, read only after the done handshake).
-  core::PublishedPlan published_plan_;
+  // Plan artifacts handed planner → serve (the hook's snapshot and
+  // health are written only while a job is in flight, and read only after
+  // the done handshake).
   PlanInterpolator interpolator_;
   core::EpochHealthReport last_health_;
 

@@ -8,7 +8,6 @@
 #include "content/catalog.h"
 #include "content/popularity.h"
 #include "content/timeliness.h"
-#include "core/plan_publication.h"
 #include "obs/obs.h"
 
 namespace mfg::sim {
@@ -101,7 +100,6 @@ common::StatusOr<std::unique_ptr<MfgPlanReplanHook>> MfgPlanReplanHook::Create(
 common::Status MfgPlanReplanHook::OnEpochBoundary(
     std::size_t epoch, std::span<const std::uint64_t> epoch_counts,
     baselines::RequestCachePolicy& policy) {
-  (void)epoch;
   auto* cache = dynamic_cast<baselines::StaticSetCache*>(&policy);
   if (cache == nullptr) {
     return common::Status::InvalidArgument(
@@ -123,9 +121,8 @@ common::Status MfgPlanReplanHook::OnEpochBoundary(
   observation_.mean_remaining.assign(k, options_.mean_remaining);
 
   MFG_OBS_SCOPED_TIMER("sim.gauntlet.plan_seconds");
-  if (auto status = framework_.PlanEpochInto(
-          observation_, plan_buffer_,
-          options_.collect_health ? &last_health_ : nullptr);
+  if (auto status =
+          framework_.PlanEpochInto(observation_, plan_buffer_, &last_health_);
       !status.ok()) {
     return status;
   }
@@ -134,10 +131,11 @@ common::Status MfgPlanReplanHook::OnEpochBoundary(
   // planned mean caching rate (the equilibrium control surface averaged
   // over (t, q)); inactive contents keep a small popularity-only score so
   // leftover capacity still fills deterministically by popularity rank.
-  // The arithmetic lives in core/plan_publication so the serving runtime
-  // publishes bit-identical placements from the same plan buffer.
-  core::ComputePlacementScores(plan_buffer_, score_);
-  return cache->AssignTopByScore(score_);
+  // One snapshot walks each policy once and carries both the scores and
+  // what the serving runtime publishes.
+  core::SnapshotPublishedPlan(plan_buffer_, published_);
+  published_.epoch = epoch;
+  return cache->AssignTopByScore(published_.score);
 }
 
 common::StatusOr<std::vector<GauntletOutcome>> RunGauntlet(

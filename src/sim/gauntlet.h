@@ -10,6 +10,7 @@
 #include "common/status.h"
 #include "content/trace.h"
 #include "core/mfg_cp.h"
+#include "core/plan_publication.h"
 #include "sim/request_engine.h"
 #include "sim/request_stream.h"
 
@@ -59,8 +60,10 @@ std::vector<GauntletScheme> AllGauntletSchemes();
 
 // Replan hook feeding the MFG-CP plan into a StaticSetCache placement:
 // per boundary, update the epoch observation from the finished epoch's
-// counts, run PlanEpochInto on the persistent worker pool, score every
-// content as popularity · (planned mean caching rate), and re-place the
+// counts, run PlanEpochInto on the persistent worker pool (filling
+// last_health()), snapshot the plan (core::SnapshotPublishedPlan: scores
+// of popularity · planned mean caching rate, plus the per-content rate
+// and price aggregates the serving runtime publishes), and re-place the
 // cache with the top-capacity scores. The plan buffer persists across
 // epochs, so the planner stays on its warmed zero-allocation path and
 // the recovery ladder's carry-forward state survives.
@@ -72,10 +75,6 @@ class MfgPlanReplanHook final : public ReplanHook {
     // carry (the engine observes counts only).
     double mean_timeliness = 2.5;
     double mean_remaining = 70.0;
-    // When true, every OnEpochBoundary fills last_health() with the
-    // epoch's EpochHealthReport (the serving runtime and soak tests read
-    // it; the default keeps the historical no-report planning path).
-    bool collect_health = false;
   };
 
   // Builds the planner over a homogeneous catalog with a Zipf prior
@@ -91,8 +90,11 @@ class MfgPlanReplanHook final : public ReplanHook {
   const core::EpochPlanBuffer& plan_buffer() const { return plan_buffer_; }
   const core::MfgCpFramework& framework() const { return framework_; }
   // The last boundary's health report (valid after the first
-  // OnEpochBoundary when Options::collect_health is set).
+  // OnEpochBoundary).
   const core::EpochHealthReport& last_health() const { return last_health_; }
+  // The last successful boundary's plan snapshot; `epoch` is that
+  // boundary's index.
+  const core::PublishedPlan& published() const { return published_; }
 
  private:
   MfgPlanReplanHook(const Options& options, core::MfgCpFramework framework)
@@ -103,7 +105,7 @@ class MfgPlanReplanHook final : public ReplanHook {
   core::EpochPlanBuffer plan_buffer_;
   core::EpochObservation observation_;
   core::EpochHealthReport last_health_;
-  std::vector<double> score_;
+  core::PublishedPlan published_;
 };
 
 struct GauntletOptions {

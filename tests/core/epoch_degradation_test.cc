@@ -98,9 +98,8 @@ TEST(EpochDegradationTest, PermanentFaultCarriesLastGoodForward) {
     ASSERT_TRUE(buffer.statuses[slot].ok());
     if (buffer.results[slot].content != 1) continue;
     EXPECT_EQ(buffer.outcomes[slot], SlotOutcome::kCarriedForward);
-    // Retries were exhausted first: 1 nominal + max_retries relaxed.
-    EXPECT_EQ(buffer.results[slot].attempts,
-              1 + framework.options().recovery.max_retries);
+    // Retries were exhausted first: 1 nominal + kLadderMaxRetries relaxed.
+    EXPECT_EQ(buffer.results[slot].attempts, 1 + kLadderMaxRetries);
     ExpectEquilibriumIdentical(buffer.results[slot].equilibrium, epoch0_eq);
     checked = true;
   }
@@ -231,21 +230,6 @@ TEST(EpochDegradationTest, UnrecoverableCodeFailsTheSlotAndEpoch) {
   }
 }
 
-TEST(EpochDegradationTest, DisabledLadderRestoresFirstFailureWins) {
-  MfgCpOptions options = testing::FastOptions(1);
-  options.recovery.enabled = false;
-  auto framework = MakeFramework(3, 1, &options);
-  const EpochObservation obs = MakeObservation(3);
-  faults::FaultPlan plan;
-  plan.Add(SpecAt(faults::FaultSite::kSolve, 0, 1, 1));  // Transient...
-  faults::ScopedFaultInjection arm(plan);
-  EpochPlanBuffer buffer;
-  // ...but with recovery off even a transient fault fails the epoch.
-  const common::Status status = framework.PlanEpochInto(obs, buffer);
-  ASSERT_FALSE(status.ok());
-  EXPECT_THAT(status.message(), HasSubstr("content 1"));
-}
-
 TEST(EpochDegradationTest, NonFaultedSlotsMatchTheFaultFreeRun) {
   // The acceptance bar: inject one fault, and every *other* slot must be
   // bit-identical to the run with no faults at all — at every tested
@@ -333,9 +317,9 @@ TEST(EpochDegradationTest, GoldenDeterminismAcrossBatchWidths) {
   // the plan buffers must be bit-identical whether contents are solved one
   // per slot (batch_width 1), in remainder-producing blocks of 3, or in
   // the default blocks of 8 — and, for each width, at parallelism 1/2/8.
-  // Degraded lanes fall out of the batch onto the recovery ladder, whose
-  // relaxed retries re-bind them at one lane, so this also pins the
-  // batch -> ladder handoff.
+  // Degraded lanes stay on the recovery ladder, whose relaxed retries run
+  // as the lanes of the block's next solve, so this also pins that a
+  // retried slot does not depend on which slots retry beside it.
   faults::FaultPlan::SeedOptions seed;
   seed.seed = 11;
   seed.num_epochs = 2;
@@ -388,6 +372,48 @@ TEST(EpochDegradationTest, GoldenDeterminismAcrossBatchWidths) {
         ExpectPlanBuffersIdentical(buffers[epoch], reference[epoch]);
       }
     }
+  }
+}
+
+TEST(EpochDegradationTest, RetriesInOneBlockMatchWidthOne) {
+  // Serially, the 8 contents form one width-8 block. Three of its slots
+  // fail their first attempt, so attempt 1 solves them as three lanes of
+  // one batch; content 5 fails attempt 1 too and retries alone at attempt
+  // 2. Every slot must match the width-1 run, where each retry is a block
+  // of its own, and the parallel run, whose 4 workers split the epoch into
+  // blocks of 2.
+  faults::FaultPlan plan;
+  plan.Add(SpecAt(faults::FaultSite::kSolve, 0, 1, 1));
+  plan.Add(SpecAt(faults::FaultSite::kHjbStep, 0, 3, 1));
+  plan.Add(SpecAt(faults::FaultSite::kSolve, 0, 5, 2));
+
+  auto run = [&](std::size_t parallelism, std::size_t batch_width,
+                 EpochPlanBuffer& buffer) {
+    MfgCpOptions options = testing::FastOptions(parallelism);
+    options.batch_width = batch_width;
+    auto framework = MakeFramework(8, parallelism, &options);
+    PlanUnderFaults(framework, MakeObservation(8), plan, buffer);
+  };
+
+  EpochPlanBuffer reference;
+  run(1, 1, reference);
+  ASSERT_EQ(reference.num_active, 8u);
+  for (std::size_t slot = 0; slot < reference.num_active; ++slot) {
+    const std::size_t k = reference.results[slot].content;
+    SCOPED_TRACE(::testing::Message() << "content " << k);
+    ASSERT_TRUE(reference.statuses[slot].ok());
+    const std::size_t attempts = k == 5 ? 3 : (k == 1 || k == 3) ? 2 : 1;
+    EXPECT_EQ(reference.results[slot].attempts, attempts);
+    EXPECT_EQ(reference.outcomes[slot], attempts == 1 ? SlotOutcome::kSolved
+                                                      : SlotOutcome::kRetried);
+    EXPECT_TRUE(reference.results[slot].equilibrium.converged);
+  }
+
+  for (std::size_t parallelism : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(::testing::Message() << "parallelism " << parallelism);
+    EpochPlanBuffer batched;
+    run(parallelism, 8, batched);
+    ExpectPlanBuffersIdentical(batched, reference);
   }
 }
 

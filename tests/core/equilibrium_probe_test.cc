@@ -6,6 +6,7 @@
 
 #include "epoch_test_util.h"
 #include "core/equilibrium_metrics.h"
+#include "core/fault_injection.h"
 #include "core/mfg_cp.h"
 #include "obs/metrics.h"
 
@@ -145,6 +146,85 @@ TEST(EquilibriumProbeTest, ConsistencyResidualSeparatesGoodFromCorrupted) {
   auto bad = ComputeConsistencyResidual(result.params, corrupted);
   ASSERT_TRUE(bad.ok()) << bad.status();
   EXPECT_GT(*bad, *good);
+}
+
+#if MFGCP_FAULTS_ENABLED
+
+// Expects the health report's price stats to be those of the slots whose
+// equilibrium this epoch produced: neither a failed slot (its equilibrium
+// was never written this epoch) nor a fallback (placeholder mean field).
+void ExpectPriceStatsSkipDegradedSlots(const EpochPlanBuffer& buffer,
+                                       const EpochHealthReport& health) {
+  bool skipped = false;
+  double price_min = 0.0;
+  double price_max = 0.0;
+  double price_sum = 0.0;
+  std::size_t price_samples = 0;
+  for (std::size_t slot = 0; slot < buffer.num_active; ++slot) {
+    if (buffer.outcomes[slot] == SlotOutcome::kFailed ||
+        buffer.outcomes[slot] == SlotOutcome::kFallback) {
+      skipped = true;
+      continue;
+    }
+    for (const MeanFieldQuantities& mf :
+         buffer.results[slot].equilibrium.mean_field) {
+      price_min = price_samples == 0 ? mf.price : std::min(price_min, mf.price);
+      price_max = price_samples == 0 ? mf.price : std::max(price_max, mf.price);
+      price_sum += mf.price;
+      ++price_samples;
+    }
+  }
+  EXPECT_TRUE(skipped);
+  ASSERT_GT(price_samples, 0u);
+  EXPECT_EQ(health.eq_price_min, price_min);
+  EXPECT_EQ(health.eq_price_max, price_max);
+  EXPECT_EQ(health.eq_price_mean,
+            price_sum / static_cast<double>(price_samples));
+}
+
+#endif  // MFGCP_FAULTS_ENABLED
+
+TEST(EquilibriumProbeTest, PriceStatsSkipFallbackAndFailedSlots) {
+#if !MFGCP_FAULTS_ENABLED
+  GTEST_SKIP() << "built with MFGCP_FAULTS=OFF; forcing degraded slots "
+                  "needs the injection seam";
+#else
+  MfgCpOptions options = testing::FastOptions(1);
+  options.eq_probe.enabled = true;
+  MfgCpFramework framework = testing::MakeFramework(4, 1, &options);
+  EpochPlanBuffer buffer;
+
+  // Epoch 0: content 0 perma-fails with no history, so its slot is the
+  // static fallback and its mean field is all-zero placeholders.
+  faults::FaultPlan plan;
+  faults::FaultSpec fallback;
+  fallback.site = faults::FaultSite::kSolve;
+  fallback.epoch = 0;
+  fallback.content = 0;
+  plan.Add(fallback);
+  // Epoch 1 (a changed observation): content 2 hits a configuration
+  // error, so its slot fails and still holds epoch 0's equilibrium.
+  faults::FaultSpec failed = fallback;
+  failed.epoch = 1;
+  failed.content = 2;
+  failed.code = common::StatusCode::kInvalidArgument;
+  plan.Add(failed);
+  faults::ScopedFaultInjection arm(plan);
+
+  EpochHealthReport health;
+  ASSERT_TRUE(
+      framework.PlanEpochInto(testing::MakeObservation(4), buffer, &health)
+          .ok());
+  ASSERT_EQ(health.fallback, 1u);
+  ExpectPriceStatsSkipDegradedSlots(buffer, health);
+
+  EpochObservation changed = testing::MakeObservation(4);
+  changed.request_counts.assign(4, 25);
+  changed.mean_timeliness.assign(4, 3.5);
+  EXPECT_FALSE(framework.PlanEpochInto(changed, buffer, &health).ok());
+  ASSERT_EQ(health.failed, 1u);
+  ExpectPriceStatsSkipDegradedSlots(buffer, health);
+#endif  // MFGCP_FAULTS_ENABLED
 }
 
 }  // namespace
