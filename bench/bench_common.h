@@ -6,6 +6,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -59,6 +60,10 @@
 // The streaming, flight, and admin keys are ignored (with no output file
 // or socket) when the binary is built with -DMFGCP_OBS=OFF; health_log
 // works either way.
+//
+// Unknown keys: a key no getter of the run read (a misspelt or unsupported
+// key) makes the binary exit with status 2 naming it — see RunWithArgs.
+// The observability keys above count as read in every build.
 
 namespace mfg::bench {
 
@@ -149,6 +154,17 @@ inline void Emit(const common::Config& config, const std::string& name,
 // paths live in function-local statics because the writers run from
 // std::atexit, after main's locals are gone.
 inline void InitObservability(const common::Config& config) {
+  // Every bench accepts every key listed at the top of this file, also
+  // where this build or the other keys leave it inert.
+  for (const char* key :
+       {"log", "trace_out", "trace_capacity", "metrics_out", "metrics_csv",
+        "metrics_stream", "metrics_stream_csv", "stream_period_ms",
+        "health_log", "flight_dump", "flight_dump_max", "flight_dump_events",
+        "flight_dump_all", "flight_record", "admin_port",
+        "epochz_capacity"}) {
+    config.Has(key);
+  }
+
   const std::string log = config.GetString("log", "");
   if (!log.empty()) {
     common::LogLevel level = common::LogLevel::kInfo;
@@ -292,6 +308,32 @@ inline common::Config ParseArgs(int argc, const char* const* argv) {
                          << " (usage: key=value, e.g. seed=7 num_edps=300)";
   InitObservability(*config);
   return std::move(config).value();
+}
+
+// 0 when every key of `config` was read by some getter; otherwise names
+// the unread keys on stderr and returns 2, so a misspelt key fails the run
+// instead of silently running the defaults.
+inline int UnreadKeysExitStatus(const common::Config& config) {
+  const std::vector<std::string> unread = config.UnreadKeys();
+  if (unread.empty()) return 0;
+  std::string names;
+  for (const std::string& key : unread) {
+    names += (names.empty() ? "" : ", ") + key;
+  }
+  std::fprintf(stderr,
+               "error: unknown key(s) %s: this binary reads no such "
+               "setting\n",
+               names.c_str());
+  return 2;
+}
+
+// main() of the key=value benches: ParseArgs, run(config), then the exit
+// status of UnreadKeysExitStatus.
+inline int RunWithArgs(int argc, const char* const* argv,
+                       void (*run)(const common::Config&)) {
+  const common::Config config = ParseArgs(argc, argv);
+  run(config);
+  return UnreadKeysExitStatus(config);
 }
 
 // main() of the google-benchmark binaries: BENCHMARK_MAIN() plus this

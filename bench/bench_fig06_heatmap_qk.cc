@@ -59,6 +59,5 @@ void Run(const common::Config& config) {
 }  // namespace mfg
 
 int main(int argc, char** argv) {
-  mfg::Run(mfg::bench::ParseArgs(argc, argv));
-  return 0;
+  return mfg::bench::RunWithArgs(argc, argv, mfg::Run);
 }

@@ -151,6 +151,13 @@ int Run(int argc, char** argv) {
   }
 #endif  // MFGCP_FAULTS_ENABLED
 
+  const std::string csv_path = config.GetString("gauntlet_csv", "");
+  // Every key this binary reads has been read: refuse unknown keys before
+  // the long run instead of after it.
+  if (const int status = bench::UnreadKeysExitStatus(config); status != 0) {
+    return status;
+  }
+
   auto outcomes = sim::RunGauntlet(options);
   MFG_CHECK(outcomes.ok()) << outcomes.status();
 
@@ -175,7 +182,6 @@ int Run(int argc, char** argv) {
   }
   std::printf("%s", table.ToString().c_str());
 
-  const std::string csv_path = config.GetString("gauntlet_csv", "");
   if (!csv_path.empty()) {
     const auto status = sim::WriteGauntletCsv(csv_path, outcomes.value());
     MFG_CHECK(status.ok()) << status;

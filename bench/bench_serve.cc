@@ -130,6 +130,13 @@ int Run(int argc, char** argv) {
   }
 #endif  // MFGCP_FAULTS_ENABLED
 
+  const std::string bench_json = config.GetString("bench_json", "");
+  // Every key this binary reads has been read: refuse unknown keys before
+  // the long run instead of after it.
+  if (const int status = bench::UnreadKeysExitStatus(config); status != 0) {
+    return status;
+  }
+
   auto loop = serve::ServeLoop::Create(options);
   MFG_CHECK(loop.ok()) << loop.status();
 
@@ -172,7 +179,6 @@ int Run(int argc, char** argv) {
     std::printf("serve jsonl: %s\n", options.jsonl_path.c_str());
   }
 
-  const std::string bench_json = config.GetString("bench_json", "");
   if (!bench_json.empty()) {
     // Google-Benchmark JSON by hand: the run is one wall-clock serve
     // pass, not an iteration loop, but compare_bench.py only needs

@@ -59,17 +59,32 @@ void Config::Set(std::string key, std::string value) {
   entries_[std::move(key)] = std::move(value);
 }
 
+std::map<std::string, std::string, std::less<>>::const_iterator Config::Read(
+    std::string_view key) const {
+  auto it = entries_.find(key);
+  if (it != entries_.end()) read_->insert(it->first);
+  return it;
+}
+
+std::vector<std::string> Config::UnreadKeys() const {
+  std::vector<std::string> unread;
+  for (const auto& [key, value] : entries_) {
+    if (read_->find(key) == read_->end()) unread.push_back(key);
+  }
+  return unread;
+}
+
 bool Config::Has(std::string_view key) const {
-  return entries_.find(key) != entries_.end();
+  return Read(key) != entries_.end();
 }
 
 std::string Config::GetString(std::string_view key, std::string def) const {
-  auto it = entries_.find(key);
+  auto it = Read(key);
   return it == entries_.end() ? def : it->second;
 }
 
 double Config::GetDouble(std::string_view key, double def) const {
-  auto it = entries_.find(key);
+  auto it = Read(key);
   if (it == entries_.end()) return def;
   char* end = nullptr;
   const double v = std::strtod(it->second.c_str(), &end);
@@ -83,7 +98,7 @@ double Config::GetDouble(std::string_view key, double def) const {
 }
 
 std::int64_t Config::GetInt(std::string_view key, std::int64_t def) const {
-  auto it = entries_.find(key);
+  auto it = Read(key);
   if (it == entries_.end()) return def;
   char* end = nullptr;
   const long long v = std::strtoll(it->second.c_str(), &end, 10);
@@ -97,7 +112,7 @@ std::int64_t Config::GetInt(std::string_view key, std::int64_t def) const {
 }
 
 bool Config::GetBool(std::string_view key, bool def) const {
-  auto it = entries_.find(key);
+  auto it = Read(key);
   if (it == entries_.end()) return def;
   const std::string& v = it->second;
   if (v == "1" || v == "true" || v == "yes" || v == "on") return true;

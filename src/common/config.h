@@ -3,14 +3,20 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <set>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
 
 // `key=value` command-line / file configuration used by the example and
 // benchmark binaries (e.g. `./quickstart seed=7 num_edps=300`). Keeps the
 // binaries dependency-free while making every experiment parameterizable.
+// The getters record which keys they read, so a binary can reject the keys
+// it never read — a misspelt `contents=64` would otherwise run the
+// defaults without a word.
 
 namespace mfg::common {
 
@@ -27,6 +33,7 @@ class Config {
 
   void Set(std::string key, std::string value);
 
+  // Whether `key` is set. Counts as reading it.
   bool Has(std::string_view key) const;
 
   // Typed getters with defaults; a present-but-malformed value is an error
@@ -40,8 +47,20 @@ class Config {
     return entries_;
   }
 
+  // Keys set here that no getter (Has or Get*) has read yet, in key order.
+  // Copies share the record, so a key read through any copy counts as
+  // read. Recording makes the getters write to it: read one Config and its
+  // copies from one thread at a time.
+  std::vector<std::string> UnreadKeys() const;
+
  private:
+  // Looks `key` up and, when it is set, records it as read.
+  std::map<std::string, std::string, std::less<>>::const_iterator Read(
+      std::string_view key) const;
+
   std::map<std::string, std::string, std::less<>> entries_;
+  std::shared_ptr<std::set<std::string, std::less<>>> read_ =
+      std::make_shared<std::set<std::string, std::less<>>>();
 };
 
 }  // namespace mfg::common

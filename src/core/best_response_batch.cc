@@ -27,8 +27,21 @@ enum FlagRow : std::size_t {
 enum ResidualRow : std::size_t {
   kPolicyChange,
   kValueChange,
+  kPolicySum,  // Σ p over all (t, q) cells, for the leaving lanes.
   kResidualRows,
 };
+
+// sum[l] = Σ_k policy[k·m + l] over the k < cells elements of every lane,
+// each lane's chain in k = (n, i) order: the serial MeanCachingRate sum,
+// with the m chains side by side.
+void SumPolicyLanes(const double* policy, std::size_t cells, std::size_t m,
+                    double* sum) {
+  std::fill(sum, sum + m, 0.0);
+  for (std::size_t k = 0; k < cells; ++k) {
+    const double* row = policy + k * m;
+    for (std::size_t l = 0; l < m; ++l) sum[l] += row[l];
+  }
+}
 
 // Per-lane fault polls. A block solve has no single ambient content, so
 // by default each poll opens a lane-local scope at the job's coordinates;
@@ -120,6 +133,7 @@ void BatchBestResponseLearner::SolveInto(std::span<LaneJob> lanes,
   double* density = ws.density.data();
   double* policy_change = ws.residuals[kPolicyChange].data();
   double* value_change = ws.residuals[kValueChange].data();
+  double* policy_sum = ws.residuals[kPolicySum].data();
   auto flags = [&](FlagRow row) {
     return std::span<std::uint8_t>(ws.flags.data() + row * m, m);
   };
@@ -190,7 +204,9 @@ void BatchBestResponseLearner::SolveInto(std::span<LaneJob> lanes,
   }
 
   // A leaving lane's outputs, from its columns of the fields and of the
-  // round's estimate (its final mean-field refresh).
+  // round's estimate (its final mean-field refresh), plus its mean caching
+  // rate from the round's policy_sum.
+  const std::size_t cells = (nt + 1) * nq;
   auto write_equilibrium = [&](std::size_t l) {
     Equilibrium& eq = *lanes[l].out;
     hjb_.WriteLaneInto(l, value, policy, eq.hjb);
@@ -199,6 +215,7 @@ void BatchBestResponseLearner::SolveInto(std::span<LaneJob> lanes,
     for (std::size_t n = 0; n <= nt; ++n) {
       eq.mean_field[n] = ws.mean_field[n * m + l];
     }
+    eq.mean_caching_rate = policy_sum[l] / static_cast<double>(cells);
   };
 
   // Lockstep fixed-point loop. Each round runs one Alg. 2 iteration for
@@ -211,13 +228,16 @@ void BatchBestResponseLearner::SolveInto(std::span<LaneJob> lanes,
     // that left last round — their final (λ, x) pair, since neither sweep
     // touched their columns since.
     bool any = false;
+    bool any_leaving = false;
     for (std::size_t l = 0; l < m; ++l) {
       estimate[l] = (running[l] | leaving[l]) != 0 ? 1 : 0;
       any = any || estimate[l] != 0;
+      any_leaving = any_leaving || leaving[l] != 0;
     }
     if (!any) break;
     estimator_.EstimateTrajectoryInto(nt + 1, density, policy, estimate,
                                       ws.mean_field);
+    if (any_leaving) SumPolicyLanes(policy, cells, m, policy_sum);
     for (std::size_t l = 0; l < m; ++l) {
       if (leaving[l] == 0) continue;
       write_equilibrium(l);

@@ -2,6 +2,7 @@
 #define MFGCP_CORE_BEST_RESPONSE_BATCH_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -80,6 +81,12 @@ struct Equilibrium {
   //      max |V^1|, the change from the zero initialization).
   std::vector<double> policy_change_history;
   std::vector<double> value_change_history;
+  // Mean of hjb.policy over all (t, q) cells, stored by whoever writes the
+  // policy (the learner's lane exit, the epoch ladder's static fallback)
+  // and bit-equal to MeanCachingRate(hjb.policy) (plan_publication.h), so
+  // plan publication reads it instead of walking the policy. Empty when
+  // the policy was written by other code, which must then reset it.
+  std::optional<double> mean_caching_rate;
 };
 
 class BatchBestResponseLearner {

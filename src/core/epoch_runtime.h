@@ -23,8 +23,8 @@
 // Determinism contract: a slot's result depends only on that slot's
 // inputs — the learner's lanes are fully re-parameterized per attempt
 // round via BindLane(), lanes share no arithmetic, every workspace buffer
-// is overwritten before it is read, and each slot writes only its own
-// output storage. Results are therefore bit-identical
+// is overwritten before it is read, and each slot settles only into its
+// own storage. Results are therefore bit-identical
 // across worker counts and across schedules (guarded by
 // solver_equivalence_test / obs_equivalence_test and the mfg_cp golden
 // tests).
@@ -60,6 +60,13 @@ class EpochRuntime {
     BatchBestResponseLearner batch_learner;
     BatchBestResponseLearner::Workspace batch_workspace;
     std::vector<BatchBestResponseLearner::LaneJob> batch_jobs;
+    // Attempt scratch, one pair per lane: lane i of a round builds its
+    // params in lane_params[i] and solves into lane_equilibria[i], so an
+    // attempt never writes a slot's storage. A settled lane trades its
+    // pair with the slot's (SettleSlot in mfg_cp.cc). Grown to the
+    // widest block, never shrunk.
+    std::vector<Equilibrium> lane_equilibria;
+    std::vector<MfgParams> lane_params;
     // Slots of the current block still on the recovery ladder.
     std::vector<std::size_t> pending_slots;
     // Slots this worker solved in the last epoch.

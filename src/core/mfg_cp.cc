@@ -12,6 +12,7 @@
 #include "core/equilibrium_metrics.h"
 #include "core/fault_injection.h"
 #include "core/nonconvergence_log.h"
+#include "core/plan_publication.h"
 #include "numerics/density.h"
 #include "obs/exporter.h"
 #include "obs/flight_dump.h"
@@ -63,15 +64,44 @@ void RelaxLearning(std::size_t attempt, LearningParams& learning) {
   learning.max_iterations += kRetryExtraIterations * attempt;
 }
 
-// Refreshes the carry-forward slot for content `k`. Called only for
-// converged solves; allocation-free once the slot has held an equilibrium
-// of the same shape.
-void SaveLastGood(EpochPlanBuffer& buffer, content::ContentId k,
-                  const EpochContentResult& result) {
-  EpochPlanBuffer::LastGood& carry = buffer.last_good[k];
-  carry.params = result.params;
-  carry.equilibrium = result.equilibrium;
-  carry.valid = true;
+// Trades one storage for another in O(1): nothing is copied or allocated.
+void SwapStorage(MfgParams& params_a, Equilibrium& equilibrium_a,
+                 MfgParams& params_b, Equilibrium& equilibrium_b) {
+  std::swap(params_a, params_b);
+  std::swap(equilibrium_a, equilibrium_b);
+}
+
+// Puts lane `lane`'s attempt result in `result`. A slot that holds storage
+// trades it for the lane's scratch (the lane's next attempt reuses the
+// slot's old buffers). A slot without storage — its content's first result
+// — takes a copy instead: that allocates the content's one storage and
+// keeps the lane's scratch warm, so a warmed lane never allocates.
+void InstallLane(EpochRuntime::WorkerContext& wc, std::size_t lane,
+                 EpochContentResult& result) {
+  Equilibrium& solved = wc.lane_equilibria[lane];
+  if (result.equilibrium.hjb.policy.flat().empty()) {
+    result.params = wc.lane_params[lane];
+    result.equilibrium = solved;
+    // A copy sizes the histories to their length; keep the learner's
+    // reservation, or this storage reallocates when it next serves as a
+    // lane's scratch.
+    result.equilibrium.policy_change_history.reserve(
+        solved.policy_change_history.capacity());
+    result.equilibrium.value_change_history.reserve(
+        solved.value_change_history.capacity());
+    return;
+  }
+  SwapStorage(result.params, result.equilibrium, wc.lane_params[lane],
+              solved);
+}
+
+// True when slot `slot` shipped an unconverged iterate last epoch: the one
+// rung after which the slot does not hold its content's home storage (that
+// stayed in last_good; see EpochPlanBuffer).
+bool ShippedUnconvergedIterate(const EpochPlanBuffer& buffer,
+                               std::size_t slot) {
+  return buffer.outcomes[slot] == SlotOutcome::kRetried &&
+         !buffer.results[slot].equilibrium.converged;
 }
 
 // Final ladder rung: a static most-popular-style plan built without the
@@ -130,6 +160,7 @@ common::Status BuildFallbackResult(const EpochSolveJob& job,
         params.init_std_frac * params.content_size, density));
   }
   eq.mean_field.assign(nt + 1, MeanFieldQuantities{});
+  eq.mean_caching_rate = MeanCachingRate(eq.hjb.policy);
   result.params = std::move(params);
   return common::Status::Ok();
 }
@@ -152,11 +183,13 @@ obs::Counter* LadderCounter(SlotOutcome outcome) {
 
 // Attempt `attempt` of every pending slot: slot pending[i] is lane i of one
 // block solve on worker `wc`'s batch learner. Each slot's params are built
-// (and, for a retry, relaxed) and bound under its own fault coordinates,
-// and its lane polls the solver's fault sites at the same (epoch, content,
-// attempt). A slot whose params fail to build or bind sits the solve out
-// with that status in its lane job. Lanes share no arithmetic, so a slot's
-// result does not depend on which other slots share its round.
+// (and, for a retry, relaxed) into the lane's scratch and bound under the
+// slot's own fault coordinates, and its lane polls the solver's fault
+// sites at the same (epoch, content, attempt). The lane solves into its
+// scratch equilibrium: the slot's storage is left for SettleSlot. A slot
+// whose params fail to build or bind sits the solve out with that status
+// in its lane job. Lanes share no arithmetic, so a slot's result does not
+// depend on which other slots share its round.
 void SolveAttempt(const EpochSolveJob& job, EpochRuntime::WorkerContext& wc,
                   std::span<const std::size_t> pending, std::size_t attempt) {
   const std::size_t epoch = job.buffer->epoch_index;
@@ -166,6 +199,10 @@ void SolveAttempt(const EpochSolveJob& job, EpochRuntime::WorkerContext& wc,
   BatchBestResponseLearner& learner = wc.batch_learner;
   learner.Reset(pending.size());
   wc.batch_jobs.resize(pending.size());
+  if (wc.lane_equilibria.size() < pending.size()) {
+    wc.lane_equilibria.resize(pending.size());
+    wc.lane_params.resize(pending.size());
+  }
   for (std::size_t i = 0; i < pending.size(); ++i) {
     EpochContentResult& result = job.buffer->results[pending[i]];
     const content::ContentId k = result.content;
@@ -173,24 +210,24 @@ void SolveAttempt(const EpochSolveJob& job, EpochRuntime::WorkerContext& wc,
     lane.epoch = epoch;
     lane.content = k;
     lane.attempt = attempt;
-    lane.out = &result.equilibrium;
+    lane.out = &wc.lane_equilibria[i];
     lane.active = false;
     result.attempts = attempt + 1;
     MFG_FAULT_SCOPE(epoch, k, attempt);
-    auto params = job.framework->ContentParams(
+    auto built = job.framework->ContentParams(
         k, job.buffer->popularity[k], job.obs->mean_timeliness[k],
         static_cast<double>(job.obs->request_counts[k]));
-    if (!params.ok()) {
-      lane.status = params.status();
+    if (!built.ok()) {
+      lane.status = built.status();
       continue;
     }
-    RelaxLearning(attempt, params->learning);
-    result.params = std::move(*params);
-    MFG_FLIGHT_EVENT(
-        kAttemptBegin, 0, k,
-        static_cast<std::uint32_t>(result.params.learning.max_iterations),
-        result.params.learning.relaxation, result.params.learning.tolerance);
-    lane.status = learner.BindLane(i, result.params);
+    MfgParams& params = wc.lane_params[i];
+    params = std::move(*built);
+    RelaxLearning(attempt, params.learning);
+    MFG_FLIGHT_EVENT(kAttemptBegin, 0, k,
+                     static_cast<std::uint32_t>(params.learning.max_iterations),
+                     params.learning.relaxation, params.learning.tolerance);
+    lane.status = learner.BindLane(i, params);
     lane.active = lane.status.ok();
   }
   learner.SolveInto(
@@ -198,22 +235,31 @@ void SolveAttempt(const EpochSolveJob& job, EpochRuntime::WorkerContext& wc,
       wc.batch_workspace);
 }
 
-// Settles slot `slot` after attempt `attempt` ended with `lane_status`.
-// Returns true while the ladder wants another relaxed attempt (the slot
-// stays pending). Otherwise records the slot's outcome: a clean converged
-// solve, a retry's (possibly unconverged) iterate, the content's last-good
-// equilibrium, the static fallback, or a failure. Every outcome but a
-// first-attempt solve leaves one kLadder flight event, counter and WARN.
-// Each rung reads only the slot's own inputs and carry entry, so the
-// outcome is the same at every batch width and parallelism.
-bool SettleSlot(const EpochSolveJob& job, std::size_t slot,
-                common::Status lane_status, std::size_t attempt) {
+// Settles slot `slot`, lane `lane` of worker `wc`'s last round, after
+// attempt `attempt` ended with `lane_status`. Returns true while the ladder
+// wants another relaxed attempt (the slot stays pending). Otherwise records
+// the slot's outcome: a clean converged solve, a retry's (possibly
+// unconverged) iterate, the content's last-good equilibrium, the static
+// fallback, or a failure. Every outcome but a first-attempt solve leaves
+// one kLadder flight event, counter and WARN. Each rung reads only the
+// slot's own inputs and storage, so the outcome is the same at every batch
+// width and parallelism.
+//
+// The slot holds its content's storage (the last good when
+// last_good[k].valid). A converged lane is swapped in and becomes the new
+// last good; a carried-forward slot keeps what it holds; the fallback is
+// built in place. Only an unconverged iterate needs a second object: the
+// last good goes home to last_good[k] and the iterate is copied in.
+bool SettleSlot(const EpochSolveJob& job, EpochRuntime::WorkerContext& wc,
+                std::size_t lane, std::size_t slot, common::Status lane_status,
+                std::size_t attempt) {
   EpochPlanBuffer& buffer = *job.buffer;
   EpochContentResult& result = buffer.results[slot];
   common::Status& status = buffer.statuses[slot];
   const content::ContentId k = result.content;
+  EpochPlanBuffer::LastGood& home = buffer.last_good[k];
   status = std::move(lane_status);
-  const bool converged = status.ok() && result.equilibrium.converged;
+  const bool converged = status.ok() && wc.lane_equilibria[lane].converged;
   const bool recoverable = status.ok() || IsRecoverable(status.code());
   if (!converged && recoverable && attempt < kLadderMaxRetries) return true;
 
@@ -221,17 +267,19 @@ bool SettleSlot(const EpochSolveJob& job, std::size_t slot,
   SlotOutcome outcome = SlotOutcome::kFailed;
   const char* action = "failed";
   if (converged) {
-    SaveLastGood(buffer, k, result);
+    InstallLane(wc, lane, result);
+    home.valid = true;
     outcome = attempt == 0 ? SlotOutcome::kSolved : SlotOutcome::kRetried;
     action = "recovered on a relaxed retry";
   } else if (status.ok()) {
     // Every retry stayed clean but unconverged: ship the last iterate
     // rather than discard a usable (if slow) fixed point.
+    SwapStorage(home.params, home.equilibrium, result.params,
+                result.equilibrium);
+    InstallLane(wc, lane, result);
     outcome = SlotOutcome::kRetried;
     action = "still unconverged after relaxed retries; using the last iterate";
-  } else if (recoverable && buffer.last_good[k].valid) {
-    result.params = buffer.last_good[k].params;
-    result.equilibrium = buffer.last_good[k].equilibrium;
+  } else if (recoverable && home.valid) {
     outcome = SlotOutcome::kCarriedForward;
     action = "carrying forward the last-good equilibrium";
   } else if (recoverable && BuildFallbackResult(job, result).ok()) {
@@ -261,9 +309,9 @@ bool SettleSlot(const EpochSolveJob& job, std::size_t slot,
 // Solves slots [begin, end) on worker `worker`'s long-lived batch learner:
 // one attempt loop in which every round solves the block's pending slots
 // as the lanes of one batch, and slots leave the loop as they settle.
-// Writes only the block's slots (plus each slot content's own carry entry,
-// which no other slot touches this epoch), so any block→worker schedule
-// yields bit-identical results.
+// Writes only the block's slots, the worker's own lane scratch and each
+// slot content's own last_good entry (which no other slot touches this
+// epoch), so any block→worker schedule yields bit-identical results.
 void SolveEpochBlock(void* ctx, std::size_t worker, std::size_t begin,
                      std::size_t end) {
   const EpochSolveJob& job = *static_cast<EpochSolveJob*>(ctx);
@@ -282,8 +330,8 @@ void SolveEpochBlock(void* ctx, std::size_t worker, std::size_t begin,
     SolveAttempt(job, wc, pending, attempt);
     std::size_t kept = 0;
     for (std::size_t i = 0; i < pending.size(); ++i) {
-      if (SettleSlot(job, pending[i], std::move(wc.batch_jobs[i].status),
-                     attempt)) {
+      if (SettleSlot(job, wc, i, pending[i],
+                     std::move(wc.batch_jobs[i].status), attempt)) {
         pending[kept++] = pending[i];
       }
     }
@@ -375,9 +423,27 @@ common::Status MfgCpFramework::PlanEpochInto(const EpochObservation& obs,
   MFG_RETURN_IF_ERROR(
       popularity_.UpdateInto(obs.request_counts, buffer.popularity));
 
+  // Storage moves, part 1: every slot of the last epoch swaps its storage
+  // back into its content's (hollow) last_good home — except a shipped
+  // unconverged iterate, whose content's last good is already home: that
+  // second object is dropped. Every swap trades with a hollow object, so
+  // nothing is copied or allocated.
+  for (std::size_t slot = 0; slot < buffer.num_active; ++slot) {
+    EpochContentResult& result = buffer.results[slot];
+    if (ShippedUnconvergedIterate(buffer, slot)) {
+      result.equilibrium = Equilibrium{};
+      continue;
+    }
+    EpochPlanBuffer::LastGood& home = buffer.last_good[result.content];
+    SwapStorage(home.params, home.equilibrium, result.params,
+                result.equilibrium);
+  }
+
   // K' (Alg. 1 line 5): contents that still have uncached data and were
   // actually requested this epoch. Slots keep ascending content order, so
-  // downstream consumers see the same ordering as the serial loop.
+  // downstream consumers see the same ordering as the serial loop. Storage
+  // moves, part 2: each active content's home swaps into its slot, so the
+  // slot starts the epoch holding the content's last good.
   buffer.num_active = 0;
   for (content::ContentId k = 0; k < k_total; ++k) {
     const bool needs_cache = obs.mean_remaining[k] > 0.0;
@@ -391,7 +457,11 @@ common::Status MfgCpFramework::PlanEpochInto(const EpochObservation& obs,
       buffer.statuses.emplace_back();
     }
     if (buffer.outcomes.size() <= slot) buffer.outcomes.emplace_back();
-    buffer.results[slot].content = k;
+    EpochContentResult& result = buffer.results[slot];
+    EpochPlanBuffer::LastGood& home = buffer.last_good[k];
+    result.content = k;
+    SwapStorage(home.params, home.equilibrium, result.params,
+                result.equilibrium);
     buffer.statuses[slot] = common::Status::Ok();
     buffer.outcomes[slot] = SlotOutcome::kSolved;
   }

@@ -104,9 +104,10 @@ enum class SlotOutcome : std::uint8_t {
   kFailed,            // Nothing worked; the slot status holds the error.
 };
 
-// One solved content from PlanEpochInto. The params/equilibrium storage
-// is reused across epochs; `content` says which catalog entry this slot
-// solved in the current epoch.
+// One solved content from PlanEpochInto; `content` says which catalog
+// entry this slot solved in the current epoch. The params/equilibrium pair
+// is that content's one storage (see EpochPlanBuffer): read it, but do not
+// move from or write it, or the content's last good goes with it.
 struct EpochContentResult {
   content::ContentId content = 0;
   MfgParams params;
@@ -120,8 +121,26 @@ struct EpochContentResult {
 // Caller-owned, reusable output of PlanEpochInto — the allocation-free
 // counterpart of EpochPlan (no policy objects, no shared_ptrs). `results`
 // and `statuses` are grown to the high-water count of active contents and
-// never shrunk (shrinking would free warmed Equilibrium buffers); only
-// the first `num_active` entries describe the current epoch.
+// never shrunk; only the first `num_active` entries describe the current
+// epoch.
+//
+// Storage: every content owns at most one shaped params + Equilibrium
+// pair, which moves by O(1) swaps between its last_good home and the slot
+// it occupies:
+//   - at K' selection, each slot of the last epoch swaps its pair back
+//     home, then each active content's home swaps into its new slot, so a
+//     slot starts the epoch holding its content's last good;
+//   - attempts solve into the worker's per-lane scratch
+//     (EpochRuntime::WorkerContext), never into a slot; a converged lane
+//     swaps with its slot and becomes the new last good, a carried-forward
+//     slot keeps what it holds, and the static fallback is built in place;
+//   - a shipped unconverged iterate is the one exception: its content's
+//     last good goes home, the iterate takes a second object (copied in),
+//     and that object is dropped at the next K' selection.
+// So while content k is active, last_good[k] is hollow and results[slot]
+// holds its storage; entries past num_active are hollow. A content's
+// first converged result allocates its storage (a copy from the lane
+// scratch); every later epoch only swaps.
 struct EpochPlanBuffer {
   std::vector<bool> active;        // active[k]: k ∈ K'.
   std::vector<double> popularity;  // Updated Π_k (Eq. 3).
@@ -130,10 +149,13 @@ struct EpochPlanBuffer {
   std::vector<SlotOutcome> outcomes;     // Per-slot ladder outcome.
   std::size_t num_active = 0;
 
-  // Carry-forward source: the last converged equilibrium per catalog
-  // content, refreshed on every clean solve and read when that content's
-  // solve fails in a later epoch. Indexed by content id (grown to the
-  // catalog size on first plan, never shrunk).
+  // Carry-forward source, indexed by content id (grown to the catalog size
+  // on first plan, never shrunk). `valid` is the ladder's source of truth:
+  // content k has converged at least once, and its last converged params +
+  // equilibrium are what its storage holds. That storage sits here while
+  // k is out of K' and in k's slot while k is active (see above), so a
+  // failed solve's slot already holds the equilibrium it carries forward.
+  // Clearing `valid` makes the ladder skip to the static fallback.
   struct LastGood {
     bool valid = false;
     MfgParams params;

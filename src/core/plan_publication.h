@@ -32,9 +32,11 @@ inline constexpr double kInactiveScoreWeight = 0.05;
 
 // Mean of the equilibrium control surface x*(t, q) over all (t, q)
 // cells, accumulated in row-major order. The summation order is part of
-// the bit-identity contract — keep it exactly as written. The publication
-// functions below sum several slots side by side, each chain in this same
-// order, so their rates are bit-equal to this serial reference.
+// the bit-identity contract — keep it exactly as written. The learner
+// stores each lane's rate at exit (Equilibrium::mean_caching_rate),
+// summing several lanes side by side, each chain in this same order, so
+// the stored rates the publication functions below read are bit-equal to
+// this serial reference.
 double MeanCachingRate(const numerics::TimeField2D& control);
 
 // Time-mean of the equilibrium price trajectory p*(t) (the mean-field
@@ -46,8 +48,9 @@ double MeanEquilibriumPrice(const Equilibrium& equilibrium);
 // (w + (1 − w) · mean caching rate) for active contents and
 // w · popularity[k] for inactive ones, with w = kInactiveScoreWeight.
 // Feed the result to StaticSetCache::AssignTopByScore. `score` is
-// resized to the catalog (allocation-free once warmed). Walks each active
-// slot's policy once.
+// resized to the catalog (allocation-free once warmed). Reads each active
+// slot's stored Equilibrium::mean_caching_rate; only a slot without one
+// has its policy walked.
 void ComputePlacementScores(const EpochPlanBuffer& buffer,
                             std::vector<double>& score);
 
@@ -71,8 +74,8 @@ struct PublishedPlan {
 };
 
 // Snapshots `buffer` into `plan` (scores, popularity, per-content
-// rate/price aggregates). Scores and mean rates come from one walk over
-// each active slot's policy. Does not touch plan.seq/plan.epoch — the
+// rate/price aggregates). Scores and mean rates come from the slots'
+// stored rates, as in ComputePlacementScores. Does not touch plan.seq/plan.epoch — the
 // publisher owns those. Allocation-free once `plan` is sized for the
 // catalog.
 void SnapshotPublishedPlan(const EpochPlanBuffer& buffer,

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace mfg::common {
 namespace {
 
@@ -79,6 +82,58 @@ TEST(ConfigTest, LaterSetWins) {
   config.Set("k", "2");
   EXPECT_EQ(config.GetInt("k", 0), 2);
   EXPECT_EQ(config.entries().size(), 1u);
+}
+
+TEST(ConfigTest, ReadKeysAreNotReportedUnread) {
+  const char* argv[] = {"prog", "seed=7", "rate=2.5", "name=mfg", "on=yes"};
+  auto config = Config::FromArgs(5, argv);
+  ASSERT_TRUE(config.ok());
+  EXPECT_EQ(config->UnreadKeys(),
+            (std::vector<std::string>{"name", "on", "rate", "seed"}));
+  config->GetInt("seed", 0);
+  config->GetDouble("rate", 0.0);
+  EXPECT_TRUE(config->Has("name"));
+  config->GetBool("on", false);
+  EXPECT_TRUE(config->UnreadKeys().empty());
+}
+
+TEST(ConfigTest, UnreadKeysAreReported) {
+  const char* argv[] = {"prog", "seed=7", "extra=1"};
+  auto config = Config::FromArgs(3, argv);
+  ASSERT_TRUE(config.ok());
+  EXPECT_EQ(config->GetInt("seed", 0), 7);
+  // Looking up a key that is not set records nothing.
+  EXPECT_EQ(config->GetInt("absent", 3), 3);
+  EXPECT_FALSE(config->Has("also_absent"));
+  EXPECT_EQ(config->UnreadKeys(), std::vector<std::string>{"extra"});
+}
+
+TEST(ConfigTest, TypoedKeyIsReportedWhileTheDefaultRuns) {
+  const char* argv[] = {"prog", "contents=64", "requests=100000"};
+  auto config = Config::FromArgs(3, argv);
+  ASSERT_TRUE(config.ok());
+  EXPECT_EQ(config->GetInt("requests", 0), 100000);
+  EXPECT_EQ(config->GetInt("num_contents", 20), 20);
+  EXPECT_EQ(config->UnreadKeys(), std::vector<std::string>{"contents"});
+}
+
+TEST(ConfigTest, MalformedValueStillCountsAsRead) {
+  Config config;
+  config.Set("iters", "many");
+  EXPECT_EQ(config.GetInt("iters", 5), 5);
+  EXPECT_TRUE(config.UnreadKeys().empty());
+}
+
+TEST(ConfigTest, CopiesShareTheReadRecord) {
+  Config config;
+  config.Set("grid", "41");
+  config.Set("seed", "1");
+  Config local = config;
+  local.Set("num_edps", "50");
+  EXPECT_EQ(local.GetInt("grid", 0), 41);
+  EXPECT_EQ(config.UnreadKeys(), std::vector<std::string>{"seed"});
+  EXPECT_EQ(local.UnreadKeys(),
+            (std::vector<std::string>{"num_edps", "seed"}));
 }
 
 }  // namespace
