@@ -2,6 +2,7 @@
 
 #include <span>
 
+#include "common/logging.h"
 #include "common/math_util.h"
 #include "econ/utility.h"
 #include "numerics/interpolation.h"
@@ -60,6 +61,14 @@ common::Status BestResponseLearner::Run(BatchBestResponseLearner::LaneJob& job,
   job.active = true;
   batch_.SolveInto(std::span<BatchBestResponseLearner::LaneJob>(&job, 1),
                    workspace);
+  const Equilibrium& eq = *job.out;
+  if (job.status.ok() && !eq.converged) {
+    MFG_LOG(WARNING) << "best response did not converge for content "
+                     << params_.content_id << ": residual "
+                     << eq.policy_change_history.back() << " > tolerance "
+                     << params_.learning.tolerance << " after "
+                     << eq.iterations << " iterations";
+  }
   return job.status;
 }
 

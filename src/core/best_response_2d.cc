@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <utility>
 
 #include "common/logging.h"
-#include "core/nonconvergence_log.h"
 #include "numerics/density.h"
 #include "numerics/field2d.h"
-#include "numerics/residual_max.h"
 #include "obs/obs.h"
 
 namespace mfg::core {
@@ -105,14 +104,26 @@ common::StatusOr<Equilibrium2D> BestResponseLearner2D::Solve(
 
     // Relaxed update and both residuals in one pass; the relaxed iterate
     // lands in hjb_buf.policy too, so the swap exposes it without a copy.
-    const numerics::RelaxResiduals residuals =
-        numerics::RelaxAndMeasureResiduals(
-            params_.learning.relaxation, policy.elements(),
-            hjb_buf.policy.elements(), hjb_buf.value.elements(),
-            eq.hjb.value.elements());
-    const double max_change = residuals.policy_change;
+    // Before the first iteration there is no previous value surface, and
+    // the value residual is measured against zero.
+    const double gamma = params_.learning.relaxation;
+    const std::span<double> p = policy.elements();
+    const std::span<double> h = hjb_buf.policy.elements();
+    const std::span<const double> v = hjb_buf.value.elements();
+    const std::span<const double> v_prev = eq.hjb.value.elements();
+    const bool has_prev = v_prev.size() == v.size();
+    double max_change = 0.0;
+    double value_change = 0.0;
+    for (std::size_t k = 0; k < p.size(); ++k) {
+      const double updated = (1.0 - gamma) * p[k] + gamma * h[k];
+      max_change = std::max(max_change, std::fabs(updated - p[k]));
+      p[k] = updated;
+      h[k] = updated;
+      value_change = std::max(
+          value_change, std::fabs(has_prev ? v[k] - v_prev[k] : v[k]));
+    }
     eq.policy_change_history.push_back(max_change);
-    eq.value_change_history.push_back(residuals.value_change);
+    eq.value_change_history.push_back(value_change);
     std::swap(eq.hjb, hjb_buf);
     std::swap(eq.mean_field, mean_field);
 
@@ -127,18 +138,11 @@ common::StatusOr<Equilibrium2D> BestResponseLearner2D::Solve(
                          static_cast<double>(eq.iterations));
   if (!eq.converged) {
     MFG_OBS_COUNT("core.best_response.nonconverged", 1);
-    // Same per-(epoch, content) rate limit as the 1-D learner.
-    std::uint64_t suppressed = 0;
-    if (ShouldLogNonConvergence(params_.content_id, suppressed)) {
-      MFG_LOG(WARNING) << "2-D best response did not converge for content "
-                       << params_.content_id << ": residual "
-                       << eq.policy_change_history.back() << " > tolerance "
-                       << params_.learning.tolerance << " after "
-                       << eq.iterations << " iterations"
-                       << SuppressedSuffix(suppressed);
-    } else {
-      MFG_OBS_COUNT("core.best_response.nonconvergence_suppressed", 1);
-    }
+    MFG_LOG(WARNING) << "2-D best response did not converge for content "
+                     << params_.content_id << ": residual "
+                     << eq.policy_change_history.back() << " > tolerance "
+                     << params_.learning.tolerance << " after "
+                     << eq.iterations << " iterations";
   } else {
     MFG_OBS_COUNT("core.best_response.converged", 1);
   }

@@ -4,9 +4,7 @@
 #include <cmath>
 #include <span>
 
-#include "common/logging.h"
 #include "core/fault_injection.h"
-#include "core/nonconvergence_log.h"
 #include "obs/flight_recorder.h"
 #include "obs/obs.h"
 
@@ -324,17 +322,6 @@ void BatchBestResponseLearner::SolveInto(std::span<LaneJob> lanes,
                            static_cast<double>(eq.iterations));
     if (!eq.converged) {
       MFG_OBS_COUNT("core.best_response.nonconverged", 1);
-      std::uint64_t suppressed = 0;
-      if (ShouldLogNonConvergence(content_id_[l], suppressed)) {
-        MFG_LOG(WARNING) << "best response did not converge for content "
-                         << content_id_[l] << ": residual "
-                         << eq.policy_change_history.back()
-                         << " > tolerance " << tolerance_[l] << " after "
-                         << eq.iterations << " iterations"
-                         << SuppressedSuffix(suppressed);
-      } else {
-        MFG_OBS_COUNT("core.best_response.nonconvergence_suppressed", 1);
-      }
     } else {
       MFG_OBS_COUNT("core.best_response.converged", 1);
     }

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <span>
 
-#include "common/math_util.h"
 #include "core/fpk_solver.h"
-#include "core/hjb_solver.h"
-#include "numerics/finite_difference.h"
+#include "core/hjb_batch.h"
 #include "numerics/quadrature.h"
+#include "numerics/time_field.h"
 
 namespace mfg::core {
 
@@ -15,111 +16,128 @@ double ExploitabilityReport::RelativeGap() const {
   return gap / std::max(std::fabs(best_response_value), 1.0);
 }
 
-common::StatusOr<std::vector<std::vector<double>>> EvaluatePolicyValue(
-    const MfgParams& params,
-    const std::vector<MeanFieldQuantities>& mean_field,
-    const std::vector<std::vector<double>>& policy) {
-  MFG_RETURN_IF_ERROR(params.Validate());
-  MFG_ASSIGN_OR_RETURN(numerics::Grid1D q_grid, params.MakeQGrid());
-  MFG_ASSIGN_OR_RETURN(HjbSolver1D hjb, HjbSolver1D::Create(params));
+namespace {
+
+// One sweep of a one-lane HjbBatchSolver. At one lane the batch's
+// [time][node][lane] fields are plain [time][node] tables, so `fields`
+// points straight into TimeField2D storage. Returns the lane's error when
+// the sweep drops it.
+common::Status SweepOneLane(const HjbBatchSolver& solver,
+                            const std::vector<MeanFieldQuantities>& mean_field,
+                            const HjbBatchSolver::Fields& fields,
+                            HjbBatchSolver::Workspace& ws) {
+  std::uint8_t alive = 1;
+  solver.SweepInto(mean_field, fields, std::span<std::uint8_t>(&alive, 1),
+                   ws);
+  return alive != 0 ? common::Status::Ok() : ws.status[0];
+}
+
+// The nested policy table as a [time][node] field, after the shape checks
+// EvaluatePolicyValue documents.
+common::StatusOr<numerics::TimeField2D> FlattenPolicy(
+    const MfgParams& params, const std::vector<std::vector<double>>& policy) {
   const std::size_t nt = params.grid.num_time_steps;
-  const std::size_t nq = q_grid.size();
-  if (mean_field.size() != nt + 1) {
-    return common::Status::InvalidArgument(
-        "mean_field must have num_time_steps + 1 entries");
-  }
+  const std::size_t nq = params.grid.num_q_nodes;
   if (policy.size() != nt + 1) {
     return common::Status::InvalidArgument(
         "policy must have num_time_steps + 1 slices");
   }
-  for (const auto& slice : policy) {
-    if (slice.size() != nq) {
+  numerics::TimeField2D flat(nt + 1, nq);
+  for (std::size_t n = 0; n <= nt; ++n) {
+    if (policy[n].size() != nq) {
       return common::Status::InvalidArgument("policy slice size mismatch");
     }
+    std::copy(policy[n].begin(), policy[n].end(), flat[n].begin());
   }
-
-  const double dt_out = params.TimeStep();
-  const double diffusion = 0.5 * params.dynamics.rho_q * params.dynamics.rho_q;
-  const double max_speed = params.MaxAbsDriftSpeed();
-  const double stable_dt = numerics::StableTimeStep(
-      q_grid.dx(), max_speed, diffusion, params.grid.cfl_safety);
-  const std::size_t substeps = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::ceil(dt_out / stable_dt)));
-  const double dt_sub = dt_out / static_cast<double>(substeps);
-
-  std::vector<std::vector<double>> value(nt + 1,
-                                         std::vector<double>(nq, 0.0));
-  std::vector<double> v(nq, 0.0);
-  std::vector<double> drift(nq), upwind_velocity(nq);
-  for (std::size_t n = nt; n-- > 0;) {
-    const MeanFieldQuantities& mf = mean_field[n];
-    for (std::size_t i = 0; i < nq; ++i) {
-      drift[i] = params.CacheDriftAtNode(policy[n][i], q_grid.x(i), n);
-      upwind_velocity[i] = -drift[i];  // Backward-time transport velocity.
-    }
-    for (std::size_t sub = 0; sub < substeps; ++sub) {
-      MFG_ASSIGN_OR_RETURN(
-          std::vector<double> dv_upwind,
-          numerics::UpwindGradient(q_grid, v, upwind_velocity));
-      MFG_ASSIGN_OR_RETURN(std::vector<double> d2v,
-                           numerics::SecondDerivative(q_grid, v));
-      for (std::size_t i = 0; i < nq; ++i) {
-        MFG_ASSIGN_OR_RETURN(
-            double utility,
-            hjb.RunningUtilityAtNode(policy[n][i], q_grid.x(i), mf, n));
-        v[i] += dt_sub * (drift[i] * dv_upwind[i] + diffusion * d2v[i] +
-                          utility);
-      }
-      if (!common::AllFinite(v)) {
-        return common::Status::NumericalError(
-            "policy-value recursion diverged at node " + std::to_string(n));
-      }
-    }
-    value[n] = v;
-  }
-  return value;
+  return flat;
 }
 
-common::StatusOr<ExploitabilityReport> ComputeExploitabilityOfPolicy(
+// Exploitability of the [time][node] policy field `policy` (shape already
+// checked): V_BR and V_x come from two sweeps of one bound solver, the
+// second in fixed-control mode.
+common::StatusOr<ExploitabilityReport> ExploitabilityOfField(
     const MfgParams& params, const Equilibrium& equilibrium,
-    const std::vector<std::vector<double>>& policy) {
+    const numerics::TimeField2D& policy) {
   MFG_ASSIGN_OR_RETURN(numerics::Grid1D q_grid, params.MakeQGrid());
-  if (equilibrium.mean_field.size() != params.grid.num_time_steps + 1) {
+  const std::size_t nt = params.grid.num_time_steps;
+  const std::size_t nq = q_grid.size();
+  if (equilibrium.mean_field.size() != nt + 1) {
     return common::Status::InvalidArgument(
         "equilibrium does not match params' discretization");
   }
+  HjbBatchSolver solver;
+  solver.Reset(1);
+  MFG_RETURN_IF_ERROR(solver.BindLane(0, params));
 
-  // Best-response value against the fixed population.
-  MFG_ASSIGN_OR_RETURN(HjbSolver1D hjb, HjbSolver1D::Create(params));
-  MFG_ASSIGN_OR_RETURN(HjbSolution best_response,
-                       hjb.Solve(equilibrium.mean_field));
-  // Value of the candidate policy against the same population.
-  MFG_ASSIGN_OR_RETURN(
-      std::vector<std::vector<double>> policy_value,
-      EvaluatePolicyValue(params, equilibrium.mean_field, policy));
+  // Best-response value against the fixed population, then the value of
+  // the candidate policy against the same population.
+  numerics::TimeField2D best_value(nt + 1, nq);
+  numerics::TimeField2D best_policy(nt + 1, nq);
+  numerics::TimeField2D policy_value(nt + 1, nq);
+  HjbBatchSolver::Workspace ws;
+  MFG_RETURN_IF_ERROR(SweepOneLane(
+      solver, equilibrium.mean_field,
+      {.value = best_value.data(), .policy = best_policy.data()}, ws));
+  MFG_RETURN_IF_ERROR(SweepOneLane(
+      solver, equilibrium.mean_field,
+      {.value = policy_value.data(), .control = policy.data()}, ws));
 
   const auto& initial = equilibrium.fpk.densities.front();
   ExploitabilityReport report;
   MFG_ASSIGN_OR_RETURN(
       report.best_response_value,
-      numerics::TrapezoidProduct(q_grid, initial.values(),
-                                 best_response.value[0]));
+      numerics::TrapezoidProduct(q_grid, initial.values(), best_value[0]));
   MFG_ASSIGN_OR_RETURN(
       report.policy_value,
       numerics::TrapezoidProduct(q_grid, initial.values(), policy_value[0]));
   report.gap = report.best_response_value - report.policy_value;
-  for (std::size_t i = 0; i < q_grid.size(); ++i) {
+  for (std::size_t i = 0; i < nq; ++i) {
     report.max_pointwise =
-        std::max(report.max_pointwise,
-                 best_response.value[0][i] - policy_value[0][i]);
+        std::max(report.max_pointwise, best_value[0][i] - policy_value[0][i]);
   }
   return report;
 }
 
+}  // namespace
+
+common::StatusOr<std::vector<std::vector<double>>> EvaluatePolicyValue(
+    const MfgParams& params,
+    const std::vector<MeanFieldQuantities>& mean_field,
+    const std::vector<std::vector<double>>& policy) {
+  HjbBatchSolver solver;
+  solver.Reset(1);
+  MFG_RETURN_IF_ERROR(solver.BindLane(0, params));
+  if (mean_field.size() != params.grid.num_time_steps + 1) {
+    return common::Status::InvalidArgument(
+        "mean_field must have num_time_steps + 1 entries");
+  }
+  MFG_ASSIGN_OR_RETURN(numerics::TimeField2D control,
+                       FlattenPolicy(params, policy));
+  numerics::TimeField2D value(control.rows(), control.cols());
+  HjbBatchSolver::Workspace ws;
+  MFG_RETURN_IF_ERROR(
+      SweepOneLane(solver, mean_field,
+                   {.value = value.data(), .control = control.data()}, ws));
+  return value.ToNested();
+}
+
+common::StatusOr<ExploitabilityReport> ComputeExploitabilityOfPolicy(
+    const MfgParams& params, const Equilibrium& equilibrium,
+    const std::vector<std::vector<double>>& policy) {
+  MFG_ASSIGN_OR_RETURN(numerics::TimeField2D control,
+                       FlattenPolicy(params, policy));
+  return ExploitabilityOfField(params, equilibrium, control);
+}
+
 common::StatusOr<ExploitabilityReport> ComputeExploitability(
     const MfgParams& params, const Equilibrium& equilibrium) {
-  return ComputeExploitabilityOfPolicy(params, equilibrium,
-                                       equilibrium.hjb.policy.ToNested());
+  const numerics::TimeField2D& policy = equilibrium.hjb.policy;
+  if (policy.rows() != params.grid.num_time_steps + 1 ||
+      policy.cols() != params.grid.num_q_nodes) {
+    return common::Status::InvalidArgument(
+        "equilibrium does not match params' discretization");
+  }
+  return ExploitabilityOfField(params, equilibrium, policy);
 }
 
 common::StatusOr<double> ComputeConsistencyResidual(

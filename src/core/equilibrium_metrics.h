@@ -26,8 +26,10 @@ namespace mfg::core {
 // Value of *playing the given policy* against the given mean-field
 // quantities: the backward linear PDE
 //   ∂_t V + b(x(t,q), q) ∂_q V + ½ϱ_q² ∂²_qq V + U(x(t,q), q) = 0,
-// V(T) = 0, discretized identically to the HJB solver. Returns the value
-// table V[t][q].
+// V(T) = 0: one HjbBatchSolver sweep in fixed-control mode
+// (HjbBatchSolver::Fields::control), so V_x and V_BR share one
+// discretization and one kernel. The step from t_{n+1} to t_n plays
+// policy[n]. Returns the value table V[t][q].
 common::StatusOr<std::vector<std::vector<double>>> EvaluatePolicyValue(
     const MfgParams& params,
     const std::vector<MeanFieldQuantities>& mean_field,

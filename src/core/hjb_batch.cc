@@ -178,23 +178,29 @@ void FoldControlIndependentTerms(std::size_t nq, std::size_t m,
 // surface and on per-element expressions: the three-row rotation
 // (vm/vi/vp = old v[i−1], v[i], v[i+1], in registers) guarantees the
 // stencils read pre-update values even though v[i] is overwritten in the
-// same pass, so the fused pass equals the separate-kernel one bit for bit:
+// same pass. With h = dx:
 //
-//   dv       = central/one-sided gradient      (numerics::GradientInto)
+//   dv       = (v[i+1] − v[i−1])·(1/2h) inside, (v[1] − v[0])·(1/h) and
+//              (v[n−1] − v[n−2])·(1/h) at the two ends
 //   x        = clamp(−(w4 + a·(k1 + k2·dv))/2w5)   (Theorem 1)
 //   drift    = cs_nw·x − cs_rd
-//   dvu      = upwind difference on −drift > 0  (numerics::
-//              UpwindGradientInto; the boundary rows' branches coincide,
-//              and d²v at the boundary copies the adjacent interior row —
-//              d2_1 for row 0, d2_{n−2} for row n−1, as
-//              numerics::SecondDerivativeInto does)
+//   dvu      = upwind difference on the backward-time transport velocity
+//              −drift: (−drift > 0 ? v[i] − v[i−1] : v[i+1] − v[i])·(1/h)
+//              inside; at the ends both branches are the one-sided dv
+//   d²v      = (v[i+1] − 2·v[i] + v[i−1])·(1/h²) inside; each end copies
+//              its adjacent interior row (d2_1 for row 0, d2_{n−2} for
+//              row n−1: zero-curvature extrapolation)
 //   v       += dt_sub·(drift·dvu + D·d²v + base − w4·x − w5·x² −
 //              k_delay·x·a)                      (masked by select)
+//
+// kFixedControl reads x from `control` (row n of the caller's policy
+// field) instead of Theorem 1; the gradient then goes unused and compiles
+// away.
 //
 // always_inline: the body must be inlined into every ISA clone of the
 // dispatcher below so the packs compile at that clone's width; an
 // out-of-line instantiation would be compiled once at baseline SSE2.
-template <std::size_t W>
+template <std::size_t W, bool kFixedControl>
 __attribute__((always_inline)) inline void FusedSubstepImpl(
     std::size_t nq, std::size_t m, std::size_t l0, const double* avd,
     const double* csnw, const double* based, const double* inv_dx,
@@ -202,7 +208,7 @@ __attribute__((always_inline)) inline void FusedSubstepImpl(
     const double* w5, const double* inv_2w5, const double* opt_k1,
     const double* opt_k2, const double* cs_rd, const double* k_delay,
     const double* diffusion, const double* dt_sub, const double* update,
-    double* __restrict vd) {
+    const double* control, double* __restrict vd) {
   using numerics::LoadLanes;
   using Pack = numerics::LaneVector<W>;
   const Pack i_dx = LoadLanes<W>(inv_dx + l0);
@@ -224,8 +230,13 @@ __attribute__((always_inline)) inline void FusedSubstepImpl(
   auto step = [&](std::size_t at, Pack dv, Pack old, Pack d2,
                   auto upwind) __attribute__((always_inline)) {
     const Pack a = LoadLanes<W>(avd + at);
-    const Pack numerator = w4_l + a * (k1 + k2 * dv);
-    const Pack x = ClampUnitLanes<W>(-numerator * i_2w5);
+    Pack x;
+    if constexpr (kFixedControl) {
+      x = LoadLanes<W>(control + at);
+    } else {
+      const Pack numerator = w4_l + a * (k1 + k2 * dv);
+      x = ClampUnitLanes<W>(-numerator * i_2w5);
+    }
     const Pack drift = LoadLanes<W>(csnw + at) * x - rd;
     const Pack dvu = upwind(drift);
     const Pack placement = w4_l * x + w5_l * x * x;
@@ -252,8 +263,8 @@ __attribute__((always_inline)) inline void FusedSubstepImpl(
   for (std::size_t i = 1; i + 1 < nq; ++i) {
     const Pack d2 = (vp - 2.0 * vi + vm) * i_dx2;
     // Upwind on the backward-time transport velocity −drift (in τ = T − t
-    // the equation transports V at −drift), selected before the shared
-    // inv_dx multiply exactly as numerics::UpwindGradientInto does.
+    // the equation transports V at −drift): the difference is selected
+    // first, then scaled by the shared 1/h.
     step(i * m + l0, (vp - vm) * i_2dx, vi, d2,
          [&](Pack drift) __attribute__((always_inline)) {
            return (-drift > zero ? vi - vm : vp - vi) * i_dx;
@@ -275,9 +286,11 @@ __attribute__((always_inline)) inline void FusedSubstepImpl(
   }
 }
 
-// Runtime dispatch to lane packs. The ISA clones hang off this dispatcher;
-// the always-inlined pack bodies inherit each clone's target, so an 8-lane
-// pack is one 64-byte vector in the avx512f clone.
+// Runtime dispatch to lane packs, in fixed-control mode when `control`
+// (the caller's policy row for this output node) is non-null. The ISA
+// clones hang off this dispatcher; the always-inlined pack bodies inherit
+// each clone's target, so an 8-lane pack is one 64-byte vector in the
+// avx512f clone.
 MFGCP_BATCH_TARGET_CLONES
 void FusedHjbSubstep(std::size_t nq, std::size_t m, const double* avd,
                      const double* csnw, const double* based,
@@ -287,32 +300,49 @@ void FusedHjbSubstep(std::size_t nq, std::size_t m, const double* avd,
                      const double* opt_k1, const double* opt_k2,
                      const double* cs_rd, const double* k_delay,
                      const double* diffusion, const double* dt_sub,
-                     const double* update, double* __restrict vd) {
+                     const double* update, const double* control,
+                     double* __restrict vd) {
   numerics::ForEachLaneChunk(
       m, [&]<std::size_t W>(std::size_t l0) __attribute__((always_inline)) {
-        FusedSubstepImpl<W>(nq, m, l0, avd, csnw, based, inv_dx, inv_2dx,
-                            inv_dx2, w4, w5, inv_2w5, opt_k1, opt_k2, cs_rd,
-                            k_delay, diffusion, dt_sub, update, vd);
+        if (control == nullptr) {
+          FusedSubstepImpl<W, false>(nq, m, l0, avd, csnw, based, inv_dx,
+                                     inv_2dx, inv_dx2, w4, w5, inv_2w5, opt_k1,
+                                     opt_k2, cs_rd, k_delay, diffusion, dt_sub,
+                                     update, control, vd);
+        } else {
+          FusedSubstepImpl<W, true>(nq, m, l0, avd, csnw, based, inv_dx,
+                                    inv_2dx, inv_dx2, w4, w5, inv_2w5, opt_k1,
+                                    opt_k2, cs_rd, k_delay, diffusion, dt_sub,
+                                    update, control, vd);
+        }
       });
 }
 
+// What each output node's tail writes besides the value row and the
+// divergence latch (HjbBatchSolver::Fields selects it): the Theorem-1
+// policy, Alg. 2's relaxed policy, or nothing (fixed-control mode).
+enum class NodeTail { kOptimal, kRelaxed, kValueOnly };
+
 // The per-output-node tail for lanes [l0, l0 + W), as one pass over the
-// value surface: the gradient (GradientInto's one-sided/central stencil,
-// verbatim), the Theorem-1 policy from it (the fused substep's control
-// expression), and the non-finite latch bad[l] += v − v (+0.0 for every
-// finite v, NaN for ±inf/NaN, so a lane pre-filled with 0.0 stays exactly
-// 0.0 iff its column is all-finite; the build never enables
-// -ffinite-math-only). The node's value and policy rows land in the
-// [node][lane] rows `value_row` / `policy_row` of the caller's
+// value surface: the gradient (the fused substep's stencil — one-sided
+// (v[1] − v[0])/h and (v[n−1] − v[n−2])/h at the ends, central
+// (v[i+1] − v[i−1])/2h inside), the Theorem-1 policy from it (the fused
+// substep's control expression), and the non-finite latch bad[l] += v − v
+// (+0.0 for every finite v, NaN for ±inf/NaN, so a lane pre-filled with
+// 0.0 stays exactly 0.0 iff its column is all-finite; the build never
+// enables -ffinite-math-only). The node's value and policy rows land in
+// the [node][lane] rows `value_row` / `policy_row` of the caller's
 // [time][node][lane] fields.
 //
-// kRelax folds Alg. 2's relaxed update into the same pass: the policy row
-// holds the previous iterate p, replaced by p' = (1 − γ)·p + γ·x* (the
+// kRelaxed folds Alg. 2's relaxed update into the same pass: the policy
+// row holds the previous iterate p, replaced by p' = (1 − γ)·p + γ·x* (the
 // learners' expression, verbatim), and the value row holds the previous
 // surface; max|p' − p| and max|V − V_prev| fold into policy_change[l] and
-// value_change[l] — exact in any order, as in RelaxAndMeasureResiduals.
+// value_change[l]. Both maxima are exact in any order: every operand is a
+// magnitude (never −0.0) and MaxKeepLanes keeps the accumulator on NaN.
 // The latch and both maxima stay in LaneVector registers across the node.
-template <std::size_t W, bool kRelax>
+// kValueOnly writes the value row and the latch alone.
+template <std::size_t W, NodeTail kTail>
 __attribute__((always_inline)) inline void EmitNodeImpl(
     std::size_t nq, std::size_t m, std::size_t l0, const double* vd,
     const double* avd, const double* w4, const double* inv_2w5,
@@ -323,6 +353,7 @@ __attribute__((always_inline)) inline void EmitNodeImpl(
   using numerics::LoadLanes;
   using numerics::StoreLanes;
   using Pack = numerics::LaneVector<W>;
+  constexpr bool kRelax = kTail == NodeTail::kRelaxed;
   const Pack w4_l = LoadLanes<W>(w4 + l0);
   const Pack inv_2w5_l = LoadLanes<W>(inv_2w5 + l0);
   const Pack k1 = LoadLanes<W>(opt_k1 + l0);
@@ -340,24 +371,27 @@ __attribute__((always_inline)) inline void EmitNodeImpl(
   }
   for (std::size_t i = 0; i < nq; ++i) {
     const std::size_t row = i * m + l0;
-    // Row i's stencil ends (one-sided at the boundaries).
-    const std::size_t hi = (i + 1 < nq ? i + 1 : i) * m + l0;
-    const std::size_t lo = (i > 0 ? i - 1 : i) * m + l0;
-    const Pack inv = (i > 0 && i + 1 < nq) ? central : one_sided;
     const Pack v = LoadLanes<W>(vd + row);
     latch += v - v;
-    const Pack dv = (LoadLanes<W>(vd + hi) - LoadLanes<W>(vd + lo)) * inv;
-    const Pack numerator = w4_l + LoadLanes<W>(avd + row) * (k1 + k2 * dv);
-    const Pack x = ClampUnitLanes<W>(-numerator * inv_2w5_l);
-    if constexpr (kRelax) {
-      const Pack old = LoadLanes<W>(policy_row + row);
-      const Pack updated = (1.0 - gamma_l) * old + gamma_l * x;
-      dp = numerics::MaxKeepLanes<W>(dp, numerics::AbsLanes<W>(updated - old));
-      dv_max = numerics::MaxKeepLanes<W>(
-          dv_max, numerics::AbsLanes<W>(v - LoadLanes<W>(value_row + row)));
-      StoreLanes<W>(policy_row + row, updated);
-    } else {
-      StoreLanes<W>(policy_row + row, x);
+    if constexpr (kTail != NodeTail::kValueOnly) {
+      // Row i's stencil ends (one-sided at the boundaries).
+      const std::size_t hi = (i + 1 < nq ? i + 1 : i) * m + l0;
+      const std::size_t lo = (i > 0 ? i - 1 : i) * m + l0;
+      const Pack inv = (i > 0 && i + 1 < nq) ? central : one_sided;
+      const Pack dv = (LoadLanes<W>(vd + hi) - LoadLanes<W>(vd + lo)) * inv;
+      const Pack numerator = w4_l + LoadLanes<W>(avd + row) * (k1 + k2 * dv);
+      const Pack x = ClampUnitLanes<W>(-numerator * inv_2w5_l);
+      if constexpr (kRelax) {
+        const Pack old = LoadLanes<W>(policy_row + row);
+        const Pack updated = (1.0 - gamma_l) * old + gamma_l * x;
+        dp = numerics::MaxKeepLanes<W>(dp,
+                                       numerics::AbsLanes<W>(updated - old));
+        dv_max = numerics::MaxKeepLanes<W>(
+            dv_max, numerics::AbsLanes<W>(v - LoadLanes<W>(value_row + row)));
+        StoreLanes<W>(policy_row + row, updated);
+      } else {
+        StoreLanes<W>(policy_row + row, x);
+      }
     }
     StoreLanes<W>(value_row + row, v);
   }
@@ -368,10 +402,9 @@ __attribute__((always_inline)) inline void EmitNodeImpl(
   }
 }
 
-// Runs the tail over every lane as lane packs, relaxed when `gamma` is
-// non-null.
+// Runs the tail over every lane as lane packs.
 MFGCP_BATCH_TARGET_CLONES
-void EmitNode(std::size_t nq, std::size_t m, const double* vd,
+void EmitNode(NodeTail tail, std::size_t nq, std::size_t m, const double* vd,
               const double* avd, const double* w4, const double* inv_2w5,
               const double* opt_k1, const double* opt_k2,
               const double* inv_dx, const double* inv_2dx,
@@ -381,15 +414,21 @@ void EmitNode(std::size_t nq, std::size_t m, const double* vd,
               double* __restrict value_change) {
   numerics::ForEachLaneChunk(
       m, [&]<std::size_t W>(std::size_t l0) __attribute__((always_inline)) {
-        if (gamma == nullptr) {
-          EmitNodeImpl<W, false>(nq, m, l0, vd, avd, w4, inv_2w5, opt_k1,
-                                 opt_k2, inv_dx, inv_2dx, gamma, value_row,
-                                 policy_row, bad, policy_change,
-                                 value_change);
+        if (tail == NodeTail::kOptimal) {
+          EmitNodeImpl<W, NodeTail::kOptimal>(
+              nq, m, l0, vd, avd, w4, inv_2w5, opt_k1, opt_k2, inv_dx,
+              inv_2dx, gamma, value_row, policy_row, bad, policy_change,
+              value_change);
+        } else if (tail == NodeTail::kRelaxed) {
+          EmitNodeImpl<W, NodeTail::kRelaxed>(
+              nq, m, l0, vd, avd, w4, inv_2w5, opt_k1, opt_k2, inv_dx,
+              inv_2dx, gamma, value_row, policy_row, bad, policy_change,
+              value_change);
         } else {
-          EmitNodeImpl<W, true>(nq, m, l0, vd, avd, w4, inv_2w5, opt_k1,
-                                opt_k2, inv_dx, inv_2dx, gamma, value_row,
-                                policy_row, bad, policy_change, value_change);
+          EmitNodeImpl<W, NodeTail::kValueOnly>(
+              nq, m, l0, vd, avd, w4, inv_2w5, opt_k1, opt_k2, inv_dx,
+              inv_2dx, gamma, value_row, policy_row, bad, policy_change,
+              value_change);
         }
       });
 }
@@ -661,11 +700,19 @@ void HjbBatchSolver::SweepInto(std::span<const MeanFieldQuantities> mean_field,
   const double* i_2dx = inv_2dx_.data();
   const double* vd = ws.v.data();
 
+  const NodeTail tail = out.control != nullptr ? NodeTail::kValueOnly
+                        : out.gamma != nullptr  ? NodeTail::kRelaxed
+                                                : NodeTail::kOptimal;
+  // Node n's policy row (none in fixed-control mode).
+  auto policy_row = [&](std::size_t n) {
+    return out.policy != nullptr ? out.policy + n * row_size : nullptr;
+  };
+
   // Terminal condition V(T, ·) = 0 (ws.v is all zeros) and the
   // corresponding terminal policy, emitted like every other node.
-  EmitNode(nq, m, vd, avd, w4, i2w5, k1, k2, i_dx, i_2dx, out.gamma,
-           out.value + nt * row_size, out.policy + nt * row_size, bad,
-           out.policy_change, out.value_change);
+  EmitNode(tail, nq, m, vd, avd, w4, i2w5, k1, k2, i_dx, i_2dx, out.gamma,
+           out.value + nt * row_size, policy_row(nt), bad, out.policy_change,
+           out.value_change);
 
   for (std::size_t n = nt; n-- > 0;) {
     // Per-lane per-node folds; the logistic pair here is the only
@@ -696,13 +743,16 @@ void HjbBatchSolver::SweepInto(std::span<const MeanFieldQuantities> mean_field,
                                 ws.base.data());
 
     const double* cs_rd = cs_rd_[n].data();
+    const double* control =
+        out.control != nullptr ? out.control + n * row_size : nullptr;
     for (std::size_t sub = 0; sub < max_substeps; ++sub) {
       for (std::size_t l = 0; l < m; ++l) {
         update[l] = (alive[l] != 0 && sub < substeps_[l]) ? 1.0 : 0.0;
       }
       FusedHjbSubstep(nq, m, avd, csnw, ws.base.data(), inv_dx_.data(),
                       inv_2dx_.data(), inv_dx2_.data(), w4, w5, i2w5, k1, k2,
-                      cs_rd, kdel, diffusion, dt_sub, update, ws.v.data());
+                      cs_rd, kdel, diffusion, dt_sub, update, control,
+                      ws.v.data());
     }
     // Divergence check once per output time node instead of per substep: a
     // non-finite value can never become finite again (inf/NaN propagate
@@ -710,9 +760,9 @@ void HjbBatchSolver::SweepInto(std::span<const MeanFieldQuantities> mean_field,
     // so a lane that diverged at any substep of this node is still caught
     // by EmitNode's latch and reported at the node where it diverged.
     std::fill(bad, bad + m, 0.0);
-    EmitNode(nq, m, vd, avd, w4, i2w5, k1, k2, i_dx, i_2dx, out.gamma,
-             out.value + n * row_size, out.policy + n * row_size, bad,
-             out.policy_change, out.value_change);
+    EmitNode(tail, nq, m, vd, avd, w4, i2w5, k1, k2, i_dx, i_2dx, out.gamma,
+             out.value + n * row_size, policy_row(n), bad, out.policy_change,
+             out.value_change);
     for (std::size_t l = 0; l < m; ++l) {
       if (alive[l] == 0 || bad[l] == 0.0) continue;
       MFG_FLIGHT_EVENT(kDivergence, obs::kFlightDivergenceHjb,

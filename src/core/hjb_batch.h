@@ -50,8 +50,11 @@
 // The sweep core (SweepInto) writes straight into the caller's
 // [time][node][lane] value and policy fields, optionally folding Alg. 2's
 // relaxed update and residual maxima into each node's tail — the batched
-// learner keeps its whole iterate in that layout. SolveInto's per-lane
-// LaneIo entry point is a gather → SweepInto → scatter adapter.
+// learner keeps its whole iterate in that layout. The same sweep also
+// evaluates a given policy (Fields::control): the control is read instead
+// of maximized, which is how EvaluatePolicyValue computes the ε-Nash
+// gap's V_x. SolveInto's per-lane LaneIo entry point is a gather →
+// SweepInto → scatter adapter.
 //
 // A lane that diverges (non-finite value surface) is recorded in its
 // status and drops out of the batch; the remaining lanes are unaffected.
@@ -127,6 +130,13 @@ class HjbBatchSolver {
     const double* gamma = nullptr;
     double* policy_change = nullptr;
     double* value_change = nullptr;
+    // Fixed-control (policy evaluation) mode when non-null, exclusive with
+    // `gamma`: a [time][node][lane] policy field x. The step from t_{n+1}
+    // to t_n plays row n of it in place of Theorem 1's control (the FPK's
+    // convention), so the sweep solves the linear backward equation
+    //   ∂_t V + b(x, q) ∂_q V + ½ϱ_q² ∂²_qq V + U(x, q) = 0,  V(T) = 0,
+    // and writes only `value`; `policy` is not touched and may be null.
+    const double* control = nullptr;
   };
 
   HjbBatchSolver() = default;
@@ -203,8 +213,7 @@ class HjbBatchSolver {
   std::vector<std::size_t> substeps_;
   std::vector<std::uint8_t> sharing_;
   // Per-lane reciprocals of the per-element divisors, hoisted to bind time
-  // (the substep loops are division-throughput-bound otherwise; the FD
-  // kernels in numerics/finite_difference.h hoist the same expressions).
+  // (the substep loops are division-throughput-bound otherwise).
   std::vector<double> inv_2w5_;        // 1 / (2 w5).
   std::vector<double> k_delay_;        // η₂ Q_k / H_c (staleness x-gain).
   std::vector<double> inv_edge_;       // 1 / r_edge.

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <numeric>
 #include <span>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -11,7 +12,6 @@
 #include "common/logging.h"
 #include "core/equilibrium_metrics.h"
 #include "core/fault_injection.h"
-#include "core/nonconvergence_log.h"
 #include "core/plan_publication.h"
 #include "numerics/density.h"
 #include "obs/exporter.h"
@@ -266,6 +266,7 @@ bool SettleSlot(const EpochSolveJob& job, EpochRuntime::WorkerContext& wc,
   MFG_OBS_SPAN_ID("PlanEpoch.SolveContent", static_cast<std::int64_t>(k));
   SlotOutcome outcome = SlotOutcome::kFailed;
   const char* action = "failed";
+  std::string detail;  // The shipped iterate's miss, if unconverged.
   if (converged) {
     InstallLane(wc, lane, result);
     home.valid = true;
@@ -279,6 +280,12 @@ bool SettleSlot(const EpochSolveJob& job, EpochRuntime::WorkerContext& wc,
     InstallLane(wc, lane, result);
     outcome = SlotOutcome::kRetried;
     action = "still unconverged after relaxed retries; using the last iterate";
+    const Equilibrium& iterate = result.equilibrium;
+    std::ostringstream miss;
+    miss << "; its final residual " << iterate.policy_change_history.back()
+         << " > tolerance " << result.params.learning.tolerance << " after "
+         << iterate.iterations << " iterations";
+    detail = miss.str();
   } else if (recoverable && home.valid) {
     outcome = SlotOutcome::kCarriedForward;
     action = "carrying forward the last-good equilibrium";
@@ -291,7 +298,7 @@ bool SettleSlot(const EpochSolveJob& job, EpochRuntime::WorkerContext& wc,
 
   MFG_LOG(WARNING) << "content " << k << " (epoch " << buffer.epoch_index
                    << "): " << action << " after " << result.attempts
-                   << " attempt(s); last solve: " << status;
+                   << " attempt(s); last solve: " << status << detail;
   // A failed slot keeps its error (the original solve error, even when the
   // fallback failed too); every other rung serves the slot.
   if (outcome != SlotOutcome::kFailed) status = common::Status::Ok();
@@ -315,7 +322,6 @@ bool SettleSlot(const EpochSolveJob& job, EpochRuntime::WorkerContext& wc,
 void SolveEpochBlock(void* ctx, std::size_t worker, std::size_t begin,
                      std::size_t end) {
   const EpochSolveJob& job = *static_cast<EpochSolveJob*>(ctx);
-  NonConvergenceEpochScope nonconvergence_scope(job.buffer->epoch_index);
   EpochRuntime::WorkerContext& wc = job.runtime->worker(worker);
   // Scheduling-scope breadcrumb (excluded from per-content drains: block
   // shapes depend on the worker count).

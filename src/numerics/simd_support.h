@@ -30,10 +30,14 @@
 // whose ISA embeds fused multiply-add — cannot contract a*b+c into one
 // rounding where the baseline clone rounds twice.
 //
-// The macro is empty under MFGCP_SIMD and off x86-64/GCC (target_clones +
-// ifunc is a GCC/glibc mechanism).
+// The macro is empty under MFGCP_SIMD, off x86-64/GCC (target_clones +
+// ifunc is a GCC/glibc mechanism), and under ThreadSanitizer: GCC defines
+// __SANITIZE_THREAD__ for -fsanitize=thread, and an ifunc resolver runs at
+// relocation time, before the TSan runtime is initialized, so a TSan binary
+// with clones crashes before main. TSan builds run the baseline
+// kernels, which the bit-identity contract makes equivalent.
 #if !MFGCP_SIMD_ENABLED && defined(__x86_64__) && defined(__GNUC__) && \
-    !defined(__clang__)
+    !defined(__clang__) && !defined(__SANITIZE_THREAD__)
 #define MFGCP_BATCH_TARGET_CLONES \
   __attribute__((target_clones("default", "avx2", "avx512f")))
 #else

@@ -17,9 +17,8 @@
 // Chrome-trace "PlanEpoch.SolveContent" spans carry in their args, so a
 // dump line can be matched to its span in a trace viewer.
 //
-// Dumps are rate-limited the same way the non-convergence WARN limiter
-// works: each (epoch, content) pair is dumped at most once per process, and
-// at most `max_dumps` files are written overall. Validated by
+// Dumps are rate-limited: each (epoch, content) pair is dumped at most
+// once per process, and at most `max_dumps` files are written overall. Validated by
 // scripts/check_flight_dump.py.
 
 namespace mfg::obs {

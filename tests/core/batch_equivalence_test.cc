@@ -8,7 +8,8 @@
 // width, for
 // heterogeneous lanes (different content sizes mean different grid
 // spacings and CFL substep counts per lane), for both FPK stepping
-// schemes, and through the whole epoch pipeline (PlanEpochInto with
+// schemes, for the HJB's fixed-control (policy evaluation) mode, and
+// through the whole epoch pipeline (PlanEpochInto with
 // batch_width 1 vs >1, catalogs that do not divide the block size, and
 // parallelism 1 vs 2).
 
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <string>
@@ -24,6 +26,7 @@
 
 #include "core/best_response.h"
 #include "core/best_response_batch.h"
+#include "core/equilibrium_metrics.h"
 #include "core/fault_injection.h"
 #include "core/fpk_batch.h"
 #include "core/fpk_solver.h"
@@ -156,6 +159,56 @@ TEST_P(BatchSolverTest, HjbBatchDivergentLaneMatchesScalarError) {
     ASSERT_TRUE(expected.ok());
     EXPECT_TRUE(solutions[l].value == expected->value);
     EXPECT_TRUE(solutions[l].policy == expected->policy);
+  }
+}
+
+// Fixed-control mode (policy evaluation): every lane plays its own
+// lane- and time-varying policy field, and lane l's value surface must
+// equal its one-lane evaluation (EvaluatePolicyValue) bit for bit.
+TEST_P(BatchSolverTest, HjbBatchFixedControlMatchesOneLaneBitwise) {
+  const std::size_t lanes = GetParam();
+  const std::size_t nt = LaneParams(0).grid.num_time_steps;
+  const std::size_t nq = LaneParams(0).grid.num_q_nodes;
+  HjbBatchSolver batch;
+  batch.Reset(lanes);
+  std::vector<MeanFieldQuantities> mean_field((nt + 1) * lanes);
+  std::vector<double> control((nt + 1) * nq * lanes);
+  std::vector<std::vector<std::vector<double>>> policies(lanes);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    ASSERT_TRUE(batch.BindLane(l, LaneParams(l)).ok()) << "lane " << l;
+    const auto lane_mean_field = LaneMeanField(nt, l);
+    policies[l].assign(nt + 1, std::vector<double>(nq));
+    for (std::size_t n = 0; n <= nt; ++n) {
+      mean_field[n * lanes + l] = lane_mean_field[n];
+      for (std::size_t i = 0; i < nq; ++i) {
+        const double x =
+            0.1 + 0.05 * static_cast<double>(l) +
+            0.5 * static_cast<double>(i) / static_cast<double>(nq - 1) +
+            0.3 * static_cast<double>(n) / static_cast<double>(nt);
+        policies[l][n][i] = x;
+        control[(n * nq + i) * lanes + l] = x;
+      }
+    }
+  }
+  std::vector<double> value((nt + 1) * nq * lanes);
+  std::vector<std::uint8_t> alive(lanes, 1);
+  HjbBatchSolver::Workspace ws;
+  batch.SweepInto(mean_field,
+                  {.value = value.data(), .control = control.data()}, alive,
+                  ws);
+
+  for (std::size_t l = 0; l < lanes; ++l) {
+    SCOPED_TRACE(::testing::Message() << "lane " << l);
+    ASSERT_EQ(alive[l], 1) << ws.status[l];
+    const auto expected =
+        EvaluatePolicyValue(LaneParams(l), LaneMeanField(nt, l), policies[l]);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    for (std::size_t n = 0; n <= nt; ++n) {
+      for (std::size_t i = 0; i < nq; ++i) {
+        ASSERT_EQ(value[(n * nq + i) * lanes + l], (*expected)[n][i])
+            << "time node " << n << ", q node " << i;
+      }
+    }
   }
 }
 

@@ -1,8 +1,9 @@
-// Plan publication sums each active slot's policy once, several slots
-// side by side: its scores and published mean rates must stay bitwise
-// equal to the serial MeanCachingRate for every active count — empty,
-// shorter than one interleaved group, exactly one group, one group plus a
-// remainder, many groups — and for slots of different grid shapes.
+// Plan publication scores each active slot from its mean caching rate:
+// the rate its equilibrium stored, or, for a policy written without one
+// (every slot here), a walk of the policy. Its scores and published mean
+// rates must stay bitwise equal to the serial MeanCachingRate for every
+// active count — empty, one slot, several, many — and for slots of
+// different grid shapes.
 
 #include "core/plan_publication.h"
 
@@ -21,7 +22,7 @@ constexpr std::size_t kContents = 80;
 
 // A buffer with `num_active` slots over a shuffled set of content ids.
 // Policies hold arbitrary values in [0, 1]; every third slot uses a
-// shorter time grid so interleaved slots differ in length.
+// shorter time grid so slots differ in length.
 EpochPlanBuffer MakeBuffer(std::size_t num_active) {
   std::mt19937_64 rng(7 + num_active);
   std::uniform_real_distribution<double> unit(0.0, 1.0);

@@ -28,6 +28,14 @@
 //   L  SolveFrom an explicit start (shifted density, rate 0.2), 140 MB
 //   M  standalone HJB at 60 MB and 140 MB, synthetic mean field
 //   N  standalone explicit and implicit FPK at 60 MB and 140 MB
+//
+// Scenario O was dumped the same way from EvaluatePolicyValue immediately
+// before its hand-kept explicit scheme became the HJB batch sweep's
+// fixed-control mode:
+//   O  policy value V_x at 100 MB and 60 MB, synthetic mean field, a
+//      policy ramp in q and t (rows t0, mid and nt − 1, the last one step
+//      from the terminal row, where a control read from the wrong time
+//      node shows first)
 
 #include <gtest/gtest.h>
 
@@ -37,6 +45,7 @@
 #include <vector>
 
 #include "core/best_response.h"
+#include "core/equilibrium_metrics.h"
 #include "core/fpk_solver.h"
 #include "core/hjb_solver.h"
 #include "core/mean_field_estimator.h"
@@ -199,6 +208,14 @@ constexpr double kNImp60MidMean = 25.766645919779691;
 constexpr double kNImp140DensityFinal[] = {9.4406694253200939e-05, 0.021733830621441224, 0.030483060098305821, 0.0039658664168364666, 5.5595978174237267e-05, 4.3038302448991342e-08, 3.778897808336693e-13, 2.3056631064087985e-21, 4.9420537465355493e-36};
 constexpr double kNImp140FinalMean = 29.087077328079157;
 constexpr double kNImp140MidMean = 60.122191361141084;
+// scenario O100
+constexpr double kO100ValueT0[] = {1451.0641313134838, 1317.2323046791116, 994.54765166088657, 461.56885021230994, -162.11628931309608, -803.19272025975795, -1426.2977835828851, -2022.2509074240322, -2600.2808047840481};
+constexpr double kO100ValueMid[] = {465.70761669517492, 396.83576096792342, 198.22136631675207, -155.29168642824339, -541.19235001659251, -889.22647826209891, -1209.9748279334717, -1521.9714703884117, -1832.534442828457};
+constexpr double kO100ValueLast[] = {4.1762086969770325, 1.4824516832730872, -5.5264869119945015, -14.167034803828905, -21.200008781008961, -27.658169125393794, -34.025859024004262, -40.403492659620348, -46.808764630079949};
+// scenario O60
+constexpr double kO60ValueT0[] = {848.855074591635, 755.44978645123717, 558.9196367896601, 260.69727930002171, -102.92696704083787, -494.25483553518154, -889.94698770454625, -1278.831714337935, -1658.4563047648389};
+constexpr double kO60ValueMid[] = {264.14037446975863, 213.00911367968178, 90.425843939225103, -103.28215886037532, -334.94883483062347, -568.28606462276264, -790.08956270475994, -1002.1704898021087, -1209.1595896893541};
+constexpr double kO60ValueLast[] = {2.0960830628083675, -0.060494863295797716, -4.027729945927998, -9.4131145831608514, -14.713823543933616, -19.583399262978492, -24.205620824490232, -28.738440939967454, -33.256119270148716};
 // Relative 1e-12 comparison: densities reach ~1e-49 in the tails and
 // values reach ~2.5e3, so a fixed absolute tolerance fits neither end.
 void ExpectGolden(double actual, double expected, const char* what,
@@ -451,6 +468,35 @@ TEST(SolverEquivalenceTest, StandaloneFpkContentSizes) {
                      kNImp60MidMean, 60.0);
   CheckStandaloneFpk(true, kNImp140DensityFinal, kNImp140FinalMean,
                      kNImp140MidMean, 140.0);
+}
+
+void CheckPolicyValue(double content_size, const double (&value_t0)[9],
+                      const double (&value_mid)[9],
+                      const double (&value_last)[9]) {
+  MfgParams params = DefaultPaperParams();
+  params.grid.num_q_nodes = 161;
+  params.grid.num_time_steps = 100;
+  params.content_size = content_size;
+  const std::size_t nt = params.grid.num_time_steps;
+  const std::size_t nq = params.grid.num_q_nodes;
+  std::vector<std::vector<double>> policy(nt + 1, std::vector<double>(nq));
+  for (std::size_t n = 0; n <= nt; ++n) {
+    for (std::size_t i = 0; i < nq; ++i) {
+      policy[n][i] =
+          0.1 + 0.5 * static_cast<double>(i) / static_cast<double>(nq - 1) +
+          0.3 * static_cast<double>(n) / static_cast<double>(nt);
+    }
+  }
+  const auto value =
+      EvaluatePolicyValue(params, SyntheticMeanField(nt), policy).value();
+  ExpectRow(value[0], value_t0, kProbe161, "value t0");
+  ExpectRow(value[nt / 2], value_mid, kProbe161, "value mid");
+  ExpectRow(value[nt - 1], value_last, kProbe161, "value last");
+}
+
+TEST(SolverEquivalenceTest, PolicyValueRampPolicy) {
+  CheckPolicyValue(100.0, kO100ValueT0, kO100ValueMid, kO100ValueLast);
+  CheckPolicyValue(60.0, kO60ValueT0, kO60ValueMid, kO60ValueLast);
 }
 
 TEST(SolverEquivalenceTest, MeanFieldEstimatorSyntheticDensity) {
