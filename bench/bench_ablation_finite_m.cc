@@ -6,9 +6,13 @@
 // players" — and shows the computational asymmetry behind Fig. 2 and
 // Table II (the finite game costs M HJB solves per sweep, the mean field
 // one).
+//
+// Keys: players=<M1,M2,..> (default 2,4,8,16,32), rounds=<n> (default 25),
+// grid=<nq> (default 61), plus the solver keys of bench_common.h.
 
 #include <chrono>
 #include <cmath>
+#include <string>
 
 #include "bench_common.h"
 #include "core/finite_game.h"
@@ -45,7 +49,9 @@ void Run(const common::Config& config) {
   common::TextTable table({"M", "rounds", "converged",
                            "max |mean traj - MFG|", "mean utility",
                            "wall time (s)"});
-  for (std::size_t players : {2u, 4u, 8u, 16u, 32u}) {
+  for (const std::string& part :
+       bench::SplitCommas(config.GetString("players", "2,4,8,16,32"))) {
+    const std::size_t players = std::stoul(part);
     core::FiniteGameOptions options;
     options.num_players = players;
     options.params = params;

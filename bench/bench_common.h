@@ -67,6 +67,20 @@
 
 namespace mfg::bench {
 
+// Splits a comma-separated key value ("2,4,8") into its non-empty parts.
+inline std::vector<std::string> SplitCommas(const std::string& text) {
+  std::vector<std::string> parts;
+  std::size_t begin = 0;
+  while (begin <= text.size()) {
+    const std::size_t comma = text.find(',', begin);
+    const std::size_t end = comma == std::string::npos ? text.size() : comma;
+    if (end > begin) parts.push_back(text.substr(begin, end - begin));
+    if (comma == std::string::npos) break;
+    begin = comma + 1;
+  }
+  return parts;
+}
+
 // Prints a figure/table banner.
 inline void Banner(const std::string& id, const std::string& title) {
   std::printf("==============================================================\n");

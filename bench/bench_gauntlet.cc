@@ -39,19 +39,6 @@
 namespace mfg {
 namespace {
 
-std::vector<std::string> SplitCommas(const std::string& text) {
-  std::vector<std::string> parts;
-  std::size_t begin = 0;
-  while (begin <= text.size()) {
-    const std::size_t comma = text.find(',', begin);
-    const std::size_t end = comma == std::string::npos ? text.size() : comma;
-    if (end > begin) parts.push_back(text.substr(begin, end - begin));
-    if (comma == std::string::npos) break;
-    begin = comma + 1;
-  }
-  return parts;
-}
-
 int Run(int argc, char** argv) {
   const common::Config config = bench::ParseArgs(argc, argv);
   bench::Banner("gauntlet", "request-level baseline gauntlet");
@@ -107,14 +94,14 @@ int Run(int argc, char** argv) {
 
   options.capacities.clear();
   for (const std::string& part :
-       SplitCommas(config.GetString("capacities", "2,4,6,8"))) {
+       bench::SplitCommas(config.GetString("capacities", "2,4,6,8"))) {
     options.capacities.push_back(
         static_cast<std::size_t>(std::stoul(part)));
   }
 
   const std::string scheme_spec = config.GetString("scheme", "");
   if (!scheme_spec.empty()) {
-    for (const std::string& part : SplitCommas(scheme_spec)) {
+    for (const std::string& part : bench::SplitCommas(scheme_spec)) {
       sim::GauntletScheme scheme;
       if (!sim::ParseGauntletScheme(part, scheme)) {
         std::fprintf(stderr,

@@ -34,14 +34,18 @@ void Run(const common::Config& config) {
       static_cast<std::size_t>(config.GetInt("parallelism", 1));
   const std::size_t contents =
       static_cast<std::size_t>(config.GetInt("num_contents", 16));
-#if MFGCP_OBS_ENABLED
   // eq_probe=on enables the per-epoch equilibrium-quality gauge stage
   // (eq.* registry gauges + the health line's eq block);
   // eq_probe_contents= sets the probed window (0 = every active slot).
-  options.eq_probe.enabled = config.GetString("eq_probe", "") == "on";
-  options.eq_probe.max_contents =
+  // Both keys are read in every build, so the unknown-key check accepts
+  // them, and are inert with -DMFGCP_OBS=OFF like the other telemetry keys.
+  const bool eq_probe = config.GetString("eq_probe", "") == "on";
+  const auto eq_probe_contents =
       static_cast<std::size_t>(config.GetInt("eq_probe_contents", 4));
-#endif
+  if (MFGCP_OBS_ENABLED) {
+    options.eq_probe.enabled = eq_probe;
+    options.eq_probe.max_contents = eq_probe_contents;
+  }
 
   auto catalog = content::Catalog::CreateUniform(
       contents, options.base_params.content_size);

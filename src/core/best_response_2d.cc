@@ -6,8 +6,8 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "numerics/batch_field.h"
 #include "numerics/density.h"
-#include "numerics/field2d.h"
 #include "obs/obs.h"
 
 namespace mfg::core {
@@ -32,106 +32,103 @@ common::StatusOr<Equilibrium2D> BestResponseLearner2D::Solve(
   MFG_OBS_SCOPED_TIMER("core.best_response_2d.seconds");
   MFG_OBS_COUNT("core.best_response_2d.solves", 1);
   const std::size_t nt = params_.grid.num_time_steps;
-  const std::size_t nh = fpk_.h_grid().size();
+  const numerics::Grid1D& h_grid = fpk_.h_grid();
+  const std::size_t nh = h_grid.size();
   const std::size_t nq = fpk_.q_grid().size();
-  const std::size_t nodes = nh * nq;
-  MFG_ASSIGN_OR_RETURN(numerics::Grid1D q_grid, params_.MakeQGrid());
-  MFG_ASSIGN_OR_RETURN(
-      numerics::Grid2D grid2d,
-      numerics::Grid2D::Create(fpk_.h_grid(), fpk_.q_grid()));
+  const std::size_t rows = (nt + 1) * nq;
 
-  numerics::TimeField2D policy(nt + 1, nodes, initial_rate);
+  // The iterate in [time][q][h] layout: node (ih, iq) of time node n at
+  // [(n·nq + iq)·nh + ih]. The value starts at +0.0, the relaxed tail's
+  // "no previous surface".
+  numerics::BatchField policy, value, density;
+  policy.Assign(rows, nh, initial_rate);
+  value.Assign(rows, nh, 0.0);
+  density.Reshape(rows, nh);
   MFG_ASSIGN_OR_RETURN(std::vector<double> initial,
                        fpk_.MakeInitialDensity());
+  for (std::size_t ih = 0; ih < nh; ++ih) {
+    for (std::size_t iq = 0; iq < nq; ++iq) {
+      density.at(iq, ih) = initial[ih * nq + iq];
+    }
+  }
 
   Equilibrium2D eq;
   FpkSolver2D::Workspace fpk_ws;
   HjbSolver2D::Workspace hjb_ws;
   MeanFieldEstimator::Workspace mf_ws;
-  MFG_RETURN_IF_ERROR(fpk_.SolveInto(initial, policy, fpk_ws, eq.fpk));
-  eq.hjb.h_grid = eq.fpk.h_grid;
-  eq.hjb.q_grid = eq.fpk.q_grid;
-  eq.hjb.dt = eq.fpk.dt;
+  MFG_RETURN_IF_ERROR(fpk_.SweepInto(policy.data(), density.data(), fpk_ws));
   eq.policy_change_history.reserve(params_.learning.max_iterations);
   eq.value_change_history.reserve(params_.learning.max_iterations);
 
   // Reusable estimation buffers: the q-marginal is written straight into
   // the density's storage, and the per-q policy average into one slice.
-  MFG_ASSIGN_OR_RETURN(numerics::Density1D density,
+  MFG_ASSIGN_OR_RETURN(numerics::Density1D marginal,
                        numerics::Density1D::FromSamplesUnchecked(
-                           q_grid, std::vector<double>(nq, 1.0)));
+                           fpk_.q_grid(), std::vector<double>(nq, 1.0)));
   std::vector<double> policy_slice(nq, 0.0);
 
   // Estimates the mean-field quantities from the q-marginal of the joint
-  // density and the population-mean policy per q node (the estimator's
-  // ⟨x⟩ integral needs x(q); we use the density-weighted h-average).
-  auto estimate = [&](const Fpk2DSolution& solution,
-                      const numerics::TimeField2D& pol,
-                      std::vector<MeanFieldQuantities>& mean_field)
+  // density (trapezoid over h) and the population-mean policy per q node
+  // (the estimator's ⟨x⟩ integral needs x(q); we use the density-weighted
+  // h-average). Row (n, iq) of the fields is the nh h-nodes.
+  auto estimate = [&](std::vector<MeanFieldQuantities>& mean_field)
       -> common::Status {
     mean_field.resize(nt + 1);
+    std::vector<double>& q_marginal = marginal.mutable_values();
     for (std::size_t n = 0; n <= nt; ++n) {
-      MFG_RETURN_IF_ERROR(numerics::MarginalizeAxis0Into(
-          grid2d, solution.densities[n], density.mutable_values()));
-      MFG_RETURN_IF_ERROR(density.ClipAndNormalize());
-      // Density-weighted h-average of the policy per q node.
-      const auto density_row = solution.densities[n];
-      const auto policy_row = pol[n];
       for (std::size_t iq = 0; iq < nq; ++iq) {
+        const std::span<const double> lambda = density[n * nq + iq];
+        const std::span<const double> x = policy[n * nq + iq];
+        double mass = 0.0;
         double weighted = 0.0;
         double weight = 0.0;
         for (std::size_t ih = 0; ih < nh; ++ih) {
-          const double w = density_row[ih * nq + iq];
-          weighted += w * policy_row[ih * nq + iq];
-          weight += w;
+          mass += (ih == 0 || ih + 1 == nh ? 0.5 : 1.0) * lambda[ih];
+          weighted += lambda[ih] * x[ih];
+          weight += lambda[ih];
         }
+        q_marginal[iq] = mass * h_grid.dx();
         policy_slice[iq] = weight > 1e-300 ? weighted / weight : 0.0;
       }
+      MFG_RETURN_IF_ERROR(marginal.ClipAndNormalize());
       MFG_RETURN_IF_ERROR(estimator_.EstimateInto(
-          density, policy_slice, mf_ws, mean_field[n]));
+          marginal, policy_slice, mf_ws, mean_field[n]));
     }
     return common::Status::Ok();
   };
 
-  Hjb2DSolution hjb_buf;
+  // The relaxed sweep's per-lane inputs and residual maxima.
+  const std::vector<double> gamma(nh, params_.learning.relaxation);
+  std::vector<double> policy_change(nh), value_change(nh);
   std::vector<MeanFieldQuantities> mean_field;
 
   for (std::size_t iter = 1; iter <= params_.learning.max_iterations;
        ++iter) {
     eq.iterations = iter;
-    MFG_RETURN_IF_ERROR(estimate(eq.fpk, policy, mean_field));
-    MFG_RETURN_IF_ERROR(hjb_.SolveInto(mean_field, hjb_ws, hjb_buf));
-
-    // Relaxed update and both residuals in one pass; the relaxed iterate
-    // lands in hjb_buf.policy too, so the swap exposes it without a copy.
-    // Before the first iteration there is no previous value surface, and
-    // the value residual is measured against zero.
-    const double gamma = params_.learning.relaxation;
-    const std::span<double> p = policy.elements();
-    const std::span<double> h = hjb_buf.policy.elements();
-    const std::span<const double> v = hjb_buf.value.elements();
-    const std::span<const double> v_prev = eq.hjb.value.elements();
-    const bool has_prev = v_prev.size() == v.size();
-    double max_change = 0.0;
-    double value_change = 0.0;
-    for (std::size_t k = 0; k < p.size(); ++k) {
-      const double updated = (1.0 - gamma) * p[k] + gamma * h[k];
-      max_change = std::max(max_change, std::fabs(updated - p[k]));
-      p[k] = updated;
-      h[k] = updated;
-      value_change = std::max(
-          value_change, std::fabs(has_prev ? v[k] - v_prev[k] : v[k]));
-    }
+    MFG_RETURN_IF_ERROR(estimate(mean_field));
+    std::fill(policy_change.begin(), policy_change.end(), 0.0);
+    std::fill(value_change.begin(), value_change.end(), 0.0);
+    HjbBatchSolver::Fields fields;
+    fields.value = value.data();
+    fields.policy = policy.data();
+    fields.gamma = gamma.data();
+    fields.policy_change = policy_change.data();
+    fields.value_change = value_change.data();
+    MFG_RETURN_IF_ERROR(hjb_.SweepInto(mean_field, fields, hjb_ws));
+    // Both residuals are magnitudes, so the max over lanes is exact.
+    const double max_change =
+        *std::max_element(policy_change.begin(), policy_change.end());
     eq.policy_change_history.push_back(max_change);
-    eq.value_change_history.push_back(value_change);
-    std::swap(eq.hjb, hjb_buf);
+    eq.value_change_history.push_back(
+        *std::max_element(value_change.begin(), value_change.end()));
     std::swap(eq.mean_field, mean_field);
 
     if (max_change < params_.learning.tolerance) {
       eq.converged = true;
       break;
     }
-    MFG_RETURN_IF_ERROR(fpk_.SolveInto(initial, policy, fpk_ws, eq.fpk));
+    MFG_RETURN_IF_ERROR(
+        fpk_.SweepInto(policy.data(), density.data(), fpk_ws));
   }
 
   MFG_OBS_OBSERVE_COUNTS("core.best_response_2d.iterations",
@@ -146,7 +143,17 @@ common::StatusOr<Equilibrium2D> BestResponseLearner2D::Solve(
   } else {
     MFG_OBS_COUNT("core.best_response.converged", 1);
   }
-  MFG_RETURN_IF_ERROR(estimate(eq.fpk, eq.hjb.policy, eq.mean_field));
+  MFG_RETURN_IF_ERROR(estimate(eq.mean_field));
+
+  eq.hjb.h_grid = h_grid;
+  eq.hjb.q_grid = fpk_.q_grid();
+  eq.hjb.dt = params_.TimeStep();
+  eq.fpk.h_grid = h_grid;
+  eq.fpk.q_grid = fpk_.q_grid();
+  eq.fpk.dt = eq.hjb.dt;
+  TransposeToHq(value, nq, eq.hjb.value);
+  TransposeToHq(policy, nq, eq.hjb.policy);
+  TransposeToHq(density, nq, eq.fpk.densities);
   return eq;
 }
 

@@ -16,6 +16,12 @@
 // depend on the cache coordinate), while the HJB's running utility sees
 // the full channel dependence through EdgeRateAt(h).
 //
+// The iterate stays batch-resident for the whole solve: policy, value and
+// density are [time][q][h] BatchFields (h-node ih is lane ih of the 2-D
+// solvers' coupled sweeps), the HJB sweep applies the relaxed update and
+// folds both residuals in its tail (HjbBatchSolver::Fields::gamma), and
+// the result is transposed to the public [time][h·q] layout once, at exit.
+//
 // Used to validate the 1-D reduction: with the calibrated channel
 // (stationary std ≈ 0.05 around υ = 6) the 2-D equilibrium policy at
 // h = υ matches the 1-D policy closely (tested; quantified by the

@@ -21,8 +21,9 @@
 // a single switch strips the whole seam:
 //
 //   cmake -DMFGCP_FAULTS=OFF  ->  MFGCP_FAULTS_ENABLED == 0  ->
-//   MFG_FAULT_POINT expands to (void)0 and MFG_FAULT_FORCED to `false`,
-//   so stripped builds carry no injection code at all.
+//   MFG_FAULT_POINT expands to (void)0, MFG_FAULT_FORCED to `false` and
+//   MFG_FAULT_SCOPE to unevaluated sizeof operands, so stripped builds
+//   carry no injection code at all.
 //
 // Determinism contract: whether a hook fires depends only on the armed
 // plan and the (site, epoch, content, attempt) coordinates of the solve —
@@ -203,7 +204,10 @@ void ResetInjectedFaultCount();
 
 #define MFG_FAULT_POINT(site) (void)0
 #define MFG_FAULT_FORCED(site) false
-#define MFG_FAULT_SCOPE(epoch, content, attempt) (void)0
+// Unevaluated, as the stripped MFG_OBS_* macros: a coordinate that only
+// feeds the scope still counts as used.
+#define MFG_FAULT_SCOPE(epoch, content, attempt) \
+  (void)sizeof(epoch), (void)sizeof(content), (void)sizeof(attempt)
 
 #endif  // MFGCP_FAULTS_ENABLED
 

@@ -24,6 +24,7 @@ enum LaneRow : std::size_t {
   kBad,         // Non-finite latch of the current output node.
   kLive,        // 1.0 while the lane stores its rows.
   kClipFailed,  // 1.0 where the clip guard found the lane's mass ~0.
+  kCoupledDtsDx,  // Coupled mode's shared dt_sub / dx, one per lane.
   kLaneRows,
 };
 
@@ -222,6 +223,69 @@ void LatchClipAndNormalize(std::size_t nq, std::size_t m, const double* dx,
       });
 }
 
+// Coupled mode's cross-lane pass (FpkBatchSolver::SweepInto's `coupled`):
+// dt_sub times the divergence of the lane axis's face fluxes on the
+// pre-substep densities, into `incr`. The face between lanes l − 1 and l
+// carries the donor-cell advective flux at the mean of the two lanes'
+// drifts plus the central diffusive flux; the end faces reflect. Added
+// after the fused q-substep, it completes the unsplit explicit
+// finite-volume step up to summation order.
+void CoupledFpkTerms(std::size_t nq, std::size_t m,
+                     const numerics::LaneAxis& axis, const double* lam,
+                     double* __restrict incr) {
+  const double dx = axis.dx;
+  for (std::size_t i = 0; i < nq; ++i) {
+    const double* row = lam + i * m;
+    double* out = incr + i * m;
+    std::fill(out, out + m, 0.0);
+    for (std::size_t face = 1; face < m; ++face) {
+      const double v_face = 0.5 * (axis.drift[face - 1] + axis.drift[face]);
+      const double donor = v_face > 0.0 ? row[face - 1] : row[face];
+      const double flux =
+          v_face * donor - axis.diffusion * (row[face] - row[face - 1]) / dx;
+      out[face - 1] -= flux / dx;
+      out[face] += flux / dx;
+    }
+    for (std::size_t l = 0; l < m; ++l) out[l] *= axis.dt_sub;
+  }
+}
+
+// Trapezoid weight of node i on an n-node axis.
+inline double TrapezoidWeight(std::size_t i, std::size_t n) {
+  return (i == 0 || i + 1 == n) ? 0.5 : 1.0;
+}
+
+// Coupled mode's output tail over the whole [q][h] surface: the
+// divergence check, then numerics::ClipAndNormalize2D's arithmetic — the
+// same clip, the 2-D trapezoid mass summed h-major as Trapezoid2D does,
+// and a division by it — storing the row into `out`.
+enum class CoupledTail { kOk, kDiverged, kMassLost };
+CoupledTail CoupledClipAndNormalize(std::size_t nq, std::size_t m, double dq,
+                                    double dh, double* __restrict lam,
+                                    double* __restrict out) {
+  const std::size_t size = nq * m;
+  bool finite = true;
+  for (std::size_t k = 0; k < size; ++k) {
+    finite = finite && std::isfinite(lam[k]);
+    if (!(lam[k] > 0.0)) lam[k] = 0.0;
+  }
+  if (!finite) return CoupledTail::kDiverged;
+  double mass = 0.0;
+  for (std::size_t l = 0; l < m; ++l) {
+    const double w = TrapezoidWeight(l, m);
+    for (std::size_t i = 0; i < nq; ++i) {
+      mass += w * TrapezoidWeight(i, nq) * lam[i * m + l];
+    }
+  }
+  mass = mass * dh * dq;
+  if (!(mass > 1e-300)) return CoupledTail::kMassLost;
+  for (std::size_t k = 0; k < size; ++k) {
+    lam[k] /= mass;
+    out[k] = lam[k];
+  }
+  return CoupledTail::kOk;
+}
+
 }  // namespace
 
 void FpkBatchSolver::Reset(std::size_t num_lanes) {
@@ -387,8 +451,8 @@ void FpkBatchSolver::WriteLaneInto(std::size_t lane, const double* densities,
 }
 
 void FpkBatchSolver::SweepInto(const double* policy, double* densities,
-                               std::span<std::uint8_t> alive,
-                               Workspace& ws) const {
+                               std::span<std::uint8_t> alive, Workspace& ws,
+                               const numerics::LaneAxis* coupled) const {
   MFG_OBS_SPAN("FpkBatch.SolveInto");
   std::size_t timed_lanes = 0;  // One core.fpk.sweeps count each.
   MFG_OBS_SCOPED_LANE_TIMER("core.fpk.sweep_seconds", timed_lanes);
@@ -403,12 +467,22 @@ void FpkBatchSolver::SweepInto(const double* policy, double* densities,
   double* bad = ws.lane[kBad].data();
   double* live = ws.lane[kLive].data();
   double* clip_failed = ws.lane[kClipFailed].data();
+  // Coupled lanes share one surface: a lane that fails fails them all.
+  auto drop_all = [&](const common::Status& status) {
+    for (std::size_t l = 0; l < m; ++l) {
+      if (alive[l] == 0) continue;
+      ws.status[l] = status;
+      alive[l] = 0;
+    }
+  };
 
   std::size_t max_substeps = 0;
   for (std::size_t l = 0; l < m; ++l) {
     if (!alive[l]) continue;
-    MFG_OBS_COUNT("core.fpk.sweeps", 1);
-    ++timed_lanes;
+    if (coupled == nullptr) {  // A coupled sweep counts as one 2-D sweep.
+      MFG_OBS_COUNT("core.fpk.sweeps", 1);
+      ++timed_lanes;
+    }
     max_substeps = std::max(max_substeps, substeps_[l]);
   }
 
@@ -424,6 +498,16 @@ void FpkBatchSolver::SweepInto(const double* policy, double* densities,
   const double* d_dx = d_over_dx_.data();
   const double* dts_dx = dt_sub_over_dx_.data();
   const double* dto_dx = dt_out_over_dx_.data();
+  if (coupled != nullptr) {
+    max_substeps = coupled->substeps;
+    double* shared_dts_dx = ws.lane[kCoupledDtsDx].data();
+    for (std::size_t l = 0; l < m; ++l) {
+      shared_dts_dx[l] = coupled->dt_sub / dx_[l];
+      update[l] = alive[l] ? 1.0 : 0.0;
+    }
+    dts_dx = shared_dts_dx;
+    ws.coupled.Reshape(nq, m);
+  }
 
   for (std::size_t n = 0; n < nt; ++n) {
     for (std::size_t l = 0; l < m; ++l) live[l] = alive[l] ? 1.0 : 0.0;
@@ -454,10 +538,32 @@ void FpkBatchSolver::SweepInto(const double* policy, double* densities,
       }
     } else {
       for (std::size_t sub = 0; sub < max_substeps; ++sub) {
-        for (std::size_t l = 0; l < m; ++l) {
-          update[l] = (alive[l] != 0 && sub < substeps_[l]) ? 1.0 : 0.0;
+        if (coupled == nullptr) {
+          for (std::size_t l = 0; l < m; ++l) {
+            update[l] = (alive[l] != 0 && sub < substeps_[l]) ? 1.0 : 0.0;
+          }
+          FusedFpkSubstep(nq, m, vel, d_dx, dts_dx, update, lam);
+          continue;
         }
+        // Coupled: the h-fluxes read the pre-substep densities.
+        CoupledFpkTerms(nq, m, *coupled, lam, ws.coupled.data());
         FusedFpkSubstep(nq, m, vel, d_dx, dts_dx, update, lam);
+        const double* incr = ws.coupled.data();
+        for (std::size_t k = 0; k < row_size; ++k) lam[k] += incr[k];
+      }
+    }
+
+    if (coupled != nullptr) {
+      switch (CoupledClipAndNormalize(nq, m, dx_[0], coupled->dx, lam,
+                                      densities + (n + 1) * row_size)) {
+        case CoupledTail::kOk:
+          continue;
+        case CoupledTail::kDiverged:
+          return drop_all(common::Status::NumericalError(
+              "2-D FPK density diverged at time node " + std::to_string(n)));
+        case CoupledTail::kMassLost:
+          return drop_all(
+              common::Status::NumericalError("2-D density mass is ~0"));
       }
     }
 
@@ -492,6 +598,7 @@ void FpkBatchSolver::SweepInto(const double* policy, double* densities,
     }
   }
 
+  if (coupled != nullptr) return;  // Not a content lane-sweep.
   for (std::size_t l = 0; l < m; ++l) {
     if (!alive[l]) continue;
     MFG_FLIGHT_EVENT(kFpkSweep, 0, params_[l].content_id, 0,

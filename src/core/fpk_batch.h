@@ -34,6 +34,12 @@
 // the row store. SolveInto's per-lane LaneIo entry point is a gather →
 // SweepInto → scatter adapter.
 //
+// Coupled mode (SweepInto's `coupled` axis) runs the 2-D (h, q) model:
+// lane l is channel node h_l, the h-face fluxes are one cross-lane pass
+// per substep around the unchanged fused q-substep, and the clip guard
+// normalizes the joint 2-D trapezoid mass (see numerics::LaneAxis). The
+// epoch planner never sets it.
+//
 // Both stepping schemes are supported; all bound lanes must share
 // grid.implicit_fpk (they derive from one base_params on the epoch path).
 // A lane that diverges or hits a singular implicit pivot records its error
@@ -64,6 +70,8 @@ class FpkBatchSolver {
     numerics::BatchField lane;
     // SweepInto's per-lane error for every lane it drops.
     std::vector<common::Status> status;
+    // Coupled mode only: the substep's [node][lane] h-flux increment.
+    numerics::BatchField coupled;
     // LaneIo adapter only: the lanes it runs and the gathered
     // [time][node][lane] policy and density fields.
     std::vector<std::uint8_t> io_alive;
@@ -102,8 +110,18 @@ class FpkBatchSolver {
   // only theirs: another lane's column is left as it was. A lane that
   // fails gets alive[l] cleared, its error in ws.status[l], and an
   // unspecified column.
+  //
+  // Coupled (h, q) mode when `coupled` is non-null: the lanes are the
+  // nodes of that axis (the channel h) and must be bound with the explicit
+  // scheme. Every lane takes the axis's substep count and dt_sub; each
+  // substep adds, from the pre-substep densities, dt_sub times the h-face
+  // flux divergence (donor-cell drift plus central diffusion, reflecting
+  // end faces); and each output row is clipped and normalized to unit 2-D
+  // trapezoid mass over (h, q) jointly. A lane that fails takes every lane
+  // down with it, and the sweep counts no per-lane core.fpk.* work.
   void SweepInto(const double* policy, double* densities,
-                 std::span<std::uint8_t> alive, Workspace& ws) const;
+                 std::span<std::uint8_t> alive, Workspace& ws,
+                 const numerics::LaneAxis* coupled = nullptr) const;
 
   // Copies lane `lane`'s column of a [time][node][lane] density field into
   // `out` (grid, dt and every λ row), reusing `out`'s densities when they

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
 
-#include "common/math_util.h"
+#include "core/hjb_solver_2d.h"
 #include "numerics/density.h"
 #include "numerics/field2d.h"
 #include "obs/obs.h"
@@ -36,30 +35,18 @@ std::vector<double> Fpk2DSolution::HMarginal(std::size_t n) const {
       .value();
 }
 
-FpkSolver2D::FpkSolver2D(const MfgParams& params,
-                         const numerics::Grid1D& h_grid,
-                         const numerics::Grid1D& q_grid)
-    : params_(params), h_grid_(h_grid), q_grid_(q_grid) {
-  const std::size_t nh = h_grid_.size();
-  const std::size_t nq = q_grid_.size();
-  drift_h_.resize(nh);
-  for (std::size_t ih = 0; ih < nh; ++ih) {
-    drift_h_[ih] = 0.5 * params_.channel.varsigma *
-                   (params_.channel.upsilon - h_grid_.x(ih));
-  }
-  q_coords_.resize(nq);
-  avail_q_.resize(nq);
-  for (std::size_t iq = 0; iq < nq; ++iq) {
-    q_coords_[iq] = q_grid_.x(iq);
-    avail_q_[iq] = params_.ControlAvailability(q_coords_[iq]);
-  }
-}
-
 common::StatusOr<FpkSolver2D> FpkSolver2D::Create(const MfgParams& params) {
   MFG_RETURN_IF_ERROR(params.Validate());
   MFG_ASSIGN_OR_RETURN(numerics::Grid1D h_grid, params.MakeHGrid());
   MFG_ASSIGN_OR_RETURN(numerics::Grid1D q_grid, params.MakeQGrid());
-  return FpkSolver2D(params, h_grid, q_grid);
+  FpkSolver2D solver(params, h_grid, q_grid);
+  solver.batch_.Reset(h_grid.size());
+  for (std::size_t ih = 0; ih < h_grid.size(); ++ih) {
+    MFG_RETURN_IF_ERROR(solver.batch_.BindLane(
+        ih, ChannelLaneParams(params, h_grid.x(ih))));
+  }
+  solver.channel_ = MakeChannelAxis(params, h_grid, q_grid);
+  return solver;
 }
 
 common::StatusOr<std::vector<double>> FpkSolver2D::MakeInitialDensity()
@@ -122,9 +109,6 @@ common::Status FpkSolver2D::SolveInto(const std::vector<double>& initial,
                                       const numerics::TimeField2D& policy,
                                       Workspace& ws,
                                       Fpk2DSolution& solution) const {
-  MFG_OBS_SPAN("Fpk2D.SolveInto");
-  MFG_OBS_SCOPED_TIMER("core.fpk_2d.sweep_seconds");
-  MFG_OBS_COUNT("core.fpk_2d.sweeps", 1);
   const std::size_t nt = params_.grid.num_time_steps;
   const std::size_t nh = h_grid_.size();
   const std::size_t nq = q_grid_.size();
@@ -139,105 +123,37 @@ common::Status FpkSolver2D::SolveInto(const std::vector<double>& initial,
   if (policy.cols() != nodes) {
     return common::Status::InvalidArgument("policy slice size mismatch");
   }
-
-  const double dt_out = params_.TimeStep();
-  const double dxq = q_grid_.dx();
-  const double dxh = h_grid_.dx();
-  const double diffusion_q =
-      0.5 * params_.dynamics.rho_q * params_.dynamics.rho_q;
-  const double diffusion_h = 0.5 * params_.channel.rho * params_.channel.rho;
-  const double max_speed_q =
-      params_.content_size *
-      (params_.dynamics.w1 + params_.dynamics.w2 +
-       params_.dynamics.w3 *
-           std::pow(params_.dynamics.xi, params_.timeliness));
-  const double max_speed_h =
-      0.5 * params_.channel.varsigma * (h_grid_.hi() - h_grid_.lo());
-  const double rate_sum = max_speed_q / dxq + 2.0 * diffusion_q / (dxq * dxq) +
-                          max_speed_h / dxh + 2.0 * diffusion_h / (dxh * dxh);
-  const double stable_dt =
-      rate_sum > 0.0 ? params_.grid.cfl_safety / rate_sum : dt_out;
-  const std::size_t substeps = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::ceil(dt_out / stable_dt)));
-  const double dt_sub = dt_out / static_cast<double>(substeps);
-
-  numerics::Grid2D grid = MakeGrid2D(h_grid_, q_grid_);
-
-  solution.h_grid = h_grid_;
-  solution.q_grid = q_grid_;
-  solution.dt = dt_out;
-  solution.densities.Assign(nt + 1, nodes, 0.0);
-  std::copy(initial.begin(), initial.end(), solution.densities[0].begin());
-
-  ws.lambda = initial;
-  ws.drift_q.assign(nodes, 0.0);
-  ws.update.assign(nodes, 0.0);
-  std::vector<double>& lambda = ws.lambda;
-  std::vector<double>& drift_q = ws.drift_q;
-  std::vector<double>& update = ws.update;
-
-  // The q-drift b(t, q) = CacheDriftAt(x, q); its retention and discard
-  // terms use the params' scalar popularity/timeliness, so only the
-  // control part varies with the policy.
-  const double content_size = params_.content_size;
-  const double neg_w1 = -params_.dynamics.w1;
-  const double retention = params_.dynamics.w2 * params_.popularity;
-  const double discard = params_.dynamics.w3 *
-                         std::pow(params_.dynamics.xi, params_.timeliness);
-
-  for (std::size_t n = 0; n < nt; ++n) {
-    const auto policy_row = policy[n];
+  // [time][h·q] in, [time][q][h] for the sweep.
+  ws.policy.Reshape((nt + 1) * nq, nh);
+  ws.density.Reshape((nt + 1) * nq, nh);
+  for (std::size_t n = 0; n <= nt; ++n) {
     for (std::size_t ih = 0; ih < nh; ++ih) {
       for (std::size_t iq = 0; iq < nq; ++iq) {
-        const std::size_t node = ih * nq + iq;
-        const double x_eff = avail_q_[iq] * policy_row[node];
-        drift_q[node] = content_size * (neg_w1 * x_eff - retention + discard);
+        ws.policy.at(n * nq + iq, ih) = policy[n][ih * nq + iq];
       }
     }
-    for (std::size_t sub = 0; sub < substeps; ++sub) {
-      std::fill(update.begin(), update.end(), 0.0);
-      // q-direction fluxes per h-row (boundary faces closed).
-      for (std::size_t ih = 0; ih < nh; ++ih) {
-        const std::size_t row = ih * nq;
-        for (std::size_t face = 1; face < nq; ++face) {
-          const std::size_t left = row + face - 1;
-          const std::size_t right = row + face;
-          const double v_face = 0.5 * (drift_q[left] + drift_q[right]);
-          const double donor = v_face > 0.0 ? lambda[left] : lambda[right];
-          const double flux =
-              v_face * donor -
-              diffusion_q * (lambda[right] - lambda[left]) / dxq;
-          update[left] -= flux / dxq;
-          update[right] += flux / dxq;
-        }
-      }
-      // h-direction fluxes per q-column.
-      for (std::size_t iq = 0; iq < nq; ++iq) {
-        for (std::size_t face = 1; face < nh; ++face) {
-          const std::size_t lower = (face - 1) * nq + iq;
-          const std::size_t upper = face * nq + iq;
-          const double v_face = 0.5 * (drift_h_[face - 1] + drift_h_[face]);
-          const double donor = v_face > 0.0 ? lambda[lower] : lambda[upper];
-          const double flux =
-              v_face * donor -
-              diffusion_h * (lambda[upper] - lambda[lower]) / dxh;
-          update[lower] -= flux / dxh;
-          update[upper] += flux / dxh;
-        }
-      }
-      for (std::size_t node = 0; node < nodes; ++node) {
-        lambda[node] += dt_sub * update[node];
-      }
-      if (!common::AllFinite(std::span<const double>(lambda))) {
-        return common::Status::NumericalError(
-            "2-D FPK density diverged at time node " + std::to_string(n));
-      }
-    }
-    MFG_RETURN_IF_ERROR(numerics::ClipAndNormalize2D(grid, lambda));
-    std::copy(lambda.begin(), lambda.end(),
-              solution.densities[n + 1].begin());
   }
+  for (std::size_t ih = 0; ih < nh; ++ih) {
+    for (std::size_t iq = 0; iq < nq; ++iq) {
+      ws.density.at(iq, ih) = initial[ih * nq + iq];
+    }
+  }
+  MFG_RETURN_IF_ERROR(SweepInto(ws.policy.data(), ws.density.data(), ws));
+  solution.h_grid = h_grid_;
+  solution.q_grid = q_grid_;
+  solution.dt = params_.TimeStep();
+  TransposeToHq(ws.density, nq, solution.densities);
   return common::Status::Ok();
+}
+
+common::Status FpkSolver2D::SweepInto(const double* policy, double* densities,
+                                      Workspace& ws) const {
+  MFG_OBS_SPAN("Fpk2D.SolveInto");
+  MFG_OBS_SCOPED_TIMER("core.fpk_2d.sweep_seconds");
+  MFG_OBS_COUNT("core.fpk_2d.sweeps", 1);
+  ws.alive.assign(h_grid_.size(), 1);
+  batch_.SweepInto(policy, densities, ws.alive, ws.batch, &channel_);
+  return ws.alive[0] != 0 ? common::Status::Ok() : ws.batch.status[0];
 }
 
 }  // namespace mfg::core

@@ -1,10 +1,13 @@
 #ifndef MFGCP_CORE_FPK_SOLVER_2D_H_
 #define MFGCP_CORE_FPK_SOLVER_2D_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "common/status.h"
+#include "core/fpk_batch.h"
 #include "core/mfg_params.h"
+#include "numerics/batch_field.h"
 #include "numerics/grid.h"
 #include "numerics/time_field.h"
 
@@ -19,9 +22,12 @@
 // all four sides — total probability mass is conserved to rounding
 // (tested).
 //
-// Fields are flat row-major (index = ih * nq + iq); the trajectory is one
-// TimeField2D, and SolveInto reuses a caller Workspace so repeated solves
-// in the 2-D best-response loop do not allocate.
+// It runs on the 1-D batch solver, as HjbSolver2D does: h-node ih is lane
+// ih of an FpkBatchSolver, the q-fluxes are the fused 1-D substep, and the
+// h-fluxes and the joint clip-and-normalize are the sweep's coupled mode on
+// the channel axis (MakeChannelAxis). The public trajectory is one
+// row-major TimeField2D (index = ih * nq + iq), transposed from the
+// sweep's [time][q][h] BatchField once per SolveInto.
 
 namespace mfg::core {
 
@@ -46,11 +52,11 @@ struct Fpk2DSolution {
 
 class FpkSolver2D {
  public:
-  // Scratch buffers reused across Solve calls (sized on first use).
+  // Scratch reused across Solve calls (sized on first use).
   struct Workspace {
-    std::vector<double> lambda;
-    std::vector<double> drift_q;
-    std::vector<double> update;
+    FpkBatchSolver::Workspace batch;
+    std::vector<std::uint8_t> alive;
+    numerics::BatchField policy, density;  // SolveInto's [time][q][h].
   };
 
   static common::StatusOr<FpkSolver2D> Create(const MfgParams& params);
@@ -77,20 +83,25 @@ class FpkSolver2D {
                            const numerics::TimeField2D& policy,
                            Workspace& workspace, Fpk2DSolution& solution) const;
 
+  // The sweep on caller [time][q][h] fields: reads every row of `policy`
+  // and row 0 of `densities`, writes rows 1..nt. The batch-resident form
+  // BestResponseLearner2D runs.
+  common::Status SweepInto(const double* policy, double* densities,
+                           Workspace& workspace) const;
+
   const numerics::Grid1D& h_grid() const { return h_grid_; }
   const numerics::Grid1D& q_grid() const { return q_grid_; }
 
  private:
   FpkSolver2D(const MfgParams& params, const numerics::Grid1D& h_grid,
-              const numerics::Grid1D& q_grid);
+              const numerics::Grid1D& q_grid)
+      : params_(params), h_grid_(h_grid), q_grid_(q_grid) {}
 
   MfgParams params_;
   numerics::Grid1D h_grid_;
   numerics::Grid1D q_grid_;
-  // Hot-loop invariants per axis: ½ ς_h (υ_h − h_i), q_j, and a(q_j).
-  std::vector<double> drift_h_;
-  std::vector<double> q_coords_;
-  std::vector<double> avail_q_;
+  FpkBatchSolver batch_;  // Lane ih is h node ih.
+  numerics::LaneAxis channel_;
 };
 
 }  // namespace mfg::core

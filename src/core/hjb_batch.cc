@@ -73,6 +73,8 @@ enum LaneRow : std::size_t {
   // doubles (0.0 / nonzero), the form SelectLanes and the latch take.
   kUpdate,
   kBad,
+  // Coupled mode's shared dt_sub, one copy per lane for the fused substep.
+  kCoupledDtSub,
   kLaneRows,
 };
 
@@ -316,6 +318,34 @@ void FusedHjbSubstep(std::size_t nq, std::size_t m, const double* avd,
                                     update, control, vd);
         }
       });
+}
+
+// Coupled mode's cross-lane pass (HjbBatchSolver::Fields::coupled): the
+// lane axis's terms of the Hamiltonian on the pre-substep surface v, times
+// dt_sub, into `incr`. The upwind drift[l]·∂_l V differences on the side
+// the backward-time velocity −drift[l] comes from (one-sided at the end
+// lanes); diffusion·∂²_ll V is central, each end lane copying its inner
+// neighbour's curvature (zero-curvature extrapolation). Added after the
+// fused q-substep, it completes the unsplit explicit step up to summation
+// order. Plain loops: the 2-D model is not on the planner's path.
+void CoupledHjbTerms(std::size_t nq, std::size_t m,
+                     const numerics::LaneAxis& axis, const double* v,
+                     double* __restrict incr) {
+  const double dx = axis.dx;
+  for (std::size_t i = 0; i < nq; ++i) {
+    const double* row = v + i * m;
+    for (std::size_t l = 0; l < m; ++l) {
+      const double backward = l > 0 ? row[l] - row[l - 1] : row[1] - row[0];
+      const double forward =
+          l + 1 < m ? row[l + 1] - row[l] : row[l] - row[l - 1];
+      const double upwind = (-axis.drift[l] > 0.0 ? backward : forward) / dx;
+      const std::size_t c = std::clamp<std::size_t>(l, 1, m - 2);
+      const double curvature =
+          (row[c + 1] - 2.0 * row[c] + row[c - 1]) / (dx * dx);
+      incr[i * m + l] =
+          axis.dt_sub * (axis.drift[l] * upwind + axis.diffusion * curvature);
+    }
+  }
 }
 
 // What each output node's tail writes besides the value row and the
@@ -644,12 +674,23 @@ void HjbBatchSolver::SweepInto(std::span<const MeanFieldQuantities> mean_field,
   double* peer = ws.lane[kPeer].data();
   double* update = ws.lane[kUpdate].data();
   double* bad = ws.lane[kBad].data();
+  const numerics::LaneAxis* axis = out.coupled;
+  // Coupled lanes share one surface: a lane that fails fails them all.
+  auto drop_all = [&](const common::Status& status) {
+    for (std::size_t l = 0; l < m; ++l) {
+      if (alive[l] == 0) continue;
+      ws.status[l] = status;
+      alive[l] = 0;
+    }
+  };
 
   std::size_t max_substeps = 0;
   for (std::size_t l = 0; l < m; ++l) {
     if (!alive[l]) continue;
-    MFG_OBS_COUNT("core.hjb.sweeps", 1);
-    ++timed_lanes;
+    if (axis == nullptr) {  // A coupled sweep counts as one 2-D sweep.
+      MFG_OBS_COUNT("core.hjb.sweeps", 1);
+      ++timed_lanes;
+    }
     // Preconditions of the econ kernels the fold transcribes
     // (ServiceDelay / StalenessCost) that params.Validate() leaves open.
     const char* invalid = nullptr;
@@ -665,9 +706,21 @@ void HjbBatchSolver::SweepInto(std::span<const MeanFieldQuantities> mean_field,
     if (invalid != nullptr) {
       ws.status[l] = common::Status::InvalidArgument(invalid);
       alive[l] = 0;
+      if (axis != nullptr) return drop_all(ws.status[l]);
       continue;
     }
     max_substeps = std::max(max_substeps, substeps_[l]);
+  }
+  const double* dt_sub = dt_sub_.data();
+  if (axis != nullptr) {
+    max_substeps = axis->substeps;
+    double* shared_dt_sub = ws.lane[kCoupledDtSub].data();
+    for (std::size_t l = 0; l < m; ++l) {
+      shared_dt_sub[l] = axis->dt_sub;
+      update[l] = alive[l] ? 1.0 : 0.0;
+    }
+    dt_sub = shared_dt_sub;
+    ws.coupled.Reshape(nq, m);
   }
 
   ws.v.Assign(nq, m, 0.0);
@@ -695,7 +748,6 @@ void HjbBatchSolver::SweepInto(std::span<const MeanFieldQuantities> mean_field,
   const double* i2w5 = inv_2w5_.data();
   const double* eta2 = eta2_.data();
   const double* diffusion = diffusion_.data();
-  const double* dt_sub = dt_sub_.data();
   const double* i_dx = inv_dx_.data();
   const double* i_2dx = inv_2dx_.data();
   const double* vd = ws.v.data();
@@ -745,14 +797,26 @@ void HjbBatchSolver::SweepInto(std::span<const MeanFieldQuantities> mean_field,
     const double* cs_rd = cs_rd_[n].data();
     const double* control =
         out.control != nullptr ? out.control + n * row_size : nullptr;
-    for (std::size_t sub = 0; sub < max_substeps; ++sub) {
-      for (std::size_t l = 0; l < m; ++l) {
-        update[l] = (alive[l] != 0 && sub < substeps_[l]) ? 1.0 : 0.0;
-      }
+    auto fused_substep = [&] {
       FusedHjbSubstep(nq, m, avd, csnw, ws.base.data(), inv_dx_.data(),
                       inv_2dx_.data(), inv_dx2_.data(), w4, w5, i2w5, k1, k2,
                       cs_rd, kdel, diffusion, dt_sub, update, control,
                       ws.v.data());
+    };
+    for (std::size_t sub = 0; sub < max_substeps; ++sub) {
+      if (axis == nullptr) {
+        for (std::size_t l = 0; l < m; ++l) {
+          update[l] = (alive[l] != 0 && sub < substeps_[l]) ? 1.0 : 0.0;
+        }
+        fused_substep();
+        continue;
+      }
+      // Coupled: the h-terms read the pre-substep surface.
+      CoupledHjbTerms(nq, m, *axis, vd, ws.coupled.data());
+      fused_substep();
+      double* v = ws.v.data();
+      const double* incr = ws.coupled.data();
+      for (std::size_t k = 0; k < row_size; ++k) v[k] += incr[k];
     }
     // Divergence check once per output time node instead of per substep: a
     // non-finite value can never become finite again (inf/NaN propagate
@@ -771,9 +835,11 @@ void HjbBatchSolver::SweepInto(std::span<const MeanFieldQuantities> mean_field,
       ws.status[l] = common::Status::NumericalError(
           "HJB value diverged at time node " + std::to_string(n));
       alive[l] = 0;
+      if (axis != nullptr) return drop_all(ws.status[l]);
     }
   }
 
+  if (axis != nullptr) return;  // Not a content lane-sweep.
   for (std::size_t l = 0; l < m; ++l) {
     if (!alive[l]) continue;
     MFG_FLIGHT_EVENT(kHjbSweep, 0, params_[l].content_id, 0,

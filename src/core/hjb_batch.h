@@ -56,6 +56,12 @@
 // gap's V_x. SolveInto's per-lane LaneIo entry point is a gather →
 // SweepInto → scatter adapter.
 //
+// Coupled mode (Fields::coupled) is how the 2-D (h, q) model runs on this
+// solver: lane l is channel node h_l, and the OU h-terms are one
+// cross-lane pass per substep around the unchanged fused q-substep (see
+// numerics::LaneAxis). It is the one place lanes exchange data, outside
+// the lane-independence contract below; the epoch planner never sets it.
+//
 // A lane that diverges (non-finite value surface) is recorded in its
 // status and drops out of the batch; the remaining lanes are unaffected.
 // A failed lane's output is unspecified. BatchBestResponseLearner reports
@@ -97,6 +103,8 @@ class HjbBatchSolver {
     numerics::BatchField lane;
     // SweepInto's per-lane error for every lane it drops.
     std::vector<common::Status> status;
+    // Coupled mode only: the substep's [node][lane] h-term increment.
+    numerics::BatchField coupled;
     // LaneIo adapter only: the gathered [time][lane] mean field, the lanes
     // it runs, and the [time][node][lane] output fields it scatters.
     std::vector<MeanFieldQuantities> io_mean_field;
@@ -137,6 +145,14 @@ class HjbBatchSolver {
     //   ∂_t V + b(x, q) ∂_q V + ½ϱ_q² ∂²_qq V + U(x, q) = 0,  V(T) = 0,
     // and writes only `value`; `policy` is not touched and may be null.
     const double* control = nullptr;
+    // Coupled (h, q) mode when non-null: the lanes are the nodes of this
+    // axis (the channel h). Every lane takes its substep count and dt_sub,
+    // and each substep adds, from the pre-substep surface, dt_sub times
+    // the upwind drift[l]·∂_h V plus diffusion·∂²_hh V (each end lane
+    // copies its inner neighbour's curvature). Combines with either tail
+    // above. A lane that fails takes every lane down with it, and the
+    // sweep counts no per-lane core.hjb.* work.
+    const numerics::LaneAxis* coupled = nullptr;
   };
 
   HjbBatchSolver() = default;

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
 
-#include "common/math_util.h"
-#include "econ/costs.h"
 #include "econ/utility.h"
 #include "obs/obs.h"
 
@@ -23,34 +20,64 @@ std::vector<double> Hjb2DSolution::PolicyAtH(std::size_t n,
   return slice;
 }
 
-HjbSolver2D::HjbSolver2D(const MfgParams& params,
-                         const numerics::Grid1D& h_grid,
-                         const numerics::Grid1D& q_grid,
-                         const econ::CaseModel& case_model)
-    : params_(params),
-      h_grid_(h_grid),
-      q_grid_(q_grid),
-      case_model_(case_model) {
-  const std::size_t nh = h_grid_.size();
-  const std::size_t nq = q_grid_.size();
-  h_coords_.resize(nh);
-  drift_h_.resize(nh);
-  edge_rate_of_.resize(nh);
-  for (std::size_t ih = 0; ih < nh; ++ih) {
-    h_coords_[ih] = h_grid_.x(ih);
-    drift_h_[ih] = 0.5 * params_.channel.varsigma *
-                   (params_.channel.upsilon - h_coords_[ih]);
-    edge_rate_of_[ih] = std::max(params_.EdgeRateAt(h_coords_[ih]), 1e-3);
+MfgParams ChannelLaneParams(const MfgParams& params, double h) {
+  MfgParams lane = params;
+  lane.edge_rate = std::max(params.EdgeRateAt(h), 1e-3);
+  lane.popularity_profile.clear();
+  lane.timeliness_profile.clear();
+  lane.requests_profile.clear();
+  lane.grid.implicit_fpk = false;
+  return lane;
+}
+
+numerics::LaneAxis MakeChannelAxis(const MfgParams& params,
+                                   const numerics::Grid1D& h_grid,
+                                   const numerics::Grid1D& q_grid) {
+  numerics::LaneAxis axis;
+  axis.drift.resize(h_grid.size());
+  for (std::size_t ih = 0; ih < h_grid.size(); ++ih) {
+    axis.drift[ih] = 0.5 * params.channel.varsigma *
+                     (params.channel.upsilon - h_grid.x(ih));
   }
-  q_coords_.resize(nq);
-  avail_q_.resize(nq);
-  for (std::size_t iq = 0; iq < nq; ++iq) {
-    q_coords_[iq] = q_grid_.x(iq);
-    avail_q_[iq] = params_.ControlAvailability(q_coords_[iq]);
+  axis.diffusion = 0.5 * params.channel.rho * params.channel.rho;
+  axis.dx = h_grid.dx();
+  // Combined explicit stability bound over both dimensions.
+  const double dxq = q_grid.dx();
+  const double dxh = h_grid.dx();
+  const double diffusion_q =
+      0.5 * params.dynamics.rho_q * params.dynamics.rho_q;
+  const double max_speed_q =
+      params.content_size *
+      (params.dynamics.w1 + params.dynamics.w2 +
+       params.dynamics.w3 * std::pow(params.dynamics.xi, params.timeliness));
+  const double max_speed_h =
+      0.5 * params.channel.varsigma * (h_grid.hi() - h_grid.lo());
+  const double rate_sum = max_speed_q / dxq + 2.0 * diffusion_q / (dxq * dxq) +
+                          max_speed_h / dxh +
+                          2.0 * axis.diffusion / (dxh * dxh);
+  const double dt = params.TimeStep();
+  const double stable_dt =
+      rate_sum > 0.0 ? params.grid.cfl_safety / rate_sum : dt;
+  axis.substeps = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::ceil(dt / stable_dt)));
+  axis.dt_sub = dt / static_cast<double>(axis.substeps);
+  return axis;
+}
+
+void TransposeToHq(const numerics::BatchField& field, std::size_t nq,
+                   numerics::TimeField2D& out) {
+  const std::size_t nh = field.lanes();
+  const std::size_t rows = field.nodes() / nq;
+  out.Reshape(rows, nh * nq);
+  const double* in = field.data();
+  double* __restrict to = out.data();
+  for (std::size_t n = 0; n < rows; ++n) {
+    for (std::size_t iq = 0; iq < nq; ++iq) {
+      for (std::size_t ih = 0; ih < nh; ++ih) {
+        to[(n * nh + ih) * nq + iq] = in[(n * nq + iq) * nh + ih];
+      }
+    }
   }
-  opt_k1_ = params_.utility.staleness.eta2 * params_.content_size /
-            params_.utility.staleness.cloud_rate;
-  opt_k2_ = params_.content_size * params_.dynamics.w1;
 }
 
 common::StatusOr<HjbSolver2D> HjbSolver2D::Create(const MfgParams& params) {
@@ -58,14 +85,14 @@ common::StatusOr<HjbSolver2D> HjbSolver2D::Create(const MfgParams& params) {
   MFG_ASSIGN_OR_RETURN(numerics::Grid1D h_grid, params.MakeHGrid());
   MFG_ASSIGN_OR_RETURN(numerics::Grid1D q_grid, params.MakeQGrid());
   MFG_ASSIGN_OR_RETURN(econ::CaseModel case_model, params.MakeCaseModel());
-  return HjbSolver2D(params, h_grid, q_grid, case_model);
-}
-
-double HjbSolver2D::OptimalRate(double dq_value, double availability) const {
-  const auto& placement = params_.utility.placement;
-  const double numerator =
-      placement.w4 + availability * (opt_k1_ + opt_k2_ * dq_value);
-  return common::ClampUnit(-numerator / (2.0 * placement.w5));
+  HjbSolver2D solver(params, h_grid, q_grid, case_model);
+  solver.batch_.Reset(h_grid.size());
+  for (std::size_t ih = 0; ih < h_grid.size(); ++ih) {
+    MFG_RETURN_IF_ERROR(solver.batch_.BindLane(
+        ih, ChannelLaneParams(params, h_grid.x(ih))));
+  }
+  solver.channel_ = MakeChannelAxis(params, h_grid, q_grid);
+  return solver;
 }
 
 common::StatusOr<double> HjbSolver2D::RunningUtility(
@@ -99,241 +126,41 @@ common::StatusOr<Hjb2DSolution> HjbSolver2D::Solve(
 common::Status HjbSolver2D::SolveInto(
     const std::vector<MeanFieldQuantities>& mean_field, Workspace& ws,
     Hjb2DSolution& solution) const {
+  const std::size_t nt = params_.grid.num_time_steps;
+  const std::size_t nq = q_grid_.size();
+  ws.value.Reshape((nt + 1) * nq, h_grid_.size());
+  ws.policy.Reshape((nt + 1) * nq, h_grid_.size());
+  MFG_RETURN_IF_ERROR(
+      SweepInto(mean_field, {ws.value.data(), ws.policy.data()}, ws));
+  solution.h_grid = h_grid_;
+  solution.q_grid = q_grid_;
+  solution.dt = params_.TimeStep();
+  TransposeToHq(ws.value, nq, solution.value);
+  TransposeToHq(ws.policy, nq, solution.policy);
+  return common::Status::Ok();
+}
+
+common::Status HjbSolver2D::SweepInto(
+    std::span<const MeanFieldQuantities> mean_field,
+    HjbBatchSolver::Fields fields, Workspace& ws) const {
   MFG_OBS_SPAN("Hjb2D.SolveInto");
   MFG_OBS_SCOPED_TIMER("core.hjb_2d.sweep_seconds");
   MFG_OBS_COUNT("core.hjb_2d.sweeps", 1);
   const std::size_t nt = params_.grid.num_time_steps;
   const std::size_t nh = h_grid_.size();
-  const std::size_t nq = q_grid_.size();
-  const std::size_t nodes = nh * nq;
   if (mean_field.size() != nt + 1) {
     return common::Status::InvalidArgument(
         "mean_field must have num_time_steps + 1 entries");
   }
-  // Preconditions of the econ kernels (ServiceDelay / StalenessCost),
-  // validated once here so the per-node loop can run without StatusOr.
-  const auto& staleness_params = params_.utility.staleness;
-  if (staleness_params.cloud_rate <= 0.0 ||
-      staleness_params.cloud_ondemand_rate <= 0.0) {
-    return common::Status::InvalidArgument("cloud rates must be positive");
+  // Every h lane sees the same per-time mean field.
+  ws.mean_field.resize((nt + 1) * nh);
+  for (std::size_t n = 0; n <= nt; ++n) {
+    std::fill_n(ws.mean_field.begin() + n * nh, nh, mean_field[n]);
   }
-  if (params_.content_size <= 0.0) {
-    return common::Status::InvalidArgument("content size must be positive");
-  }
-  if (staleness_params.eta2 < 0.0) {
-    return common::Status::InvalidArgument("eta2 must be non-negative");
-  }
-
-  solution.h_grid = h_grid_;
-  solution.q_grid = q_grid_;
-  solution.dt = params_.TimeStep();
-  solution.value.Assign(nt + 1, nodes, 0.0);
-  solution.policy.Assign(nt + 1, nodes, 0.0);
-
-  const double dxq = q_grid_.dx();
-  const double dxh = h_grid_.dx();
-  const double diffusion_q =
-      0.5 * params_.dynamics.rho_q * params_.dynamics.rho_q;
-  const double diffusion_h = 0.5 * params_.channel.rho * params_.channel.rho;
-  const double max_speed_q =
-      params_.content_size *
-      (params_.dynamics.w1 + params_.dynamics.w2 +
-       params_.dynamics.w3 *
-           std::pow(params_.dynamics.xi, params_.timeliness));
-  const double max_speed_h =
-      0.5 * params_.channel.varsigma * (h_grid_.hi() - h_grid_.lo());
-  // Combined explicit stability bound over both dimensions.
-  const double rate_sum = max_speed_q / dxq + 2.0 * diffusion_q / (dxq * dxq) +
-                          max_speed_h / dxh + 2.0 * diffusion_h / (dxh * dxh);
-  const double stable_dt =
-      rate_sum > 0.0 ? params_.grid.cfl_safety / rate_sum : solution.dt;
-  const std::size_t substeps = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::ceil(solution.dt / stable_dt)));
-  const double dt_sub = solution.dt / static_cast<double>(substeps);
-
-  ws.v.assign(nodes, 0.0);
-  ws.v_new.assign(nodes, 0.0);
-  ws.x_star.assign(nodes, 0.0);
-  ws.drift_q.assign(nodes, 0.0);
-  ws.rest_delay.assign(nodes, 0.0);
-  ws.p1.assign(nq, 0.0);
-  ws.p2.assign(nq, 0.0);
-  ws.p3.assign(nq, 0.0);
-  ws.trading.assign(nq, 0.0);
-  ws.sharing_cost.assign(nq, 0.0);
-
-  const double content_size = params_.content_size;
-  const double cloud_rate = staleness_params.cloud_rate;
-  const double ondemand_rate = staleness_params.cloud_ondemand_rate;
-  const double eta2 = staleness_params.eta2;
-  const double w4 = params_.utility.placement.w4;
-  const double w5 = params_.utility.placement.w5;
-  const double sharing_price = params_.utility.sharing_price;
-  const bool sharing = params_.sharing_enabled;
-  const double num_requests = params_.num_requests;
-  // The q-drift constants: unlike the 1-D solver the 2-D utility uses the
-  // params' scalar popularity/timeliness (no profiles), so the retention
-  // and discard terms of CacheDriftAt are time-invariant.
-  const double neg_w1 = -params_.dynamics.w1;
-  const double retention = params_.dynamics.w2 * params_.popularity;
-  const double discard = params_.dynamics.w3 *
-                         std::pow(params_.dynamics.xi, params_.timeliness);
-
-  // Fill policy for a value field (terminal and per-step output).
-  auto fill_policy = [&](std::span<const double> value_field,
-                         std::span<double> policy_field) {
-    for (std::size_t ih = 0; ih < nh; ++ih) {
-      for (std::size_t iq = 0; iq < nq; ++iq) {
-        const std::size_t node = ih * nq + iq;
-        double dq;
-        if (iq == 0) {
-          dq = (value_field[node + 1] - value_field[node]) / dxq;
-        } else if (iq + 1 == nq) {
-          dq = (value_field[node] - value_field[node - 1]) / dxq;
-        } else {
-          dq = (value_field[node + 1] - value_field[node - 1]) /
-               (2.0 * dxq);
-        }
-        policy_field[node] = OptimalRate(dq, avail_q_[iq]);
-      }
-    }
-  };
-  fill_policy(ws.v, solution.policy[nt]);
-
-  for (std::size_t n = nt; n-- > 0;) {
-    const MeanFieldQuantities& mf = mean_field[n];
-    const double peer = mf.mean_peer_remaining;
-    const double share_n = sharing ? mf.sharing_benefit : 0.0;
-    const double served_peer = std::max(content_size - peer, 0.0);
-
-    // Fold the control-independent utility pieces. The case probabilities,
-    // trading income, and sharing cost depend only on (q, λ); the
-    // request-service delay additionally depends on the h-indexed downlink
-    // rate, so it is tabulated per (h, q) node.
-    for (std::size_t iq = 0; iq < nq; ++iq) {
-      const double q = q_coords_[iq];
-      econ::CaseProbabilities cases =
-          case_model_.Evaluate(q, peer, content_size);
-      if (!sharing) {
-        cases.p3 += cases.p2;
-        cases.p2 = 0.0;
-      }
-      ws.p1[iq] = cases.p1;
-      ws.p2[iq] = cases.p2;
-      ws.p3[iq] = cases.p3;
-      ws.trading[iq] = econ::TradingIncome(num_requests, mf.price, cases,
-                                           content_size, q, peer);
-      ws.sharing_cost[iq] =
-          sharing ? econ::SharingCost(sharing_price, cases.p2, q, peer) : 0.0;
-    }
-    for (std::size_t ih = 0; ih < nh; ++ih) {
-      const double edge_rate = edge_rate_of_[ih];
-      for (std::size_t iq = 0; iq < nq; ++iq) {
-        const std::size_t node = ih * nq + iq;
-        const double q = q_coords_[iq];
-        const double served_own = std::max(content_size - q, 0.0);
-        const double per_request =
-            ws.p1[iq] * served_own / edge_rate +
-            ws.p2[iq] * served_peer / edge_rate +
-            ws.p3[iq] * (std::max(q, 0.0) / ondemand_rate +
-                         content_size / edge_rate);
-        ws.rest_delay[node] = num_requests * per_request;
-      }
-    }
-
-    for (std::size_t sub = 0; sub < substeps; ++sub) {
-      std::vector<double>& v = ws.v;
-      // Central q-gradient -> optimal control -> q-drift.
-      for (std::size_t ih = 0; ih < nh; ++ih) {
-        for (std::size_t iq = 0; iq < nq; ++iq) {
-          const std::size_t node = ih * nq + iq;
-          double dq;
-          if (iq == 0) {
-            dq = (v[node + 1] - v[node]) / dxq;
-          } else if (iq + 1 == nq) {
-            dq = (v[node] - v[node - 1]) / dxq;
-          } else {
-            dq = (v[node + 1] - v[node - 1]) / (2.0 * dxq);
-          }
-          const double x = OptimalRate(dq, avail_q_[iq]);
-          ws.x_star[node] = x;
-          // Same expression as MfgParams::CacheDriftAt with the scalar
-          // retention/discard terms hoisted.
-          const double x_eff = avail_q_[iq] * x;
-          ws.drift_q[node] =
-              content_size * (neg_w1 * x_eff - retention + discard);
-        }
-      }
-
-      std::copy(ws.v.begin(), ws.v.end(), ws.v_new.begin());
-      for (std::size_t ih = 0; ih < nh; ++ih) {
-        for (std::size_t iq = 0; iq < nq; ++iq) {
-          const std::size_t node = ih * nq + iq;
-          // Upwind q-derivative: backward-time transport velocity is
-          // -drift, so difference on the side the velocity points from.
-          double dvq_up;
-          if (-ws.drift_q[node] > 0.0) {
-            dvq_up = (iq == 0) ? (v[node + 1] - v[node]) / dxq
-                               : (v[node] - v[node - 1]) / dxq;
-          } else {
-            dvq_up = (iq + 1 == nq) ? (v[node] - v[node - 1]) / dxq
-                                    : (v[node + 1] - v[node]) / dxq;
-          }
-          // Upwind h-derivative, same convention.
-          double dvh_up;
-          if (-drift_h_[ih] > 0.0) {
-            dvh_up = (ih == 0) ? (v[node + nq] - v[node]) / dxh
-                               : (v[node] - v[node - nq]) / dxh;
-          } else {
-            dvh_up = (ih + 1 == nh) ? (v[node] - v[node - nq]) / dxh
-                                    : (v[node + nq] - v[node]) / dxh;
-          }
-          // Central second derivatives; zero-curvature at boundaries.
-          double d2q = 0.0;
-          if (iq > 0 && iq + 1 < nq) {
-            d2q = (v[node + 1] - 2.0 * v[node] + v[node - 1]) / (dxq * dxq);
-          } else if (nq >= 3) {
-            const std::size_t inner =
-                (iq == 0) ? node + 1 : node - 1;
-            d2q = (v[inner + 1] - 2.0 * v[inner] + v[inner - 1]) /
-                  (dxq * dxq);
-          }
-          double d2h = 0.0;
-          if (ih > 0 && ih + 1 < nh) {
-            d2h = (v[node + nq] - 2.0 * v[node] + v[node - nq]) /
-                  (dxh * dxh);
-          } else if (nh >= 3) {
-            const std::size_t inner =
-                (ih == 0) ? node + nq : node - nq;
-            d2h = (v[inner + nq] - 2.0 * v[inner] + v[inner - nq]) /
-                  (dxh * dxh);
-          }
-
-          // U(t, x*, h, q, λ) assembled from the folded tables; identical
-          // arithmetic to econ::EvaluateUtility.
-          const double x = ws.x_star[node];
-          double delay = content_size * x * avail_q_[iq] / cloud_rate;
-          delay += ws.rest_delay[node];
-          const double staleness = eta2 * delay;
-          const double placement = w4 * x + w5 * x * x;
-          const double utility = ws.trading[iq] + share_n - placement -
-                                 staleness - ws.sharing_cost[iq];
-          const double hamiltonian =
-              ws.drift_q[node] * dvq_up + diffusion_q * d2q +
-              drift_h_[ih] * dvh_up + diffusion_h * d2h + utility;
-          ws.v_new[node] += dt_sub * hamiltonian;
-        }
-      }
-      ws.v.swap(ws.v_new);
-      if (!common::AllFinite(std::span<const double>(ws.v))) {
-        return common::Status::NumericalError(
-            "2-D HJB value diverged at time node " + std::to_string(n));
-      }
-    }
-    std::copy(ws.v.begin(), ws.v.end(), solution.value[n].begin());
-    fill_policy(ws.v, solution.policy[n]);
-  }
-  return common::Status::Ok();
+  ws.alive.assign(nh, 1);
+  fields.coupled = &channel_;
+  batch_.SweepInto(ws.mean_field, fields, ws.alive, ws.batch);
+  return ws.alive[0] != 0 ? common::Status::Ok() : ws.batch.status[0];
 }
 
 }  // namespace mfg::core

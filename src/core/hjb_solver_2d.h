@@ -1,11 +1,15 @@
 #ifndef MFGCP_CORE_HJB_SOLVER_2D_H_
 #define MFGCP_CORE_HJB_SOLVER_2D_H_
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
+#include "core/hjb_batch.h"
 #include "core/mean_field_estimator.h"
 #include "core/mfg_params.h"
+#include "numerics/batch_field.h"
 #include "numerics/grid.h"
 #include "numerics/time_field.h"
 
@@ -25,11 +29,12 @@
 // The 1-D solver (hjb_solver.h) is this equation with h frozen at υ_h;
 // the 2-D/1-D consistency is covered by tests and the ablation bench.
 //
-// Like the 1-D solver, the time stepping runs raw-double kernels on flat
-// row-major fields: everything the control does not touch (case
-// probabilities, trading income, the request-service delay, the sharing
-// cost) is folded per output time node, and SolveInto reuses a caller
-// Workspace so the steady state allocates nothing.
+// It runs on the 1-D batch solver: h-node ih is lane ih of an
+// HjbBatchSolver bound with ChannelLaneParams(params, h_ih), so the q-terms
+// are the fused 1-D substep, and the h-terms are the sweep's coupled mode
+// (HjbBatchSolver::Fields::coupled) on the channel axis MakeChannelAxis
+// builds. Its fields are [time][q][h] BatchFields, transposed to the
+// public [time][h·q] layout once per SolveInto.
 
 namespace mfg::core {
 
@@ -50,15 +55,31 @@ struct Hjb2DSolution {
   std::vector<double> PolicyAtH(std::size_t n, double h_fix) const;
 };
 
+// The params lane ih of a 2-D solver binds: `params` at the downlink rate
+// max(EdgeRateAt(h), 1e-3), with the scalar popularity, timeliness and
+// request rate (the 2-D model has no workload profiles) and the explicit
+// FPK scheme.
+MfgParams ChannelLaneParams(const MfgParams& params, double h);
+
+// The channel axis of the 2-D model as coupled lanes: the OU drift
+// ½ ς_h (υ_h − h) and diffusion ½ ϱ_h² on the h grid, and the explicit
+// substep count every lane shares, from the combined q + h CFL bound.
+numerics::LaneAxis MakeChannelAxis(const MfgParams& params,
+                                   const numerics::Grid1D& h_grid,
+                                   const numerics::Grid1D& q_grid);
+
+// Transposes (nt + 1) rows of a [time][q][h] field into [time][h·q].
+void TransposeToHq(const numerics::BatchField& field, std::size_t nq,
+                   numerics::TimeField2D& out);
+
 class HjbSolver2D {
  public:
-  // Scratch buffers reused across Solve calls (sized on first use).
+  // Scratch reused across Solve calls (sized on first use).
   struct Workspace {
-    std::vector<double> v, v_new;                 // nh*nq value buffers.
-    std::vector<double> x_star, drift_q;          // nh*nq per-substep.
-    std::vector<double> rest_delay;               // nh*nq per-time-node.
-    std::vector<double> p1, p2, p3;               // nq folded cases.
-    std::vector<double> trading, sharing_cost;    // nq per-time-node.
+    HjbBatchSolver::Workspace batch;
+    std::vector<MeanFieldQuantities> mean_field;  // [time][h lane].
+    std::vector<std::uint8_t> alive;
+    numerics::BatchField value, policy;  // SolveInto's [time][q][h] output.
   };
 
   static common::StatusOr<HjbSolver2D> Create(const MfgParams& params);
@@ -74,6 +95,13 @@ class HjbSolver2D {
                            Workspace& workspace,
                            Hjb2DSolution& solution) const;
 
+  // The sweep on caller [time][q][h] fields (`fields`, whose `coupled` it
+  // sets): the batch-resident form BestResponseLearner2D relaxes through
+  // (Fields::gamma). Fails with the sweep's error if the surface diverges.
+  common::Status SweepInto(std::span<const MeanFieldQuantities> mean_field,
+                           HjbBatchSolver::Fields fields,
+                           Workspace& workspace) const;
+
   // Running utility at state (h, q) with control x: the 1-D utility with
   // the h-dependent downlink rate.
   common::StatusOr<double> RunningUtility(double x, double h, double q,
@@ -85,23 +113,18 @@ class HjbSolver2D {
  private:
   HjbSolver2D(const MfgParams& params, const numerics::Grid1D& h_grid,
               const numerics::Grid1D& q_grid,
-              const econ::CaseModel& case_model);
-
-  // Theorem 1 maximizer from ∂_q V (same closed form as HjbSolver1D).
-  double OptimalRate(double dq_value, double availability) const;
+              const econ::CaseModel& case_model)
+      : params_(params),
+        h_grid_(h_grid),
+        q_grid_(q_grid),
+        case_model_(case_model) {}
 
   MfgParams params_;
   numerics::Grid1D h_grid_;
   numerics::Grid1D q_grid_;
   econ::CaseModel case_model_;
-  // Hot-loop invariants tabulated per axis at construction.
-  std::vector<double> h_coords_;      // nh.
-  std::vector<double> q_coords_;      // nq.
-  std::vector<double> avail_q_;       // nq: a(q_i).
-  std::vector<double> drift_h_;       // nh: ½ ς_h (υ_h − h).
-  std::vector<double> edge_rate_of_;  // nh: max(EdgeRateAt(h), 1e-3).
-  double opt_k1_ = 0.0;               // (η₂ Q) / H_c.
-  double opt_k2_ = 0.0;               // Q w1.
+  HjbBatchSolver batch_;  // Lane ih is h node ih.
+  numerics::LaneAxis channel_;
 };
 
 }  // namespace mfg::core

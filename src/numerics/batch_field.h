@@ -15,12 +15,28 @@
 //
 // have a unit-stride innermost loop the compiler auto-vectorizes across
 // lanes. Lanes never exchange data inside a kernel, which is what keeps
-// every lane's result independent of the batch width.
+// every lane's result independent of the batch width (LaneAxis below is
+// the one documented exception).
 //
 // Like TimeField2D, Assign() reuses capacity so a warmed workspace stays
 // allocation-free across epochs (the allocs_per_epoch=0 contract).
 
 namespace mfg::numerics {
+
+// The lanes of a batch read as the nodes of a second uniform grid axis —
+// the one exception to lane independence. The HJB/FPK batch sweeps take
+// one in coupled mode (the 2-D (h, q) solvers, whose lane l is channel
+// node h_l; the epoch planner never passes one): every lane then steps
+// with the shared `substeps` and `dt_sub`, and once per substep a
+// cross-lane pass adds the axis's advection (drift[l] per lane) and
+// diffusion terms. Needs at least three lanes.
+struct LaneAxis {
+  std::vector<double> drift;  // Advection speed at each lane's node.
+  double diffusion = 0.0;     // Diffusion coefficient along the axis.
+  double dx = 0.0;            // Node spacing.
+  std::size_t substeps = 1;   // Explicit substeps per output step.
+  double dt_sub = 0.0;        // Their length.
+};
 
 class BatchField {
  public:

@@ -1,8 +1,5 @@
 #include "numerics/field2d.h"
 
-#include <algorithm>
-#include <cmath>
-
 namespace mfg::numerics {
 namespace {
 
@@ -43,13 +40,12 @@ common::StatusOr<double> Trapezoid2D(const Grid2D& grid,
   return Trapezoid2D(grid, std::span<const double>(field));
 }
 
-common::Status MarginalizeAxis0Into(const Grid2D& grid,
-                                    std::span<const double> field,
-                                    std::vector<double>& out) {
+common::StatusOr<std::vector<double>> MarginalizeAxis0(
+    const Grid2D& grid, std::span<const double> field) {
   MFG_RETURN_IF_ERROR(ValidateField(grid, field));
   const std::size_t n0 = grid.axis0().size();
   const std::size_t n1 = grid.axis1().size();
-  out.assign(n1, 0.0);
+  std::vector<double> out(n1, 0.0);
   for (std::size_t j = 0; j < n1; ++j) {
     double acc = 0.0;
     for (std::size_t i = 0; i < n0; ++i) {
@@ -57,19 +53,7 @@ common::Status MarginalizeAxis0Into(const Grid2D& grid,
     }
     out[j] = acc * grid.axis0().dx();
   }
-  return common::Status::Ok();
-}
-
-common::StatusOr<std::vector<double>> MarginalizeAxis0(
-    const Grid2D& grid, std::span<const double> field) {
-  std::vector<double> out;
-  MFG_RETURN_IF_ERROR(MarginalizeAxis0Into(grid, field, out));
   return out;
-}
-
-common::StatusOr<std::vector<double>> MarginalizeAxis0(
-    const Grid2D& grid, const std::vector<double>& field) {
-  return MarginalizeAxis0(grid, std::span<const double>(field));
 }
 
 common::StatusOr<std::vector<double>> MarginalizeAxis1(
@@ -88,11 +72,6 @@ common::StatusOr<std::vector<double>> MarginalizeAxis1(
   return out;
 }
 
-common::StatusOr<std::vector<double>> MarginalizeAxis1(
-    const Grid2D& grid, const std::vector<double>& field) {
-  return MarginalizeAxis1(grid, std::span<const double>(field));
-}
-
 common::Status ClipAndNormalize2D(const Grid2D& grid,
                                   std::span<double> field) {
   MFG_RETURN_IF_ERROR(ValidateField(grid, field));
@@ -106,11 +85,6 @@ common::Status ClipAndNormalize2D(const Grid2D& grid,
   }
   for (double& v : field) v /= mass;
   return common::Status::Ok();
-}
-
-common::Status ClipAndNormalize2D(const Grid2D& grid,
-                                  std::vector<double>& field) {
-  return ClipAndNormalize2D(grid, std::span<double>(field));
 }
 
 common::StatusOr<std::vector<double>> OuterProduct(
@@ -127,23 +101,6 @@ common::StatusOr<std::vector<double>> OuterProduct(
     }
   }
   return out;
-}
-
-common::StatusOr<double> MaxAbsDiff2D(std::span<const double> a,
-                                      std::span<const double> b) {
-  if (a.size() != b.size()) {
-    return common::Status::InvalidArgument("field size mismatch");
-  }
-  double max_diff = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    max_diff = std::max(max_diff, std::fabs(a[i] - b[i]));
-  }
-  return max_diff;
-}
-
-common::StatusOr<double> MaxAbsDiff2D(const std::vector<double>& a,
-                                      const std::vector<double>& b) {
-  return MaxAbsDiff2D(std::span<const double>(a), std::span<const double>(b));
 }
 
 }  // namespace mfg::numerics

@@ -12,8 +12,8 @@
 // the channel coordinate h, axis 1 the cache coordinate q, matching
 // core/hjb_solver_2d.h.
 //
-// Span overloads accept rows of flat TimeField2D trajectories without
-// copying; the vector overloads remain for brace-initialized call sites.
+// Span arguments accept rows of flat TimeField2D trajectories and vectors
+// alike; Trapezoid2D keeps a vector overload for brace-initialized calls.
 
 namespace mfg::numerics {
 
@@ -23,39 +23,22 @@ common::StatusOr<double> Trapezoid2D(const Grid2D& grid,
 common::StatusOr<double> Trapezoid2D(const Grid2D& grid,
                                      const std::vector<double>& field);
 
-// Marginalizes axis 0 away: out[j] = ∫ f(x0, x1_j) dx0 (trapezoid). The
-// Into variant writes into a caller-provided buffer (resized to axis1) so
-// steady-state callers do not allocate.
-common::Status MarginalizeAxis0Into(const Grid2D& grid,
-                                    std::span<const double> field,
-                                    std::vector<double>& out);
+// Marginalizes axis 0 away: out[j] = ∫ f(x0, x1_j) dx0 (trapezoid).
 common::StatusOr<std::vector<double>> MarginalizeAxis0(
     const Grid2D& grid, std::span<const double> field);
-common::StatusOr<std::vector<double>> MarginalizeAxis0(
-    const Grid2D& grid, const std::vector<double>& field);
 
 // Marginalizes axis 1 away: out[i] = ∫ f(x0_i, x1) dx1 (trapezoid).
 common::StatusOr<std::vector<double>> MarginalizeAxis1(
     const Grid2D& grid, std::span<const double> field);
-common::StatusOr<std::vector<double>> MarginalizeAxis1(
-    const Grid2D& grid, const std::vector<double>& field);
 
 // Clips negatives to zero and rescales so Trapezoid2D == 1. Fails when
 // the total mass is ~0.
 common::Status ClipAndNormalize2D(const Grid2D& grid, std::span<double> field);
-common::Status ClipAndNormalize2D(const Grid2D& grid,
-                                  std::vector<double>& field);
 
 // Product density f(x0, x1) = g0(x0) · g1(x1) from per-axis samples.
 common::StatusOr<std::vector<double>> OuterProduct(
     const Grid2D& grid, const std::vector<double>& axis0_values,
     const std::vector<double>& axis1_values);
-
-// Max |a - b| over two equal-size fields.
-common::StatusOr<double> MaxAbsDiff2D(std::span<const double> a,
-                                      std::span<const double> b);
-common::StatusOr<double> MaxAbsDiff2D(const std::vector<double>& a,
-                                      const std::vector<double>& b);
 
 }  // namespace mfg::numerics
 

@@ -64,8 +64,4 @@ std::size_t Grid2D::Index(std::size_t i, std::size_t j) const {
   return i * axis1_.size() + j;
 }
 
-std::vector<double> Grid2D::MakeField(double fill) const {
-  return std::vector<double>(size(), fill);
-}
-
 }  // namespace mfg::numerics

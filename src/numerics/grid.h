@@ -69,9 +69,6 @@ class Grid2D {
   // Flat row-major index of node (i, j).
   std::size_t Index(std::size_t i, std::size_t j) const;
 
-  // Allocates a zero-initialized field over the grid.
-  std::vector<double> MakeField(double fill = 0.0) const;
-
  private:
   Grid2D(const Grid1D& axis0, const Grid1D& axis1)
       : axis0_(axis0), axis1_(axis1) {}

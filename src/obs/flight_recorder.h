@@ -36,8 +36,8 @@
 // scheduling-scope exception (block shapes depend on the worker count);
 // CollectInto excludes it from per-content drains.
 //
-// Mirroring MFG_OBS_*: with -DMFGCP_OBS=OFF all MFG_FLIGHT_* macros expand
-// to (void)0 / empty RAII shells, while the journal class itself stays
+// Mirroring MFG_OBS_*: with -DMFGCP_OBS=OFF all MFG_FLIGHT_* macros reduce
+// to unevaluated (void)sizeof(arg), while the journal class itself stays
 // compiled and linkable for explicit callers.
 
 #ifndef MFGCP_OBS_ENABLED
@@ -224,11 +224,18 @@ class FlightScope {
 
 #else  // !MFGCP_OBS_ENABLED
 
-#define MFG_FLIGHT_SCOPE(epoch, attempt) (void)0
-#define MFG_FLIGHT_EVENT(type, detail, content, iter, v0, v1) (void)0
+// Arguments go under sizeof, unevaluated, as in obs.h; `type` is a bare
+// enumerator name and is dropped.
+#define MFG_FLIGHT_SCOPE(epoch, attempt) \
+  (void)sizeof(epoch), (void)sizeof(attempt)
+#define MFG_FLIGHT_EVENT(type, detail, content, iter, v0, v1)     \
+  (void)sizeof(detail), (void)sizeof(content), (void)sizeof(iter), \
+      (void)sizeof(v0), (void)sizeof(v1)
 #define MFG_FLIGHT_EVENT_AT(type, detail, epoch, content, attempt, iter, \
                             v0, v1)                                      \
-  (void)0
+  (void)sizeof(detail), (void)sizeof(epoch), (void)sizeof(content),     \
+      (void)sizeof(attempt), (void)sizeof(iter), (void)sizeof(v0),       \
+      (void)sizeof(v1)
 
 #endif  // MFGCP_OBS_ENABLED
 

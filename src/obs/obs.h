@@ -5,7 +5,7 @@
 // these macros so a single compile-time switch strips every probe:
 //
 //   cmake -DMFGCP_OBS=OFF   ->  MFGCP_OBS_ENABLED == 0  ->  all macros
-//                               expand to (void)0 / empty RAII shells.
+//                               reduce to unevaluated (void)sizeof(arg).
 //
 // With observability ON (the default), the macros cache the registry
 // handle in a function-local static, so the steady-state cost per hit is
@@ -97,14 +97,19 @@
 
 #else  // !MFGCP_OBS_ENABLED
 
-#define MFG_OBS_COUNT(name, delta) (void)0
-#define MFG_OBS_GAUGE_SET(name, value) (void)0
-#define MFG_OBS_OBSERVE(name, value) (void)0
-#define MFG_OBS_OBSERVE_COUNTS(name, value) (void)0
-#define MFG_OBS_SCOPED_TIMER(name) (void)0
-#define MFG_OBS_SCOPED_LANE_TIMER(name, lanes) (void)(lanes)
-#define MFG_OBS_SPAN(name) (void)0
-#define MFG_OBS_SPAN_ID(name, id) (void)0
+// Every argument goes under sizeof: unevaluated, so nothing runs and no
+// symbol is referenced, but a local that only feeds telemetry still counts
+// as used and the build stays -Werror clean.
+#define MFG_OBS_COUNT(name, delta) (void)sizeof(name), (void)sizeof(delta)
+#define MFG_OBS_GAUGE_SET(name, value) (void)sizeof(name), (void)sizeof(value)
+#define MFG_OBS_OBSERVE(name, value) (void)sizeof(name), (void)sizeof(value)
+#define MFG_OBS_OBSERVE_COUNTS(name, value) \
+  (void)sizeof(name), (void)sizeof(value)
+#define MFG_OBS_SCOPED_TIMER(name) (void)sizeof(name)
+#define MFG_OBS_SCOPED_LANE_TIMER(name, lanes) \
+  (void)sizeof(name), (void)sizeof(lanes)
+#define MFG_OBS_SPAN(name) (void)sizeof(name)
+#define MFG_OBS_SPAN_ID(name, id) (void)sizeof(name), (void)sizeof(id)
 
 #endif  // MFGCP_OBS_ENABLED
 

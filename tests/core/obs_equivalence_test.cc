@@ -1,7 +1,7 @@
 // Observability must be read-only: recording metrics and trace spans
 // cannot perturb solver arithmetic. The compile-time half of that guard is
 // the MFGCP_OBS=OFF CI job, which rebuilds with every MFG_OBS_* macro
-// expanded to (void)0 and reruns the golden tests
+// reduced to unevaluated sizeof operands and reruns the golden tests
 // (solver_equivalence_test). This file covers the runtime half: the same
 // binary must produce bit-identical equilibria with the trace session
 // active and inactive, and the exported convergence trace must be
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/best_response.h"
+#include "core/best_response_2d.h"
 #include "core/mfg_cp.h"
 #include "epoch_test_util.h"
 #include "obs/obs.h"
@@ -156,6 +157,46 @@ TEST(ObsEquivalenceTest, SolverTimerCountsMatchTheirCounters) {
           << kPairs[i].histogram;
     }
   }
+#endif
+}
+
+TEST(ObsEquivalenceTest, TwoDimensionalSweepsCountOnlyAsTwoD) {
+#if !MFGCP_OBS_ENABLED
+  GTEST_SKIP() << "instrumentation compiled out (MFGCP_OBS=OFF)";
+#else
+  // The 2-D solvers sweep as h-lanes of the batch solvers. A coupled sweep
+  // is one 2-D sweep, not num_h_nodes content lane-sweeps: it records under
+  // core.hjb_2d.* / core.fpk_2d.* and leaves the 1-D instruments alone.
+  MfgParams params = SmallParams();
+  params.grid.num_h_nodes = 9;
+  obs::Registry& registry = obs::Registry::Global();
+  auto counter = [&](const char* name) {
+    return registry.GetCounter(name).Value();
+  };
+  auto timed = [&](const char* name) {
+    return registry.GetHistogram(name).Count();
+  };
+  const std::uint64_t hjb = counter("core.hjb.sweeps");
+  const std::uint64_t fpk = counter("core.fpk.sweeps");
+  const std::uint64_t hjb_timed = timed("core.hjb.sweep_seconds");
+  const std::uint64_t fpk_timed = timed("core.fpk.sweep_seconds");
+  const std::uint64_t hjb_2d = counter("core.hjb_2d.sweeps");
+  const std::uint64_t fpk_2d = counter("core.fpk_2d.sweeps");
+  const std::uint64_t hjb_2d_timed = timed("core.hjb_2d.sweep_seconds");
+  const std::uint64_t fpk_2d_timed = timed("core.fpk_2d.sweep_seconds");
+  auto eq = BestResponseLearner2D::Create(params).value().Solve();
+  ASSERT_TRUE(eq.ok()) << eq.status();
+  EXPECT_EQ(counter("core.hjb.sweeps"), hjb);
+  EXPECT_EQ(counter("core.fpk.sweeps"), fpk);
+  EXPECT_EQ(timed("core.hjb.sweep_seconds"), hjb_timed);
+  EXPECT_EQ(timed("core.fpk.sweep_seconds"), fpk_timed);
+  // One HJB sweep per iteration; one FPK sweep before the first and one
+  // after each iteration that did not converge.
+  const std::uint64_t fpk_sweeps = eq->iterations + (eq->converged ? 0 : 1);
+  EXPECT_EQ(counter("core.hjb_2d.sweeps"), hjb_2d + eq->iterations);
+  EXPECT_EQ(timed("core.hjb_2d.sweep_seconds"), hjb_2d_timed + eq->iterations);
+  EXPECT_EQ(counter("core.fpk_2d.sweeps"), fpk_2d + fpk_sweeps);
+  EXPECT_EQ(timed("core.fpk_2d.sweep_seconds"), fpk_2d_timed + fpk_sweeps);
 #endif
 }
 

@@ -36,6 +36,20 @@
 //      policy ramp in q and t (rows t0, mid and nt − 1, the last one step
 //      from the terminal row, where a control read from the wrong time
 //      node shows first)
+//
+// Scenario P was dumped the same way from HjbSolver2D, FpkSolver2D and
+// BestResponseLearner2D immediately before their hand-written (h, q)
+// stencils became h-lanes of the batch sweeps' coupled mode; the coupled
+// scheme matches the unsplit explicit one up to summation order:
+//   P  41 q × 15 h × 60 steps at the default channel and at a wide one
+//      (ϱ_h = 0.5, ς_h = 2): HJB value and policy at rows t0, mid and
+//      nt − 1 against the synthetic mean field, the FPK's final density
+//      under a ramp policy in (h, q, t), and the 2-D learner's iteration
+//      count, convergence, last two policy residuals, policy, value,
+//      final density and prices. Probes are (h, q) nodes, ends included.
+//      The value residual history is not pinned: it is a difference of
+//      ~1e3 surfaces, and summation order moves it by up to 4e-13
+//      relative, too close to the 1e-12 bound.
 
 #include <gtest/gtest.h>
 
@@ -45,9 +59,12 @@
 #include <vector>
 
 #include "core/best_response.h"
+#include "core/best_response_2d.h"
 #include "core/equilibrium_metrics.h"
 #include "core/fpk_solver.h"
+#include "core/fpk_solver_2d.h"
 #include "core/hjb_solver.h"
+#include "core/hjb_solver_2d.h"
 #include "core/mean_field_estimator.h"
 #include "numerics/density.h"
 
@@ -216,6 +233,46 @@ constexpr double kO100ValueLast[] = {4.1762086969770325, 1.4824516832730872, -5.
 constexpr double kO60ValueT0[] = {848.855074591635, 755.44978645123717, 558.9196367896601, 260.69727930002171, -102.92696704083787, -494.25483553518154, -889.94698770454625, -1278.831714337935, -1658.4563047648389};
 constexpr double kO60ValueMid[] = {264.14037446975863, 213.00911367968178, 90.425843939225103, -103.28215886037532, -334.94883483062347, -568.28606462276264, -790.08956270475994, -1002.1704898021087, -1209.1595896893541};
 constexpr double kO60ValueLast[] = {2.0960830628083675, -0.060494863295797716, -4.027729945927998, -9.4131145831608514, -14.713823543933616, -19.583399262978492, -24.205620824490232, -28.738440939967454, -33.256119270148716};
+// scenario P: (h, q) probe nodes, flat index h·nq + q on the 41-node q axis.
+constexpr std::size_t kNq2D = 41;
+constexpr std::size_t kProbe2D[9] = {
+    0 * kNq2D + 0,   0 * kNq2D + 40,  14 * kNq2D + 0,
+    14 * kNq2D + 40, 7 * kNq2D + 20,  1 * kNq2D + 1,
+    13 * kNq2D + 39, 3 * kNq2D + 10,  11 * kNq2D + 30};
+// scenario P
+constexpr double kPHjbValueT0[] = {1476.4762440783757, -1787.9728975271221, 1538.510958569633, -1726.9623014085514, 562.5565744443395, 1457.4211825926252, -1591.474971401705, 1207.1420508312456, -436.21565445542626};
+constexpr double kPHjbPolicyT0[] = {0, 1, 0, 1, 1, 0.30304970688081312, 1, 1, 1};
+constexpr double kPHjbValueMid[] = {482.56662777791433, -1767.5037388702738, 527.95766035243946, -1722.8974851795474, -325.12007909099867, 471.18144192842783, -1660.5522892963422, 256.90651572559125, -1059.1795160145264};
+constexpr double kPHjbPolicyMid[] = {0, 1, 0, 1, 1, 0.14094279391500067, 1, 1, 1};
+constexpr double kPHjbValueLast[] = {7.6520218661394228, -70.934296114923313, 10.017008914511889, -68.67819708919734, -30.308218283241338, 7.5343527815248414, -66.866840172692093, -6.1616915859373105, -49.538980589880197};
+constexpr double kPHjbPolicyLast[] = {0, 0, 0, 0, 0, 0, 0, 0, 0};
+constexpr double kPFpkDensityFinal[] = {3.9382787147737491e-06, 2.4605784250021495e-19, 1.141514300736192e-05, 4.4033224917507964e-20, 0.0047399925907703885, 9.36946882347343e-05, 5.2593087460062547e-18, 0.0079665524206036127, 5.1191131055517938e-09};
+constexpr std::size_t kPIterations = 13;
+constexpr bool kPConverged = true;
+constexpr double kPPolicyChange[] = {0.0013999051702940912, 0.00076301313908555546};
+constexpr double kPEqPolicyT0[] = {6.103515625e-05, 0.99993896484375, 6.103515625e-05, 0.99993896484375, 0.99993896484375, 0.36299283277097655, 0.99993896484375, 0.99993896484375, 0.99993896484375};
+constexpr double kPEqPolicyMid[] = {6.103515625e-05, 0.66586103687978593, 6.103515625e-05, 0.66585387384137251, 0.64299607495611921, 0.27040024940408641, 0.66584049028403436, 0.99993896484375, 0.66419902245592155};
+constexpr double kPEqValueT0[] = {2566.9766330191492, -220.18290497505421, 2628.973160559528, -160.41055774535758, 1622.2643252844164, 2545.0095170188347, -80.029935931029144, 2273.9064424091816, 714.13465758806092};
+constexpr double kPEqDensityFinal[] = {6.3453328925167123e-05, 1.1843869448945146e-15, 6.7309982952354252e-05, 1.1844734280367704e-15, 0.010421559484974098, 0.0014291347360241334, 5.0897467470994034e-14, 0.0014660023238566701, 3.6507959650446815e-07};
+constexpr double kPEqPriceT0 = 5.8990755316409444;
+constexpr double kPEqPriceTN = 4.7137016991052159;
+// scenario P (wide channel)
+constexpr double kPWideHjbValueT0[] = {1242.3731331661941, -2016.5038801359224, 1688.2326147389317, -1581.1588620603968, 559.42983248935457, 1263.9531583098965, -1464.0733256131446, 1088.9690791848852, -348.78515671831906};
+constexpr double kPWideHjbPolicyT0[] = {0, 1, 0, 1, 1, 0.28233191700707605, 1, 1, 1};
+constexpr double kPWideHjbValueMid[] = {336.71085061386282, -1910.6648943744592, 616.19384779883194, -1636.3582331007456, -326.03903849533378, 353.34475926193494, -1584.4074787122622, 188.20883817490849, -1006.2004764956332};
+constexpr double kPWideHjbPolicyMid[] = {0, 1, 0, 1, 1, 0.10048597258866319, 1, 1, 1};
+constexpr double kPWideHjbValueLast[] = {1.466264894494671, -76.835249394239739, 13.400606919676466, -65.450386487744424, -30.30909010922506, 2.6356626618717307, -64.002854956124722, -8.8563817727419121, -47.487322747098361};
+constexpr double kPWideHjbPolicyLast[] = {0, 0, 0, 0, 0, 0, 0, 0, 0};
+constexpr double kPWideFpkDensityFinal[] = {1.1252866628520394e-05, 1.1806117908872797e-18, 4.4552350702039637e-05, 1.1097586656265114e-19, 0.00072031524645712317, 0.00015523261532807424, 7.5543500256512824e-18, 0.0050503916765483403, 2.7951979001514003e-09};
+constexpr std::size_t kPWideIterations = 13;
+constexpr bool kPWideConverged = true;
+constexpr double kPWidePolicyChange[] = {0.0014410339382139314, 0.00078329441088353935};
+constexpr double kPWideEqPolicyT0[] = {6.103515625e-05, 0.99993896484375, 6.103515625e-05, 0.99993896484375, 0.99993896484375, 0.34690820136426515, 0.99993896484375, 0.99993896484375, 0.99993896484375};
+constexpr double kPWideEqPolicyMid[] = {6.103515625e-05, 0.66634169970218904, 6.103515625e-05, 0.66629614580892138, 0.64362390557631333, 0.24339349929398213, 0.6662816821533103, 0.99993896484375, 0.66438433153126053};
+constexpr double kPWideEqValueT0[] = {2333.0723481185983, -443.39887853636708, 2778.6149634945182, -18.390452794394442, 1619.1609505897288, 2351.477617420258, 44.138443353009556, 2155.3239663904365, 800.19542360488299};
+constexpr double kPWideEqDensityFinal[] = {0.0001725220826677005, 4.0244816776728067e-15, 0.0002611635002304253, 4.0269842219256401e-15, 0.0015731376646306592, 0.0024284150517586713, 9.5184246700827585e-14, 0.0010058372698145586, 2.27833286108753e-07};
+constexpr double kPWideEqPriceT0 = 5.8990755316409444;
+constexpr double kPWideEqPriceTN = 4.7138187098494848;
 // Relative 1e-12 comparison: densities reach ~1e-49 in the tails and
 // values reach ~2.5e3, so a fixed absolute tolerance fits neither end.
 void ExpectGolden(double actual, double expected, const char* what,
@@ -497,6 +554,115 @@ void CheckPolicyValue(double content_size, const double (&value_t0)[9],
 TEST(SolverEquivalenceTest, PolicyValueRampPolicy) {
   CheckPolicyValue(100.0, kO100ValueT0, kO100ValueMid, kO100ValueLast);
   CheckPolicyValue(60.0, kO60ValueT0, kO60ValueMid, kO60ValueLast);
+}
+
+MfgParams TwoDParams(bool wide_channel) {
+  MfgParams params = DefaultPaperParams();
+  params.grid.num_q_nodes = kNq2D;
+  params.grid.num_h_nodes = 15;
+  params.grid.num_time_steps = 60;
+  params.learning.max_iterations = 25;
+  if (wide_channel) {
+    params.channel.rho = 0.5;
+    params.channel.varsigma = 2.0;
+  }
+  return params;
+}
+
+struct TwoDGolden {
+  const double (&hjb_value_t0)[9];
+  const double (&hjb_policy_t0)[9];
+  const double (&hjb_value_mid)[9];
+  const double (&hjb_policy_mid)[9];
+  const double (&hjb_value_last)[9];
+  const double (&hjb_policy_last)[9];
+  const double (&fpk_density_final)[9];
+  std::size_t iterations;
+  bool converged;
+  const double (&policy_change)[2];
+  const double (&eq_policy_t0)[9];
+  const double (&eq_policy_mid)[9];
+  const double (&eq_value_t0)[9];
+  const double (&eq_density_final)[9];
+  double eq_price_t0;
+  double eq_price_tn;
+};
+
+void CheckTwoD(bool wide_channel, const TwoDGolden& golden) {
+  const MfgParams params = TwoDParams(wide_channel);
+  const std::size_t nt = params.grid.num_time_steps;
+
+  auto hjb = HjbSolver2D::Create(params).value();
+  const auto solution = hjb.Solve(SyntheticMeanField(nt)).value();
+  ExpectRow(solution.value[0], golden.hjb_value_t0, kProbe2D, "P value t0");
+  ExpectRow(solution.policy[0], golden.hjb_policy_t0, kProbe2D,
+            "P policy t0");
+  ExpectRow(solution.value[nt / 2], golden.hjb_value_mid, kProbe2D,
+            "P value mid");
+  ExpectRow(solution.policy[nt / 2], golden.hjb_policy_mid, kProbe2D,
+            "P policy mid");
+  ExpectRow(solution.value[nt - 1], golden.hjb_value_last, kProbe2D,
+            "P value last");
+  ExpectRow(solution.policy[nt - 1], golden.hjb_policy_last, kProbe2D,
+            "P policy last");
+
+  auto fpk = FpkSolver2D::Create(params).value();
+  const std::size_t nh = fpk.h_grid().size();
+  const std::size_t nq = fpk.q_grid().size();
+  numerics::TimeField2D policy(nt + 1, nh * nq);
+  for (std::size_t n = 0; n <= nt; ++n) {
+    for (std::size_t ih = 0; ih < nh; ++ih) {
+      for (std::size_t iq = 0; iq < nq; ++iq) {
+        policy[n][ih * nq + iq] =
+            0.2 +
+            0.5 * static_cast<double>(iq) / static_cast<double>(nq - 1) +
+            0.1 * static_cast<double>(ih) / static_cast<double>(nh - 1) +
+            0.1 * static_cast<double>(n) / static_cast<double>(nt);
+      }
+    }
+  }
+  const auto density =
+      fpk.Solve(fpk.MakeInitialDensity().value(), policy).value();
+  ExpectRow(density.densities[nt], golden.fpk_density_final, kProbe2D,
+            "P density final");
+
+  const Equilibrium2D eq =
+      BestResponseLearner2D::Create(params).value().Solve().value();
+  EXPECT_EQ(eq.iterations, golden.iterations);
+  EXPECT_EQ(eq.converged, golden.converged);
+  const std::size_t k = eq.policy_change_history.size();
+  ASSERT_GE(k, 2u);
+  ExpectGolden(eq.policy_change_history[k - 2], golden.policy_change[0],
+               "P policy change", 0);
+  ExpectGolden(eq.policy_change_history[k - 1], golden.policy_change[1],
+               "P policy change", 1);
+  ExpectRow(eq.hjb.policy[0], golden.eq_policy_t0, kProbe2D,
+            "P eq policy t0");
+  ExpectRow(eq.hjb.policy[nt / 2], golden.eq_policy_mid, kProbe2D,
+            "P eq policy mid");
+  ExpectRow(eq.hjb.value[0], golden.eq_value_t0, kProbe2D, "P eq value t0");
+  ExpectRow(eq.fpk.densities[nt], golden.eq_density_final, kProbe2D,
+            "P eq density final");
+  ExpectGolden(eq.mean_field[0].price, golden.eq_price_t0, "P price t0", 0);
+  ExpectGolden(eq.mean_field[nt].price, golden.eq_price_tn, "P price tN", 0);
+}
+
+TEST(SolverEquivalenceTest, TwoDimensionalDefaultChannel) {
+  CheckTwoD(false, {kPHjbValueT0, kPHjbPolicyT0, kPHjbValueMid,
+                    kPHjbPolicyMid, kPHjbValueLast, kPHjbPolicyLast,
+                    kPFpkDensityFinal, kPIterations, kPConverged,
+                    kPPolicyChange, kPEqPolicyT0, kPEqPolicyMid,
+                    kPEqValueT0, kPEqDensityFinal, kPEqPriceT0,
+                    kPEqPriceTN});
+}
+
+TEST(SolverEquivalenceTest, TwoDimensionalWideChannel) {
+  CheckTwoD(true, {kPWideHjbValueT0, kPWideHjbPolicyT0, kPWideHjbValueMid,
+                   kPWideHjbPolicyMid, kPWideHjbValueLast,
+                   kPWideHjbPolicyLast, kPWideFpkDensityFinal,
+                   kPWideIterations, kPWideConverged, kPWidePolicyChange,
+                   kPWideEqPolicyT0, kPWideEqPolicyMid, kPWideEqValueT0,
+                   kPWideEqDensityFinal, kPWideEqPriceT0, kPWideEqPriceTN});
 }
 
 TEST(SolverEquivalenceTest, MeanFieldEstimatorSyntheticDensity) {

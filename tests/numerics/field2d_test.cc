@@ -98,10 +98,5 @@ TEST(OuterProductTest, Validation) {
       OuterProduct(grid, {1.0, 2.0, 3.0}, {1.0, 1.0, 1.0, 1.0}).ok());
 }
 
-TEST(MaxAbsDiff2DTest, Basic) {
-  EXPECT_DOUBLE_EQ(MaxAbsDiff2D({1.0, 2.0}, {1.5, 1.0}).value(), 1.0);
-  EXPECT_FALSE(MaxAbsDiff2D({1.0}, {1.0, 2.0}).ok());
-}
-
 }  // namespace
 }  // namespace mfg::numerics

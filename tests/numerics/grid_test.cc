@@ -75,13 +75,5 @@ TEST(Grid2DTest, IndexingIsRowMajor) {
   EXPECT_EQ(grid.Index(2, 3), 11u);
 }
 
-TEST(Grid2DTest, MakeField) {
-  auto axis = Grid1D::Create(0.0, 1.0, 3).value();
-  auto grid = Grid2D::Create(axis, axis).value();
-  auto field = grid.MakeField(2.5);
-  ASSERT_EQ(field.size(), 9u);
-  EXPECT_DOUBLE_EQ(field[4], 2.5);
-}
-
 }  // namespace
 }  // namespace mfg::numerics
