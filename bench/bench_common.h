@@ -351,12 +351,20 @@ inline int RunWithArgs(int argc, const char* const* argv,
 }
 
 // main() of the google-benchmark binaries: BENCHMARK_MAIN() plus this
-// build's CMAKE_BUILD_TYPE as `mfgcp_build_type` in the JSON context.
-// scripts/compare_bench.py reads that key; the context's own
-// `library_build_type` is the build type of the Google Benchmark library.
+// build's provenance (common::BuildInfo, the fields the admin /metrics
+// endpoint exposes as mfgcp_build_info) in the JSON context.
+// scripts/compare_bench.py prints these keys; the context's own
+// `library_build_type` is the build type of the Google Benchmark library,
+// not of mfgcp (that is `mfgcp_build_type`).
 inline int GoogleBenchmarkMain(int argc, char** argv) {
-  benchmark::AddCustomContext("mfgcp_build_type",
-                              common::GetBuildInfo().build_type);
+  const common::BuildInfo& build = common::GetBuildInfo();
+  const auto on_off = [](bool on) { return on ? "on" : "off"; };
+  benchmark::AddCustomContext("mfgcp_build_type", build.build_type);
+  benchmark::AddCustomContext("git_describe", build.git_describe);
+  benchmark::AddCustomContext("compiler", build.compiler);
+  benchmark::AddCustomContext("mfgcp_obs", on_off(build.obs_enabled));
+  benchmark::AddCustomContext("mfgcp_faults", on_off(build.faults_enabled));
+  benchmark::AddCustomContext("mfgcp_simd", on_off(build.simd_enabled));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

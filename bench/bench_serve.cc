@@ -1,12 +1,10 @@
 // Online serving runtime soak (EXPERIMENTS.md "Serving soak"): drives
 // serve::ServeLoop over a generated request stream — sim-time decoupled
 // from wall clock by the timescale knob — and prints the serving
-// headline metrics. With bench_json= it hand-writes a Google-Benchmark
-// compatible JSON export so scripts/compare_bench.py can gate the run
-// against the checked-in BENCH_serve.json baseline, including the
-// allocs_per_tick=0 steady-state contract (this binary links
+// headline metrics, among them allocs_per_tick (this binary links
 // mfgcp_obs_alloc_hooks, so the counter measures real operator-new
-// calls).
+// calls; tests/serve/serve_alloc_test.cc holds the steady-state
+// allocs_per_tick=0 contract).
 //
 // Keys (on top of the shared observability keys of bench_common.h):
 //   requests=<n>         stream length (default 200000)
@@ -26,7 +24,6 @@
 //   plan_delay_ms=<ms>   synthetic planner sleep per round (default 0)
 //   serve_jsonl=<path>   per-epoch JSONL rows + summary line
 //                        (scripts/check_serve.py validates the file)
-//   bench_json=<path>    Google-Benchmark JSON for compare_bench.py
 //   fault_rate=<p> fault_seed=<s>   arm a seeded fault plan over every
 //                        injectable site — the solver ladder plus the
 //                        serving seams kReplan and kPlanDeadline (inert
@@ -34,13 +31,10 @@
 //                        failed_epochs stays 0 regardless.
 
 #include <cstdio>
-#include <fstream>
-#include <iomanip>
 #include <optional>
 #include <string>
 
 #include "bench_common.h"
-#include "common/build_info.h"
 #include "common/table.h"
 #include "core/fault_injection.h"
 #include "serve/serve_clock.h"
@@ -130,7 +124,6 @@ int Run(int argc, char** argv) {
   }
 #endif  // MFGCP_FAULTS_ENABLED
 
-  const std::string bench_json = config.GetString("bench_json", "");
   // Every key this binary reads has been read: refuse unknown keys before
   // the long run instead of after it.
   if (const int status = bench::UnreadKeysExitStatus(config); status != 0) {
@@ -177,46 +170,6 @@ int Run(int argc, char** argv) {
   std::printf("%s", table.ToString().c_str());
   if (!options.jsonl_path.empty()) {
     std::printf("serve jsonl: %s\n", options.jsonl_path.c_str());
-  }
-
-  if (!bench_json.empty()) {
-    // Google-Benchmark JSON by hand: the run is one wall-clock serve
-    // pass, not an iteration loop, but compare_bench.py only needs
-    // context.mfgcp_build_type, the run name, real_time, and counters.
-    std::ofstream out(bench_json);
-    MFG_CHECK(out.good()) << "cannot write " << bench_json;
-    out << std::setprecision(17);
-    // Build provenance rides the context object (the same fields the
-    // admin /metrics endpoint exposes as mfgcp_build_info), so a checked
-    // -in baseline records which build produced it.
-    const common::BuildInfo& build = common::GetBuildInfo();
-    out << "{\n"
-        << "  \"context\": {\"mfgcp_build_type\": \"" << build.build_type
-        << "\", \"git_describe\": \"" << build.git_describe
-        << "\", \"compiler\": \"" << build.compiler
-        << "\", \"mfgcp_obs\": " << (build.obs_enabled ? "true" : "false")
-        << ", \"mfgcp_faults\": " << (build.faults_enabled ? "true" : "false")
-        << ", \"mfgcp_simd\": " << (build.simd_enabled ? "true" : "false")
-        << "},\n"
-        << "  \"benchmarks\": [\n"
-        << "    {\n"
-        << "      \"name\": \"BM_ServeLoop/" << mode << "\",\n"
-        << "      \"run_type\": \"iteration\",\n"
-        << "      \"iterations\": 1,\n"
-        << "      \"real_time\": " << stats.wall_seconds * 1e3 << ",\n"
-        << "      \"cpu_time\": " << stats.wall_seconds * 1e3 << ",\n"
-        << "      \"time_unit\": \"ms\",\n"
-        << "      \"allocs_per_tick\": " << allocs_per_tick << ",\n"
-        << "      \"hit_ratio\": " << stats.requests.HitRatio() << ",\n"
-        << "      \"publications\": " << stats.publications << ",\n"
-        << "      \"deadline_misses\": " << stats.deadline_misses << ",\n"
-        << "      \"failed_epochs\": " << stats.failed_epochs << ",\n"
-        << "      \"requests_per_second\": " << mreq_per_s * 1e6 << "\n"
-        << "    }\n"
-        << "  ]\n"
-        << "}\n";
-    MFG_CHECK(out.good()) << "write to " << bench_json << " failed";
-    std::printf("bench json: %s\n", bench_json.c_str());
   }
 
   MFG_CHECK(stats.failed_epochs == 0)

@@ -9,12 +9,10 @@ Matches benchmarks by name (the full "BM_Foo/arg" run name), prints a
 per-benchmark real-time delta table, and exits nonzero when any shared
 benchmark is slower than the baseline by more than --threshold percent.
 
-Counters named with --counter (default: the allocation counters
-allocs_per_iter / allocs_per_epoch / max_worker_allocs /
-solver_allocs_per_epoch / allocs_per_replay) are compared exactly: any
-increase over the baseline value is a regression regardless of the time
-threshold — these back the zero-allocation contract, where "a little
-worse" is a leak.
+Counters named with --counter (default: allocs_per_iter, the allocation
+counter of BENCH_solvers.json) are compared exactly: any increase over
+the baseline value is a regression regardless of the time threshold —
+it backs the zero-allocation contract, where "a little worse" is a leak.
 
 Benchmarks present on only one side are reported but never fatal unless
 --require-all is given (baselines are allowed to trail the bench set by
@@ -25,14 +23,7 @@ import argparse
 import json
 import sys
 
-DEFAULT_COUNTERS = (
-    "allocs_per_iter",
-    "allocs_per_epoch",
-    "max_worker_allocs",
-    "solver_allocs_per_epoch",
-    "allocs_per_replay",
-    "allocs_per_tick",
-)
+DEFAULT_COUNTERS = ("allocs_per_iter",)
 
 
 def load_runs(path):
@@ -56,12 +47,13 @@ def context(path):
 
 
 def describe_provenance(label, ctx):
-    """One line of build provenance (the fields the benches stamp into
-    context, mirroring the admin exporter's mfgcp_build_info gauge).
-    mfgcp_build_type is this repo's CMAKE_BUILD_TYPE; Google Benchmark's
-    own library_build_type says nothing about it."""
+    """One line of build provenance (the fields bench::GoogleBenchmarkMain
+    stamps into context, mirroring the admin exporter's mfgcp_build_info
+    gauge; the build flags read "on" or "off"). mfgcp_build_type is this
+    repo's CMAKE_BUILD_TYPE; Google Benchmark's own library_build_type
+    says nothing about it."""
     flags = ", ".join(
-        f"{key.removeprefix('mfgcp_')}={'on' if ctx[key] else 'off'}"
+        f"{key.removeprefix('mfgcp_')}={ctx[key]}"
         for key in ("mfgcp_obs", "mfgcp_faults", "mfgcp_simd")
         if key in ctx)
     parts = [ctx.get("mfgcp_build_type", "build type not recorded")]

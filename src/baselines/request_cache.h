@@ -20,8 +20,7 @@
 // hashing): Reset sizes every vector once for a catalog shape, and
 // OnRequest then runs allocation-free at tens of millions of requests per
 // second. The request engine's `allocs_per_replay=0` contract
-// (tests/sim/request_alloc_test.cc, bench_request_replay) covers every
-// policy here.
+// (tests/sim/request_alloc_test.cc) covers every policy here.
 //
 // Determinism: OnRequest has no randomness; every eviction tie is broken
 // toward the smaller content id, so a replay's statistics depend only on

@@ -4,7 +4,8 @@
 // Build provenance baked in at configure time (src/CMakeLists.txt stamps
 // the MFGCP_BUILD_* definitions on mfgcp_common). Surfaced as the
 // `build.info` gauge family on the admin /metrics endpoint
-// (obs/exporter.h) and stamped into BENCH_*.json context so
+// (obs/exporter.h) and stamped into the JSON context of the Google
+// Benchmark binaries (bench::GoogleBenchmarkMain), so
 // scripts/compare_bench.py can tell which build produced a baseline.
 
 namespace mfg::common {

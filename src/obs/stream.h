@@ -25,7 +25,8 @@
 // happens on the streamer's thread. Instrumented solver/pool threads are
 // never paused or slowed beyond their usual wait-free record ops, so the
 // `allocs_per_epoch=0` contract of the warmed epoch pool holds with
-// streaming active (bench_epoch_scaling's streaming variant enforces it).
+// streaming active (EpochAllocTest.Streamed*EpochIsAllocationFree in
+// tests/core/epoch_alloc_test.cc enforces it).
 //
 // Row schema (JSONL, one object per line; see OBSERVABILITY.md
 // "Streaming export" for the full reference):

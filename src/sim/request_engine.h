@@ -21,9 +21,9 @@
 // Hot-path contract (mirrors the *Into solver conventions of ROADMAP.md):
 //   - ReplayInto(Workspace&) reuses caller storage and is allocation-free
 //     once the workspace and the policy have warmed up
-//     (tests/sim/request_alloc_test.cc, bench_request_replay's
-//     allocs_per_replay=0 counter) — including across MFG-CP replans,
-//     which ride PlanEpochInto's own zero-allocation path.
+//     (tests/sim/request_alloc_test.cc pins allocs_per_replay=0) —
+//     including across MFG-CP replans at any planner width, which ride
+//     PlanEpochInto's own zero-allocation path.
 //   - The replay loop itself is RNG-free and single-threaded; all
 //     parallelism lives behind the replan hook (the epoch worker pool).
 //     Statistics are therefore bit-identical for a given stream seed at

@@ -2,16 +2,24 @@
 // binary links mfgcp_obs_alloc_hooks, so every operator new in the
 // process bumps the probe; a warmed PlanEpochInto on a homogeneous-shape
 // catalog must not bump it at all — globally and per worker — at any
-// pool width.
+// pool width, also while the metrics streamer samples and while the
+// flight journal records.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstddef>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
 
 #include "core/fault_injection.h"
 #include "core/mfg_cp.h"
 #include "epoch_test_util.h"
 #include "obs/alloc_probe.h"
+#include "obs/flight_recorder.h"
+#include "obs/stream.h"
 
 namespace mfg::core {
 namespace {
@@ -115,6 +123,100 @@ TEST(EpochAllocTest, CleanEpochAfterAFaultEpochIsAllocationFree) {
       << "clean epoch after a fault epoch allocated";
 }
 #endif  // MFGCP_FAULTS_ENABLED
+
+// Plans one warmed epoch and returns the allocations of the threads that
+// planned it: the calling thread's delta plus each pool worker's. Other
+// threads of the process are not counted, so a metrics sampler's own row
+// building stays the sampler's. (At parallelism 1 the one worker is the
+// calling thread and its delta counts twice, which a zero check allows.)
+std::size_t PlanEpochCountingPlannerAllocations(
+    MfgCpFramework& framework, const EpochObservation& obs,
+    EpochPlanBuffer& buffer) {
+  const std::size_t before = obs::ThreadAllocationCount();
+  EXPECT_TRUE(framework.PlanEpochInto(obs, buffer).ok());
+  return obs::ThreadAllocationCount() - before +
+         framework.epoch_runtime().last_epoch_allocations();
+}
+
+// Warmed epochs while the MetricsStreamer samples the registry: sampling
+// stays off the solver path (obs/stream.h), so the planning threads make
+// no allocation. Epochs run until the sampler has written at least one
+// window beyond its Start baseline, so the count covers live sampling.
+void ExpectStreamedEpochsAllocationFree(std::size_t parallelism) {
+  if (!MFGCP_OBS_ENABLED) GTEST_SKIP() << "built with -DMFGCP_OBS=OFF";
+  constexpr std::size_t kContents = 8;
+  constexpr std::size_t kMaxEpochs = 2000;
+  auto framework = MakeFramework(kContents, parallelism);
+  const EpochObservation obs = MakeObservation(kContents);
+  EpochPlanBuffer buffer;
+  ASSERT_TRUE(framework.PlanEpochInto(obs, buffer).ok());
+  ASSERT_TRUE(framework.PlanEpochInto(obs, buffer).ok());
+
+  const std::string path = ::testing::TempDir() + "epoch_alloc_stream_" +
+                           std::to_string(parallelism) + ".jsonl";
+  obs::StreamOptions options;
+  options.jsonl_path = path;
+  options.period = std::chrono::milliseconds(5);
+  obs::MetricsStreamer& streamer = obs::MetricsStreamer::Global();
+  ASSERT_TRUE(streamer.Start(options).ok());
+  const std::uint64_t baseline_windows = streamer.windows_written();
+
+  std::size_t allocations = 0;
+  std::size_t epochs = 0;
+  do {
+    allocations += PlanEpochCountingPlannerAllocations(framework, obs, buffer);
+    ++epochs;
+  } while (streamer.windows_written() == baseline_windows &&
+           epochs < kMaxEpochs);
+  const std::uint64_t windows = streamer.windows_written() - baseline_windows;
+  streamer.Stop();
+  std::remove(path.c_str());
+
+  EXPECT_EQ(allocations, 0u) << "warmed epochs allocated while streaming";
+  EXPECT_GE(windows, 1u) << "the streamer sampled no window in " << epochs
+                         << " epochs";
+}
+
+// Warmed epochs while the flight journal records every solve event: each
+// thread's ring registers during the warm-up epochs, after which a record
+// is plain stores into that ring.
+void ExpectRecordedEpochAllocationFree(std::size_t parallelism) {
+  if (!MFGCP_OBS_ENABLED) GTEST_SKIP() << "built with -DMFGCP_OBS=OFF";
+  constexpr std::size_t kContents = 8;
+  obs::FlightJournal& journal = obs::FlightJournal::Get();
+  journal.SetEnabled(true);
+  auto framework = MakeFramework(kContents, parallelism);
+  const EpochObservation obs = MakeObservation(kContents);
+  EpochPlanBuffer buffer;
+  ASSERT_TRUE(framework.PlanEpochInto(obs, buffer).ok());
+  ASSERT_TRUE(framework.PlanEpochInto(obs, buffer).ok());
+
+  EXPECT_EQ(PlanEpochCountingPlannerAllocations(framework, obs, buffer), 0u)
+      << "warmed epoch allocated while the flight journal recorded";
+
+  // The journal did record the measured epoch (collecting allocates, so
+  // it runs after the count).
+  std::vector<obs::FlightEvent> events;
+  EXPECT_GT(journal.CollectInto(buffer.epoch_index - 1,
+                                buffer.results[0].content, events),
+            0u);
+}
+
+TEST(EpochAllocTest, StreamedSerialEpochIsAllocationFree) {
+  ExpectStreamedEpochsAllocationFree(1);
+}
+
+TEST(EpochAllocTest, StreamedParallelEpochIsAllocationFree) {
+  ExpectStreamedEpochsAllocationFree(4);
+}
+
+TEST(EpochAllocTest, FlightRecordedSerialEpochIsAllocationFree) {
+  ExpectRecordedEpochAllocationFree(1);
+}
+
+TEST(EpochAllocTest, FlightRecordedParallelEpochIsAllocationFree) {
+  ExpectRecordedEpochAllocationFree(4);
+}
 
 TEST(EpochAllocTest, ProbeCountsThisThread) {
   const std::size_t global_before = obs::AllocationCount();

@@ -93,7 +93,8 @@ TEST(RequestAllocTest, ResetWithSameShapeIsAllocationFree) {
 // epoch path, the hook's observation/score scratch reuses its capacity,
 // and AssignTopByScore works in place. Worker-thread allocations are
 // checked through the epoch runtime's per-worker probes.
-TEST(RequestAllocTest, MfgReplanReplayIsAllocationFree) {
+void ExpectWarmedReplanReplayAllocationFree(std::size_t parallelism) {
+  SCOPED_TRACE(::testing::Message() << "planner parallelism " << parallelism);
   const RequestStream stream = MakeStream();
 
   // The FastOptions configuration of tests/core/epoch_test_util.h: solves
@@ -103,7 +104,7 @@ TEST(RequestAllocTest, MfgReplanReplayIsAllocationFree) {
   hook_options.planner.base_params.grid.num_q_nodes = 41;
   hook_options.planner.base_params.grid.num_time_steps = 50;
   hook_options.planner.base_params.learning.max_iterations = 20;
-  hook_options.planner.parallelism = 2;
+  hook_options.planner.parallelism = parallelism;
   auto hook = MfgPlanReplanHook::Create(hook_options, kContents, 100.0, 0.8);
   ASSERT_TRUE(hook.ok()) << hook.status();
 
@@ -131,6 +132,13 @@ TEST(RequestAllocTest, MfgReplanReplayIsAllocationFree) {
   const std::size_t after = obs::AllocationCount();
   EXPECT_EQ(after - before, 0u) << "warmed replanning replay allocated";
   EXPECT_GT(stats.replans, 0u);
+}
+
+// At planner width 1 every boundary solves inline on the replay thread;
+// at width 2 it runs on the pool.
+TEST(RequestAllocTest, MfgReplanReplayIsAllocationFree) {
+  ExpectWarmedReplanReplayAllocationFree(1);
+  ExpectWarmedReplanReplayAllocationFree(2);
 }
 
 }  // namespace
