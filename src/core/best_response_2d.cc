@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <span>
 #include <utility>
 
 #include "common/logging.h"
 #include "numerics/batch_field.h"
 #include "numerics/density.h"
+#include "numerics/time_field.h"
 #include "obs/obs.h"
 
 namespace mfg::core {
@@ -16,8 +18,9 @@ common::StatusOr<BestResponseLearner2D> BestResponseLearner2D::Create(
   MFG_RETURN_IF_ERROR(params.Validate());
   MFG_ASSIGN_OR_RETURN(HjbSolver2D hjb, HjbSolver2D::Create(params));
   MFG_ASSIGN_OR_RETURN(FpkSolver2D fpk, FpkSolver2D::Create(params));
-  MFG_ASSIGN_OR_RETURN(MeanFieldEstimator estimator,
-                       MeanFieldEstimator::Create(params));
+  MeanFieldBatchEstimator estimator;
+  estimator.Reset(1);
+  MFG_RETURN_IF_ERROR(estimator.BindLane(0, params));
   return BestResponseLearner2D(params, std::move(hjb), std::move(fpk),
                                std::move(estimator));
 }
@@ -55,27 +58,23 @@ common::StatusOr<Equilibrium2D> BestResponseLearner2D::Solve(
   Equilibrium2D eq;
   FpkSolver2D::Workspace fpk_ws;
   HjbSolver2D::Workspace hjb_ws;
-  MeanFieldEstimator::Workspace mf_ws;
   MFG_RETURN_IF_ERROR(fpk_.SweepInto(policy.data(), density.data(), fpk_ws));
   eq.policy_change_history.reserve(params_.learning.max_iterations);
   eq.value_change_history.reserve(params_.learning.max_iterations);
 
-  // Reusable estimation buffers: the q-marginal is written straight into
-  // the density's storage, and the per-q policy average into one slice.
-  MFG_ASSIGN_OR_RETURN(numerics::Density1D marginal,
-                       numerics::Density1D::FromSamplesUnchecked(
-                           fpk_.q_grid(), std::vector<double>(nq, 1.0)));
-  std::vector<double> policy_slice(nq, 0.0);
-
   // Estimates the mean-field quantities from the q-marginal of the joint
-  // density (trapezoid over h) and the population-mean policy per q node
-  // (the estimator's ⟨x⟩ integral needs x(q); we use the density-weighted
-  // h-average). Row (n, iq) of the fields is the nh h-nodes.
+  // density (trapezoid over h, clipped and normalized) and the
+  // population-mean policy per q node (the estimator's ⟨x⟩ integral needs
+  // x(q); we use the density-weighted h-average), both [time][q] — one
+  // estimator lane. Row (n, iq) of the fields is the nh h-nodes.
+  numerics::TimeField2D q_marginal(nt + 1, nq);
+  numerics::TimeField2D q_policy(nt + 1, nq);
+  static constexpr std::uint8_t kOneLane[] = {1};
   auto estimate = [&](std::vector<MeanFieldQuantities>& mean_field)
       -> common::Status {
-    mean_field.resize(nt + 1);
-    std::vector<double>& q_marginal = marginal.mutable_values();
     for (std::size_t n = 0; n <= nt; ++n) {
+      const std::span<double> marginal = q_marginal[n];
+      const std::span<double> policy_mean = q_policy[n];
       for (std::size_t iq = 0; iq < nq; ++iq) {
         const std::span<const double> lambda = density[n * nq + iq];
         const std::span<const double> x = policy[n * nq + iq];
@@ -87,13 +86,15 @@ common::StatusOr<Equilibrium2D> BestResponseLearner2D::Solve(
           weighted += lambda[ih] * x[ih];
           weight += lambda[ih];
         }
-        q_marginal[iq] = mass * h_grid.dx();
-        policy_slice[iq] = weight > 1e-300 ? weighted / weight : 0.0;
+        marginal[iq] = mass * h_grid.dx();
+        policy_mean[iq] = weight > 1e-300 ? weighted / weight : 0.0;
       }
-      MFG_RETURN_IF_ERROR(marginal.ClipAndNormalize());
-      MFG_RETURN_IF_ERROR(estimator_.EstimateInto(
-          marginal, policy_slice, mf_ws, mean_field[n]));
+      MFG_RETURN_IF_ERROR(
+          numerics::Density1D::ClipAndNormalize(fpk_.q_grid(), marginal));
     }
+    mean_field.resize(nt + 1);
+    estimator_.EstimateTrajectoryInto(nt + 1, q_marginal.data(),
+                                      q_policy.data(), kOneLane, mean_field);
     return common::Status::Ok();
   };
 

@@ -52,7 +52,7 @@ class BestResponseLearner2D {
 
  private:
   BestResponseLearner2D(const MfgParams& params, HjbSolver2D hjb,
-                        FpkSolver2D fpk, MeanFieldEstimator estimator)
+                        FpkSolver2D fpk, MeanFieldBatchEstimator estimator)
       : params_(params),
         hjb_(std::move(hjb)),
         fpk_(std::move(fpk)),
@@ -61,7 +61,7 @@ class BestResponseLearner2D {
   MfgParams params_;
   HjbSolver2D hjb_;
   FpkSolver2D fpk_;
-  MeanFieldEstimator estimator_;
+  MeanFieldBatchEstimator estimator_;  // Bound at one lane.
 };
 
 }  // namespace mfg::core

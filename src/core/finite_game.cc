@@ -7,6 +7,7 @@
 #include "common/logging.h"
 #include "common/math_util.h"
 #include "core/hjb_solver.h"
+#include "core/mean_field_estimator.h"
 #include "econ/pricing.h"
 #include "econ/utility.h"
 #include "numerics/interpolation.h"
@@ -50,14 +51,8 @@ MeanFieldQuantities EmpiricalQuantities(
   const double others = static_cast<double>(m - 1);
   mf.mean_peer_remaining = sum / others;
   mf.sharer_fraction = static_cast<double>(sharers) / others;
-  const double lacking = 1.0 - mf.sharer_fraction;
-  mf.case3_fraction = lacking * lacking;
   mf.delta_q = std::fabs(sharer_moment - needer_moment) / others;
-  if (params.sharing_enabled && mf.sharer_fraction > 1e-9) {
-    const double ratio = (1.0 - mf.case3_fraction) / mf.sharer_fraction;
-    mf.sharing_benefit = params.utility.sharing_price * mf.delta_q *
-                         std::max(ratio - 1.0, 0.0);
-  }
+  SetSharingTerms(params.utility.sharing_price, params.sharing_enabled, mf);
   return mf;
 }
 

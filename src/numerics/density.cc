@@ -7,6 +7,21 @@
 #include "numerics/quadrature.h"
 
 namespace mfg::numerics {
+namespace {
+
+// Rescales samples of `grid` to unit trapezoid mass.
+common::Status NormalizeSamples(const Grid1D& grid, std::span<double> values) {
+  MFG_ASSIGN_OR_RETURN(const double mass,
+                       Trapezoid(grid, std::span<const double>(values)));
+  if (!(mass > 1e-300)) {
+    return common::Status::NumericalError("density mass is ~0");
+  }
+  for (double& v : values) v /= mass;
+  return common::Status::Ok();
+}
+
+}  // namespace
+
 double GaussianPdf(double x, double mean, double stddev) {
   const double z = (x - mean) / stddev;
   return std::exp(-0.5 * z * z) /
@@ -124,19 +139,19 @@ double Density1D::MeanOnInterval(double a, double b) const {
 }
 
 common::Status Density1D::Normalize() {
-  const double mass = Mass();
-  if (!(mass > 1e-300)) {
-    return common::Status::NumericalError("density mass is ~0");
-  }
-  for (double& v : values_) v /= mass;
-  return common::Status::Ok();
+  return NormalizeSamples(grid_, values_);
 }
 
 common::Status Density1D::ClipAndNormalize() {
-  for (double& v : values_) {
+  return ClipAndNormalize(grid_, values_);
+}
+
+common::Status Density1D::ClipAndNormalize(const Grid1D& grid,
+                                           std::span<double> values) {
+  for (double& v : values) {
     if (!(v > 0.0)) v = 0.0;  // Also clears NaN.
   }
-  return Normalize();
+  return NormalizeSamples(grid, values);
 }
 
 common::StatusOr<double> Density1D::L1Distance(const Density1D& other) const {

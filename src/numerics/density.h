@@ -1,6 +1,7 @@
 #ifndef MFGCP_NUMERICS_DENSITY_H_
 #define MFGCP_NUMERICS_DENSITY_H_
 
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -79,6 +80,11 @@ class Density1D {
 
   // Clamps negatives to zero (guard after FD updates) and renormalizes.
   common::Status ClipAndNormalize();
+
+  // The same on raw samples of `grid` held elsewhere (a row of a flat
+  // field); the member delegates to it.
+  static common::Status ClipAndNormalize(const Grid1D& grid,
+                                         std::span<double> values);
 
   // L1 distance ∫ |λ - other| dq; both must share the grid.
   common::StatusOr<double> L1Distance(const Density1D& other) const;

@@ -12,6 +12,7 @@
 
 #include "econ/pricing.h"
 #include "numerics/quadrature.h"
+#include "numerics/time_field.h"
 
 namespace mfg::core {
 namespace {
@@ -189,8 +190,24 @@ void ExpectBitwiseEqual(double actual, double expected, const char* field) {
       << field << ": " << actual << " vs " << expected;
 }
 
+void ExpectBitwiseEqual(const MeanFieldQuantities& actual,
+                        const MeanFieldQuantities& expected) {
+  ExpectBitwiseEqual(actual.mean_caching_rate, expected.mean_caching_rate,
+                     "mean_caching_rate");
+  ExpectBitwiseEqual(actual.price, expected.price, "price");
+  ExpectBitwiseEqual(actual.mean_peer_remaining, expected.mean_peer_remaining,
+                     "mean_peer_remaining");
+  ExpectBitwiseEqual(actual.delta_q, expected.delta_q, "delta_q");
+  ExpectBitwiseEqual(actual.sharer_fraction, expected.sharer_fraction,
+                     "sharer_fraction");
+  ExpectBitwiseEqual(actual.case3_fraction, expected.case3_fraction,
+                     "case3_fraction");
+  ExpectBitwiseEqual(actual.sharing_benefit, expected.sharing_benefit,
+                     "sharing_benefit");
+}
+
 // Seeded random densities (some exact zeros, unnormalized) and policies,
-// through both the slice and the trajectory entry points.
+// through the slice entry point.
 void CheckBitIdentity(const MfgParams& params, std::uint64_t seed) {
   const auto estimator = MeanFieldEstimator::Create(params).value();
   const numerics::Grid1D grid = params.MakeQGrid().value();
@@ -212,34 +229,14 @@ void CheckBitIdentity(const MfgParams& params, std::uint64_t seed) {
   }
 
   MeanFieldEstimator::Workspace workspace;
-  std::vector<MeanFieldQuantities> trajectory;
-  ASSERT_TRUE(estimator
-                  .EstimateTrajectoryInto(densities, policy, workspace,
-                                          trajectory)
-                  .ok());
-  ASSERT_EQ(trajectory.size(), kSlices);
   for (std::size_t n = 0; n < kSlices; ++n) {
     SCOPED_TRACE(::testing::Message() << "slice " << n);
-    const MeanFieldQuantities expected =
-        ReferenceEstimate(params, densities[n], policy[n]);
     MeanFieldQuantities slice;
     ASSERT_TRUE(
         estimator.EstimateInto(densities[n], policy[n], workspace, slice)
             .ok());
-    for (const MeanFieldQuantities* actual : {&slice, &trajectory[n]}) {
-      ExpectBitwiseEqual(actual->mean_caching_rate,
-                         expected.mean_caching_rate, "mean_caching_rate");
-      ExpectBitwiseEqual(actual->price, expected.price, "price");
-      ExpectBitwiseEqual(actual->mean_peer_remaining,
-                         expected.mean_peer_remaining, "mean_peer_remaining");
-      ExpectBitwiseEqual(actual->delta_q, expected.delta_q, "delta_q");
-      ExpectBitwiseEqual(actual->sharer_fraction, expected.sharer_fraction,
-                         "sharer_fraction");
-      ExpectBitwiseEqual(actual->case3_fraction, expected.case3_fraction,
-                         "case3_fraction");
-      ExpectBitwiseEqual(actual->sharing_benefit, expected.sharing_benefit,
-                         "sharing_benefit");
-    }
+    ExpectBitwiseEqual(slice,
+                       ReferenceEstimate(params, densities[n], policy[n]));
   }
 }
 
@@ -276,7 +273,8 @@ TEST(MeanFieldEstimatorTest, MatchesQuadratureHelpersBitwise) {
 }
 
 // Lane-parallel trajectory estimates over a [time][node][lane] block must
-// equal the per-lane EstimateTrajectoryInto bit for bit, at every width.
+// equal each lane's quadrature-helper reference bit for bit, at every
+// width.
 // Lanes take the batched learner's heterogeneous content sizes (60–140 MB:
 // dx, node coordinates and αQ all differ per lane) and mix the interval
 // shapes: αQ on a grid node, a sharer interval inside the first cell, and
@@ -336,41 +334,20 @@ TEST(MeanFieldEstimatorTest, LaneParallelTrajectoryMatchesPerLaneBitwise) {
     for (std::size_t l = 0; l < lanes; ++l) {
       SCOPED_TRACE(::testing::Message() << "lane " << l);
       const numerics::Grid1D grid = params[l].MakeQGrid().value();
-      std::vector<numerics::Density1D> densities;
-      numerics::TimeField2D policy(kSlices, kNodes, 0.0);
-      for (std::size_t n = 0; n < kSlices; ++n) {
-        std::vector<double> values(kNodes);
-        for (std::size_t i = 0; i < kNodes; ++i) {
-          values[i] = density_field[(n * kNodes + i) * lanes + l];
-          policy[n][i] = policy_field[(n * kNodes + i) * lanes + l];
-        }
-        densities.push_back(
-            numerics::Density1D::FromSamplesUnchecked(grid, values).value());
-      }
-      const auto estimator = MeanFieldEstimator::Create(params[l]).value();
-      MeanFieldEstimator::Workspace workspace;
-      std::vector<MeanFieldQuantities> expected;
-      ASSERT_TRUE(estimator
-                      .EstimateTrajectoryInto(densities, policy, workspace,
-                                              expected)
-                      .ok());
       for (std::size_t n = 0; n < kSlices; ++n) {
         SCOPED_TRACE(::testing::Message() << "slice " << n);
-        const MeanFieldQuantities& want =
-            counted[l] != 0 ? expected[n] : kUntouched;
-        const MeanFieldQuantities& got = out[n * lanes + l];
-        ExpectBitwiseEqual(got.mean_caching_rate, want.mean_caching_rate,
-                           "mean_caching_rate");
-        ExpectBitwiseEqual(got.price, want.price, "price");
-        ExpectBitwiseEqual(got.mean_peer_remaining, want.mean_peer_remaining,
-                           "mean_peer_remaining");
-        ExpectBitwiseEqual(got.delta_q, want.delta_q, "delta_q");
-        ExpectBitwiseEqual(got.sharer_fraction, want.sharer_fraction,
-                           "sharer_fraction");
-        ExpectBitwiseEqual(got.case3_fraction, want.case3_fraction,
-                           "case3_fraction");
-        ExpectBitwiseEqual(got.sharing_benefit, want.sharing_benefit,
-                           "sharing_benefit");
+        std::vector<double> values(kNodes);
+        std::vector<double> policy(kNodes);
+        for (std::size_t i = 0; i < kNodes; ++i) {
+          values[i] = density_field[(n * kNodes + i) * lanes + l];
+          policy[i] = policy_field[(n * kNodes + i) * lanes + l];
+        }
+        const numerics::Density1D density =
+            numerics::Density1D::FromSamplesUnchecked(grid, values).value();
+        ExpectBitwiseEqual(out[n * lanes + l],
+                           counted[l] != 0
+                               ? ReferenceEstimate(params[l], density, policy)
+                               : kUntouched);
       }
     }
   }
@@ -393,15 +370,6 @@ TEST(MeanFieldEstimatorTest, RejectsDensityOffTheParamsGrid) {
   const common::Status slice =
       estimator.EstimateInto(density, policy, workspace, out);
   EXPECT_EQ(slice.code(), common::StatusCode::kInvalidArgument);
-
-  const std::vector<numerics::Density1D> densities(2, density);
-  const numerics::TimeField2D policies(2, params.grid.num_q_nodes, 0.5);
-  std::vector<MeanFieldQuantities> trajectory;
-  EXPECT_EQ(estimator
-                .EstimateTrajectoryInto(densities, policies, workspace,
-                                        trajectory)
-                .code(),
-            common::StatusCode::kInvalidArgument);
 }
 
 }  // namespace

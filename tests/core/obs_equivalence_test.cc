@@ -15,8 +15,10 @@
 
 #include "core/best_response.h"
 #include "core/best_response_2d.h"
+#include "core/mean_field_estimator.h"
 #include "core/mfg_cp.h"
 #include "epoch_test_util.h"
+#include "numerics/density.h"
 #include "obs/obs.h"
 
 namespace mfg::core {
@@ -184,6 +186,10 @@ TEST(ObsEquivalenceTest, TwoDimensionalSweepsCountOnlyAsTwoD) {
   const std::uint64_t fpk_2d = counter("core.fpk_2d.sweeps");
   const std::uint64_t hjb_2d_timed = timed("core.hjb_2d.sweep_seconds");
   const std::uint64_t fpk_2d_timed = timed("core.fpk_2d.sweep_seconds");
+  const std::uint64_t estimates = counter("core.mean_field.estimates");
+  const std::uint64_t trajectories = counter("core.mean_field.trajectories");
+  const std::uint64_t trajectories_timed =
+      timed("core.mean_field.trajectory_seconds");
   auto eq = BestResponseLearner2D::Create(params).value().Solve();
   ASSERT_TRUE(eq.ok()) << eq.status();
   EXPECT_EQ(counter("core.hjb.sweeps"), hjb);
@@ -197,6 +203,45 @@ TEST(ObsEquivalenceTest, TwoDimensionalSweepsCountOnlyAsTwoD) {
   EXPECT_EQ(timed("core.hjb_2d.sweep_seconds"), hjb_2d_timed + eq->iterations);
   EXPECT_EQ(counter("core.fpk_2d.sweeps"), fpk_2d + fpk_sweeps);
   EXPECT_EQ(timed("core.fpk_2d.sweep_seconds"), fpk_2d_timed + fpk_sweeps);
+  // The q-marginal is estimated as one lane: one trajectory of nt + 1
+  // estimates per iteration plus the final refresh.
+  const std::uint64_t refreshes = eq->iterations + 1;
+  const std::uint64_t nodes = params.grid.num_time_steps + 1;
+  EXPECT_EQ(counter("core.mean_field.estimates"),
+            estimates + refreshes * nodes);
+  EXPECT_EQ(counter("core.mean_field.trajectories"), trajectories + refreshes);
+  EXPECT_EQ(timed("core.mean_field.trajectory_seconds"),
+            trajectories_timed + refreshes);
+#endif
+}
+
+TEST(ObsEquivalenceTest, SliceEstimateCountsOneEstimateAndNoTrajectory) {
+#if !MFGCP_OBS_ENABLED
+  GTEST_SKIP() << "instrumentation compiled out (MFGCP_OBS=OFF)";
+#else
+  // MeanFieldEstimator is the one-lane view of the batch estimator; a
+  // single-slice estimate is one estimate, never a trajectory.
+  const MfgParams params = SmallParams();
+  const auto estimator = MeanFieldEstimator::Create(params).value();
+  const numerics::Density1D density =
+      numerics::Density1D::Uniform(params.MakeQGrid().value()).value();
+  const std::vector<double> policy(params.grid.num_q_nodes, 0.5);
+  obs::Registry& registry = obs::Registry::Global();
+  const std::uint64_t estimates =
+      registry.GetCounter("core.mean_field.estimates").Value();
+  const std::uint64_t trajectories =
+      registry.GetCounter("core.mean_field.trajectories").Value();
+  const std::uint64_t timed =
+      registry.GetHistogram("core.mean_field.trajectory_seconds").Count();
+  MeanFieldEstimator::Workspace workspace;
+  MeanFieldQuantities out;
+  ASSERT_TRUE(estimator.EstimateInto(density, policy, workspace, out).ok());
+  EXPECT_EQ(registry.GetCounter("core.mean_field.estimates").Value(),
+            estimates + 1);
+  EXPECT_EQ(registry.GetCounter("core.mean_field.trajectories").Value(),
+            trajectories);
+  EXPECT_EQ(registry.GetHistogram("core.mean_field.trajectory_seconds").Count(),
+            timed);
 #endif
 }
 
